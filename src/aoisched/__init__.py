@@ -34,7 +34,6 @@ from .exact_solver import (
     solve_exact,
 )
 from .model import (
-    JointState,
     NetworkConfig,
     PerSensorState,
     SensorModel,
@@ -60,15 +59,11 @@ from .relaxed_solver import (
     solve_relaxed,
 )
 from .runtime_policies import (
-    DecisionContext,
     ExactFleetPolicy,
     GreedyFleetPolicy,
     RelaxedFleetPolicy,
     build_exact_fleet_policy,
     build_relaxed_fleet_policy,
-    greedy_decide,
-    relaxed_propose,
-    truncate,
 )
 from .simulator import (
     EpisodeMetrics,

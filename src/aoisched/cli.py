@@ -25,8 +25,8 @@ from .analysis import (
     command_region_map,
     policy_structure_report,
 )
-from .errors import AoischedError, StateSpaceError
-from .exact_solver import JOINT_STATE_CAP, solve_exact
+from .errors import AoischedError
+from .exact_solver import solve_exact
 from .model import NetworkConfig, SensorParams, sensor_classes, sensor_model
 from .policy_io import (
     load_joint_policy,
@@ -89,16 +89,6 @@ class ExperimentSpec:
         for p in self.policies:
             if p not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
-
-    def resolved_budget(self, num_sensors: int | None = None) -> int:
-        kk = self.num_sensors if num_sensors is None else num_sensors
-        if self.budget is not None and num_sensors is None:
-            return self.budget
-        gamma = self.gamma if self.gamma is not None else self.budget / self.num_sensors
-        budget = gamma * kk
-        if abs(budget - round(budget)) > 1e-9 or round(budget) < 1:
-            raise ValueError(f"gamma * K = {budget} is not a positive integer")
-        return int(round(budget))
 
 
 def _format_value(value) -> str:
@@ -235,17 +225,16 @@ def build_network(spec: ExperimentSpec, num_sensors: int | None = None,
                   gamma: float | None = None) -> NetworkConfig:
     """Materialize the sensor fleet described by a spec.
 
-    ``num_sensors``/``gamma`` override the spec for sweep grid points. With the
+    ``num_sensors``/``gamma`` override the spec for sweep grid points; the
+    budget is gamma * K, with gamma = M / K when the spec gives M. With the
     round-robin rule, sensor k (0-based) gets harvest_set[k mod len(set)].
     """
     kk = spec.num_sensors if num_sensors is None else num_sensors
-    if gamma is not None:
-        budget = gamma * kk
-        if abs(budget - round(budget)) > 1e-9 or round(budget) < 1:
-            raise ValueError(f"gamma * K = {budget} is not a positive integer")
-        budget = int(round(budget))
-    else:
-        budget = spec.resolved_budget(kk if num_sensors is not None else None)
+    if gamma is None:
+        gamma = spec.gamma if spec.gamma is not None else spec.budget / spec.num_sensors
+    budget = gamma * kk
+    if abs(budget - round(budget)) > 1e-9 or round(budget) < 1:
+        raise ValueError(f"gamma * K = {budget} is not a positive integer")
 
     if isinstance(spec.battery, tuple):
         if len(spec.battery) != kk:
@@ -277,7 +266,7 @@ def build_network(spec: ExperimentSpec, num_sensors: int | None = None,
     return NetworkConfig(
         num_sensors=kk,
         num_users=spec.num_users,
-        budget=budget,
+        budget=int(round(budget)),
         delta_max=spec.delta_max,
         sensors=sensors,
     )
@@ -402,14 +391,6 @@ def _policy_objects(
 def cmd_solve_exact(args) -> int:
     spec = _load_spec(args)
     network = build_network(spec)
-    total = int(
-        np.prod([sensor_model(s, network.delta_max).num_states for s in network.sensors])
-    )
-    if total > JOINT_STATE_CAP:
-        raise StateSpaceError(
-            f"joint state space has {total} states, above the cap of {JOINT_STATE_CAP}; "
-            "use solve-relaxed instead"
-        )
     policy, result = solve_exact(network, theta=spec.theta)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -496,10 +477,7 @@ def cmd_sweep(args) -> int:
     if not names:
         raise AoischedError("sweep supports the relaxed, rtt, and greedy policies")
     k_grid = spec.sweep_sensors or (spec.num_sensors,)
-    gamma_default = (
-        spec.gamma if spec.gamma is not None else spec.budget / spec.num_sensors
-    )
-    gamma_grid = spec.sweep_gamma or (gamma_default,)
+    gamma_grid = spec.sweep_gamma or (None,)
     spec_hash = config_hash(spec)
     tag = build_tag()
     rows = []
@@ -533,7 +511,7 @@ def cmd_sweep(args) -> int:
                     _report_row(spec_hash, tag, report, network, spec.seed, solution.avg_cost)
                 )
                 print(
-                    f"K={kk} gamma={gamma:g} {name}: cost={report.cost_mean:.6f} "
+                    f"K={kk} gamma={network.gamma:g} {name}: cost={report.cost_mean:.6f} "
                     f"lower={solution.avg_cost:.6f}"
                 )
     out = Path(spec.out_dir)
@@ -592,15 +570,10 @@ def cmd_analyze(args) -> int:
     classes, _, class_of = sensor_classes(network)
     value_ok = threshold_ok = True
     requests_obs = battery_obs = True
-    first = {}
-    for k, c in enumerate(class_of):
-        if c in first:
-            continue
-        first[c] = k
-        policy = solution.policies[k]
+    for sensor, k in zip(classes, np.unique(class_of, return_index=True)[1]):
         rel = solution.lagrange.per_sensor_rel_values[k]
         rep = policy_structure_report(
-            classes[c], network.delta_max, policy.lower, values=rel
+            sensor, network.delta_max, solution.policies[k].lower, values=rel
         )
         value_ok &= rep.value_monotone_in_age
         threshold_ok &= rep.age_threshold

@@ -109,21 +109,9 @@ def _expected_next(values: np.ndarray, mats: list[np.ndarray], bits: tuple[int, 
     return out
 
 
-def solve_exact(
-    config: NetworkConfig,
-    theta: float = 1e-7,
-    max_iter: int = 100_000,
-    v0: np.ndarray | None = None,
-) -> tuple[JointPolicy, RviaResult]:
-    """Optimal joint policy by relative value iteration over the product space.
-
-    The reference state puts every sensor at (requests=0, battery=0, age=1);
-    the converged value there is the optimal average cost, independent of the
-    initial state. Raises :class:`StateSpaceError` above the joint-state cap
-    and :class:`ConvergenceError` if the span tolerance is not met.
-    """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+def _joint_problem(config: NetworkConfig):
+    """State sizes, dense per-sensor kernels, priority-ordered joint actions and
+    their normalized slot costs; raises above the joint-state cap."""
     models = [sensor_model(s, config.delta_max) for s in config.sensors]
     sizes = tuple(m.num_states for m in models)
     total = int(np.prod(sizes))
@@ -144,7 +132,25 @@ def solve_exact(
             cost = cost + m.cost_vector(b).reshape(reshape)
         return cost * norm
 
-    costs = [action_cost(a) for a in actions]
+    return sizes, mats, actions, [action_cost(a) for a in actions]
+
+
+def solve_exact(
+    config: NetworkConfig,
+    theta: float = 1e-7,
+    max_iter: int = 100_000,
+    v0: np.ndarray | None = None,
+) -> tuple[JointPolicy, RviaResult]:
+    """Optimal joint policy by relative value iteration over the product space.
+
+    The reference state puts every sensor at (requests=0, battery=0, age=1);
+    the converged value there is the optimal average cost, independent of the
+    initial state. Raises :class:`StateSpaceError` above the joint-state cap
+    and :class:`ConvergenceError` if the span tolerance is not met.
+    """
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    sizes, mats, actions, costs = _joint_problem(config)
     tau = APERIODICITY_TAU
     values = np.zeros(sizes) if v0 is None else np.asarray(v0, dtype=np.float64).reshape(sizes).copy()
     ref = (0,) * len(sizes)  # every sensor at (requests=0, battery=0, age=1)
@@ -164,10 +170,10 @@ def solve_exact(
             break
     else:
         raise ConvergenceError("joint value iteration did not converge", max_iter, span)
-    log.debug("joint solve: %d states, %d actions, %d iterations", total, len(actions), it)
+    log.debug("joint solve: %d states, %d actions, %d iterations", values.size, len(actions), it)
 
     best_q = None
-    best_action = np.zeros(total, dtype=np.int64)
+    best_action = np.zeros(values.size, dtype=np.int64)
     for a_idx, (bits, cost) in enumerate(zip(actions, costs)):
         q = (cost + tau * _expected_next(rel, mats, bits)).ravel()
         if best_q is None:
@@ -196,19 +202,10 @@ def solve_exact(
 
 def bellman_residual(config: NetworkConfig, result: RviaResult) -> float:
     """Max absolute residual of the average-cost optimality equation at a solution."""
-    models = [sensor_model(s, config.delta_max) for s in config.sensors]
-    sizes = tuple(m.num_states for m in models)
-    mats = [(m.transition_matrix(0).toarray(), m.transition_matrix(1).toarray()) for m in models]
-    actions = _priority_order(enumerate_budget_actions(config.num_sensors, config.budget))
-    norm = 1.0 / (config.num_users * config.num_sensors)
+    sizes, mats, actions, costs = _joint_problem(config)
     rel = result.rel_values.reshape(sizes)
     v_tmp = None
-    for bits in actions:
-        cost = np.zeros(sizes)
-        for k, (m, b) in enumerate(zip(models, bits)):
-            reshape = [1] * len(sizes)
-            reshape[k] = sizes[k]
-            cost = cost + m.cost_vector(b).reshape(reshape)
-        q = cost * norm + _expected_next(rel, mats, bits)
+    for bits, cost in zip(actions, costs):
+        q = cost + _expected_next(rel, mats, bits)
         v_tmp = q if v_tmp is None else np.minimum(v_tmp, q)
     return float(np.abs(v_tmp - rel - result.avg_cost).max())

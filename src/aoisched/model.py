@@ -19,7 +19,6 @@ __all__ = [
     "SensorParams",
     "NetworkConfig",
     "PerSensorState",
-    "JointState",
     "SensorModel",
     "sensor_model",
     "sensor_classes",
@@ -104,19 +103,6 @@ class PerSensorState:
     def __post_init__(self):
         if self.requests < 0 or self.battery < 0 or self.age < 1:
             raise ValueError(f"invalid per-sensor state {self!r}")
-
-
-@dataclass(frozen=True)
-class JointState:
-    """States of the whole fleet, one per sensor."""
-
-    states: tuple[PerSensorState, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def effective_send(state: PerSensorState, command: int) -> int:
@@ -300,19 +286,3 @@ def sensor_classes(
     counts = np.bincount(class_of, minlength=len(classes)).astype(np.int64)
     return tuple(classes), counts, class_of
 
-
-def joint_index(per_sensor_indices, sizes) -> int:
-    """Mixed-radix flat index over the product state space (last sensor fastest)."""
-    idx = 0
-    for i, n in zip(per_sensor_indices, sizes):
-        idx = idx * n + i
-    return idx
-
-
-def joint_state_of(index: int, models) -> JointState:
-    """Inverse of :func:`joint_index` for a list of per-sensor models."""
-    parts = []
-    for m in reversed(models):
-        parts.append(m.state_of(index % m.num_states))
-        index //= m.num_states
-    return JointState(tuple(reversed(parts)))

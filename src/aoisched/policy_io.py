@@ -1,8 +1,10 @@
 """Versioned CSV serialization for solved policies.
 
-Both formats start with comment lines: a version tag, a network fingerprint
-(so a policy cannot silently be replayed on a different instance), and solve
-metadata. Floats round-trip through repr.
+Both formats start with four header lines: a version tag, a network
+fingerprint (so a policy cannot silently be replayed on a different
+instance), solve metadata, and the column names. The body is integers only:
+row-index columns followed by 0/1 action columns. Floats in the metadata
+round-trip through repr.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import numpy as np
 
 from .errors import PolicyFileError
 from .exact_solver import JointPolicy
-from .model import NetworkConfig, sensor_model
+from .model import NetworkConfig, sensor_classes, sensor_model
 from .relaxed_solver import MixedPolicy, PolicyTable, RelaxedSolution
+from .runtime_policies import class_policies
 
 __all__ = [
     "network_fingerprint",
@@ -25,8 +28,9 @@ __all__ = [
     "load_joint_policy",
 ]
 
-MIXED_TAG = "# aoisched-mixed-policy v1"
-JOINT_TAG = "# aoisched-joint-policy v1"
+MIXED_TAG = "# aoisched-mixed-policy v2"
+JOINT_TAG = "# aoisched-joint-policy v2"
+MIXED_COLUMNS = "class,state_index,action_lower,action_upper"
 
 
 def network_fingerprint(config: NetworkConfig) -> str:
@@ -43,136 +47,125 @@ def network_fingerprint(config: NetworkConfig) -> str:
     return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
 
 
+def _joint_columns(num_sensors: int) -> str:
+    return "state_index," + ",".join(f"action_{k}" for k in range(num_sensors))
+
+
+def _class_rows(sizes: list[int]) -> np.ndarray:
+    """(class, state_index) of every row of a mixed file, in file order."""
+    return np.concatenate(
+        [np.column_stack((np.full(n, c), np.arange(n))) for c, n in enumerate(sizes)]
+    )
+
+
+def _write(
+    path: str | Path, tag: str, config: NetworkConfig, meta: str, columns: str,
+    rows: np.ndarray,
+) -> None:
+    header = f"{tag}\n# network={network_fingerprint(config)}\n# {meta}\n{columns}"
+    np.savetxt(path, rows, fmt="%d", delimiter=",", header=header, comments="")
+
+
+def _read(
+    path: str | Path, tag: str, config: NetworkConfig, columns: str, index: np.ndarray
+) -> tuple[np.ndarray, dict[str, str]]:
+    """The 0/1 action columns and the header metadata of a policy file.
+
+    The body must have one row per row of ``index`` and one column per name
+    in ``columns``; its leading row-index columns must equal ``index``, which
+    checks completeness and order at once.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise PolicyFileError(f"policy file not found: {path}")
+    with path.open() as fh:
+        head = [fh.readline().rstrip("\n") for _ in range(4)]
+        if head[0] != tag:
+            raise PolicyFileError(f"{path}: expected header '{tag}'")
+        if head[3] != columns:
+            raise PolicyFileError(f"{path}: expected columns '{columns}'")
+        meta = dict(
+            token.split("=", 1) for token in " ".join(head[1:3]).split() if "=" in token
+        )
+        if meta.get("network") != network_fingerprint(config):
+            raise PolicyFileError(f"{path}: policy was solved for a different network")
+        try:
+            body = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError as exc:
+            raise PolicyFileError(f"{path}: malformed policy row: {exc}") from exc
+    shape = (index.shape[0], columns.count(",") + 1)
+    if body.shape != shape or not np.array_equal(body[:, : index.shape[1]], index):
+        raise PolicyFileError(f"{path}: incomplete or misordered policy table")
+    actions = body[:, index.shape[1]:]
+    if not np.isin(actions, (0, 1)).all():
+        raise PolicyFileError(f"{path}: action bits must be 0 or 1")
+    return actions, meta
+
+
 def save_mixed_policies(
     path: str | Path, config: NetworkConfig, solution: RelaxedSolution
 ) -> None:
-    """Write per-sensor mixed tables: one row per (sensor, state)."""
-    lines = [
-        MIXED_TAG,
-        f"# network={network_fingerprint(config)}",
-        f"# eta={solution.eta!r} mu_star={solution.mu_star!r} "
+    """Write the mixed tables: one row per (sensor class, state).
+
+    Classes are numbered as by :func:`sensor_classes`; identical sensors share
+    one table.
+    """
+    _, per_class = class_policies(config, solution.policies)
+    rows = np.column_stack((
+        _class_rows([p.num_states for p in per_class]),
+        np.concatenate([p.lower.actions for p in per_class]),
+        np.concatenate([p.upper.actions for p in per_class]),
+    ))
+    meta = (
+        f"eta={solution.eta!r} mu_star={solution.mu_star!r} "
         f"mu_minus={solution.lagrange.mu_minus!r} mu_plus={solution.lagrange.mu_plus!r} "
         f"active={int(solution.constraint_active)} avg_cost={solution.avg_cost!r} "
-        f"command_rate={solution.command_rate!r}",
-        "sensor,state_index,action_lower,action_upper",
-    ]
-    for k, policy in enumerate(solution.policies):
-        lower = policy.lower.actions
-        upper = policy.upper.actions
-        lines.extend(
-            f"{k},{i},{lower[i]},{upper[i]}" for i in range(policy.num_states)
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _read_header(lines: list[str], tag: str, path: Path) -> dict[str, str]:
-    if not lines or lines[0].strip() != tag:
-        raise PolicyFileError(f"{path}: expected header '{tag}'")
-    meta: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line.startswith("#"):
-            break
-        for token in line[1:].split():
-            if "=" in token:
-                key, value = token.split("=", 1)
-                meta[key] = value
-    return meta
+        f"command_rate={solution.command_rate!r}"
+    )
+    _write(path, MIXED_TAG, config, meta, MIXED_COLUMNS, rows)
 
 
 def load_mixed_policies(
     path: str | Path, config: NetworkConfig
 ) -> tuple[tuple[MixedPolicy, ...], dict[str, str]]:
-    """Read mixed tables back and validate them against the network."""
-    path = Path(path)
-    if not path.exists():
-        raise PolicyFileError(f"policy file not found: {path}")
-    lines = path.read_text().splitlines()
-    meta = _read_header(lines, MIXED_TAG, path)
-    if meta.get("network") != network_fingerprint(config):
-        raise PolicyFileError(f"{path}: policy was solved for a different network")
+    """Read mixed tables back, validate them, and hand one to every sensor."""
+    classes, _, class_of = sensor_classes(config)
+    sizes = [sensor_model(s, config.delta_max).num_states for s in classes]
+    actions, meta = _read(path, MIXED_TAG, config, MIXED_COLUMNS, _class_rows(sizes))
     eta = float(meta["eta"])
     mu_minus = float(meta["mu_minus"])
     mu_plus = float(meta["mu_plus"])
-
-    sizes = [sensor_model(s, config.delta_max).num_states for s in config.sensors]
-    lower = [np.zeros(n, dtype=np.int8) for n in sizes]
-    upper = [np.zeros(n, dtype=np.int8) for n in sizes]
-    seen = [0] * len(sizes)
-    body = iter(lines)
-    for line in body:
-        if line.startswith("sensor,"):
-            break
-    for line in body:
-        if not line.strip():
-            continue
-        k_str, i_str, lo_str, up_str = line.split(",")
-        k, i = int(k_str), int(i_str)
-        if not 0 <= k < len(sizes) or not 0 <= i < sizes[k]:
-            raise PolicyFileError(f"{path}: row ({k},{i}) outside the state space")
-        lower[k][i] = int(lo_str)
-        upper[k][i] = int(up_str)
-        seen[k] += 1
-    if seen != sizes:
-        raise PolicyFileError(f"{path}: incomplete policy table")
-    policies = tuple(
+    splits = np.cumsum(sizes)[:-1]
+    per_class = [
         MixedPolicy(
             lower=PolicyTable(actions=lo, mu=mu_minus),
             upper=PolicyTable(actions=up, mu=mu_plus),
             eta=eta,
         )
-        for lo, up in zip(lower, upper)
-    )
-    return policies, meta
+        for lo, up in zip(np.split(actions[:, 0], splits), np.split(actions[:, 1], splits))
+    ]
+    return tuple(per_class[c] for c in class_of), meta
 
 
 def save_joint_policy(
     path: str | Path, config: NetworkConfig, policy: JointPolicy, avg_cost: float
 ) -> None:
-    """Write a joint policy: one row per joint state, action bits as a string."""
-    lines = [
-        JOINT_TAG,
-        f"# network={network_fingerprint(config)}",
-        f"# avg_cost={avg_cost!r} budget={policy.budget}",
-        "state_index,action_bits",
-    ]
-    bits = np.char.mod("%d", policy.actions)
-    joined = [
-        f"{i}," + "".join(bits[i]) for i in range(policy.num_states)
-    ]
-    Path(path).write_text("\n".join(lines + joined) + "\n")
+    """Write a joint policy: one row per joint state, one column per action bit."""
+    rows = np.column_stack((np.arange(policy.num_states), policy.actions))
+    meta = f"avg_cost={avg_cost!r} budget={policy.budget}"
+    _write(path, JOINT_TAG, config, meta, _joint_columns(config.num_sensors), rows)
 
 
 def load_joint_policy(
     path: str | Path, config: NetworkConfig
 ) -> tuple[JointPolicy, dict[str, str]]:
-    path = Path(path)
-    if not path.exists():
-        raise PolicyFileError(f"policy file not found: {path}")
-    lines = path.read_text().splitlines()
-    meta = _read_header(lines, JOINT_TAG, path)
-    if meta.get("network") != network_fingerprint(config):
-        raise PolicyFileError(f"{path}: policy was solved for a different network")
     sizes = tuple(
         sensor_model(s, config.delta_max).num_states for s in config.sensors
     )
-    total = int(np.prod(sizes))
-    actions = np.zeros((total, config.num_sensors), dtype=np.int8)
-    seen = 0
-    body = iter(lines)
-    for line in body:
-        if line.startswith("state_index,"):
-            break
-    for line in body:
-        if not line.strip():
-            continue
-        i_str, bits = line.split(",")
-        i = int(i_str)
-        if not 0 <= i < total or len(bits) != config.num_sensors:
-            raise PolicyFileError(f"{path}: malformed row for state {i_str}")
-        actions[i] = [int(b) for b in bits]
-        seen += 1
-    if seen != total:
-        raise PolicyFileError(f"{path}: incomplete policy table")
+    index = np.arange(int(np.prod(sizes)))[:, None]
+    actions, meta = _read(
+        path, JOINT_TAG, config, _joint_columns(config.num_sensors), index
+    )
     return (
         JointPolicy(actions=actions, budget=config.budget, state_sizes=sizes),
         meta,

@@ -137,7 +137,6 @@ def solve_per_sensor(
     mu: float,
     theta: float = DEFAULT_THETA,
     max_iter: int = DEFAULT_MAX_ITER,
-    v0: np.ndarray | None = None,
 ) -> PerSensorSolve:
     """Relative value iteration for one sensor with commands priced at mu.
 
@@ -159,7 +158,7 @@ def solve_per_sensor(
     ref = model.ref_index
     tau = APERIODICITY_TAU
 
-    values = np.zeros(model.num_states) if v0 is None else np.asarray(v0, dtype=np.float64).copy()
+    values = np.zeros(model.num_states)
     rel = values - values[ref]
     span = np.inf
     for it in range(1, max_iter + 1):

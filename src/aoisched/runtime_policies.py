@@ -1,90 +1,29 @@
 """Executable per-slot decision rules.
 
-Two layers live here: small single-slot functions matching the scheduling
-procedures (propose / truncate / greedy), and fleet policy objects with a
-batched ``decide`` used by the simulation engine. Both implement the same
-semantics; the batched path is just vectorized over episodes and sensors.
+Fleet policy objects with a batched ``decide`` used by the simulation engine:
+the request-aware greedy rule, the mixed-table relaxed policy (optionally
+truncated to the per-slot budget), and lookup into a solved joint table. Each
+call decides one slot for every episode and sensor at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .exact_solver import JointPolicy
-from .model import NetworkConfig, PerSensorState, sensor_model
+from .model import NetworkConfig, sensor_classes, sensor_model
 from .relaxed_solver import MixedPolicy
 
 __all__ = [
-    "DecisionContext",
-    "relaxed_propose",
-    "truncate",
-    "greedy_decide",
     "GreedyFleetPolicy",
     "RelaxedFleetPolicy",
     "ExactFleetPolicy",
+    "class_policies",
     "build_relaxed_fleet_policy",
     "build_exact_fleet_policy",
 ]
-
-
-@dataclass(frozen=True)
-class DecisionContext:
-    """Inputs of one slot's decision: slot index, fleet state, RNG stream."""
-
-    slot: int
-    states: tuple[PerSensorState, ...]
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        if self.slot < 0:
-            raise ValueError("slot index must be nonnegative")
-
-
-def relaxed_propose(
-    policies: Sequence[MixedPolicy],
-    states: Sequence[PerSensorState],
-    delta_max: int,
-    sensors: Sequence,
-    rng: np.random.Generator,
-) -> set[int]:
-    """Sensors proposed for a command under the mixed per-sensor tables.
-
-    Each sensor independently draws the lower table with probability eta and
-    the upper table otherwise, then reads its action bit. Returned indices are
-    0-based sensor positions.
-    """
-    proposed = set()
-    for k, (policy, state, sensor) in enumerate(zip(policies, states, sensors)):
-        idx = sensor_model(sensor, delta_max).index_of(state)
-        table = policy.lower if rng.random() < policy.eta else policy.upper
-        if table.actions[idx]:
-            proposed.add(k)
-    return proposed
-
-
-def truncate(proposals: set[int], budget: int, rng: np.random.Generator) -> set[int]:
-    """Down-select proposals to the per-slot budget, uniformly at random.
-
-    Identity whenever the proposal set already fits the budget.
-    """
-    if len(proposals) <= budget:
-        return set(proposals)
-    chosen = rng.choice(sorted(proposals), size=budget, replace=False)
-    return set(int(i) for i in chosen)
-
-
-def greedy_decide(states: Sequence[PerSensorState], budget: int) -> set[int]:
-    """Request-aware myopic rule: command the requested sensors with the largest age.
-
-    Only sensors with at least one request are eligible; ties break toward the
-    lowest sensor position. Returns 0-based positions, at most ``budget`` many.
-    """
-    eligible = [(s.age, -k, k) for k, s in enumerate(states) if s.requests >= 1]
-    eligible.sort(reverse=True)
-    return {k for _, _, k in eligible[:budget]}
 
 
 class GreedyFleetPolicy:
@@ -190,17 +129,43 @@ class ExactFleetPolicy:
         return actions, actions.sum(axis=1, dtype=np.int64)
 
 
-def _per_sensor_layout(network: NetworkConfig):
-    sizes = np.array(
-        [sensor_model(s, network.delta_max).num_states for s in network.sensors],
-        dtype=np.int64,
-    )
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    request_strides = np.array(
+def _request_strides(network: NetworkConfig) -> np.ndarray:
+    return np.array(
         [(s.battery_capacity + 1) * network.delta_max for s in network.sensors],
         dtype=np.int64,
     )
-    return sizes, offsets, request_strides
+
+
+def class_policies(
+    network: NetworkConfig, policies: Sequence[MixedPolicy]
+) -> tuple[np.ndarray, tuple[MixedPolicy, ...]]:
+    """Collapse per-sensor mixed tables to one table per sensor class.
+
+    Returns the class index per sensor from :func:`sensor_classes` and the
+    table of each class. Raises ``ValueError`` unless there is one policy per
+    sensor, every table fits its sensor, eta is shared by the fleet, and
+    sensors of one class carry the same tables.
+    """
+    if len(policies) != network.num_sensors:
+        raise ValueError("need one mixed policy per sensor")
+    if len({p.eta for p in policies}) != 1:
+        raise ValueError("fleet mixing factor must be shared across sensors")
+    classes, _, class_of = sensor_classes(network)
+    first = np.unique(class_of, return_index=True)[1]
+    per_class = tuple(policies[k] for k in first)
+    for sensor, p in zip(classes, per_class):
+        if p.num_states != sensor_model(sensor, network.delta_max).num_states:
+            raise ValueError("mixed policy table size does not match the sensor")
+    for k, c in enumerate(class_of):
+        p, ref = policies[k], per_class[c]
+        if p is not ref and not (
+            np.array_equal(p.lower.actions, ref.lower.actions)
+            and np.array_equal(p.upper.actions, ref.upper.actions)
+        ):
+            raise ValueError(
+                f"sensors {first[c]} and {k} are identical but carry different tables"
+            )
+    return class_of, per_class
 
 
 def build_relaxed_fleet_policy(
@@ -208,33 +173,25 @@ def build_relaxed_fleet_policy(
     policies: Sequence[MixedPolicy],
     truncate_to_budget: bool,
 ) -> RelaxedFleetPolicy:
-    """Flatten per-sensor mixed tables into one runtime policy object."""
-    if len(policies) != network.num_sensors:
-        raise ValueError("need one mixed policy per sensor")
-    sizes, offsets, request_strides = _per_sensor_layout(network)
-    for p, n in zip(policies, sizes):
-        if p.num_states != n:
-            raise ValueError("mixed policy table size does not match the sensor")
-    lower = np.concatenate([p.lower.actions for p in policies]).astype(np.int8)
-    upper = np.concatenate([p.upper.actions for p in policies]).astype(np.int8)
-    etas = {p.eta for p in policies}
-    if len(etas) != 1:
-        raise ValueError("fleet mixing factor must be shared across sensors")
+    """Flatten the per-class mixed tables into one runtime policy object."""
+    class_of, per_class = class_policies(network, policies)
+    sizes = [p.num_states for p in per_class]
+    class_offset = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     return RelaxedFleetPolicy(
-        lower_flat=lower,
-        upper_flat=upper,
-        offsets=offsets,
-        request_strides=request_strides,
+        lower_flat=np.concatenate([p.lower.actions for p in per_class]),
+        upper_flat=np.concatenate([p.upper.actions for p in per_class]),
+        offsets=class_offset[class_of],
+        request_strides=_request_strides(network),
         delta_max=network.delta_max,
-        eta=etas.pop(),
+        eta=per_class[0].eta,
         budget=network.budget if truncate_to_budget else None,
         name="rtt" if truncate_to_budget else "relaxed",
     )
 
 
 def build_exact_fleet_policy(network: NetworkConfig, policy: JointPolicy) -> ExactFleetPolicy:
-    sizes, _, request_strides = _per_sensor_layout(network)
-    if tuple(policy.state_sizes) != tuple(int(n) for n in sizes):
+    sizes = [sensor_model(s, network.delta_max).num_states for s in network.sensors]
+    if tuple(policy.state_sizes) != tuple(sizes):
         raise ValueError("joint policy table does not match the network state space")
     strides = np.ones(network.num_sensors, dtype=np.int64)
     for k in range(network.num_sensors - 2, -1, -1):
@@ -242,7 +199,7 @@ def build_exact_fleet_policy(network: NetworkConfig, policy: JointPolicy) -> Exa
     return ExactFleetPolicy(
         table=policy.actions,
         strides=strides,
-        request_strides=request_strides,
+        request_strides=_request_strides(network),
         delta_max=network.delta_max,
         budget=network.budget,
     )

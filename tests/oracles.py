@@ -150,6 +150,19 @@ def finite_horizon_joint_cost(
     return values[tuple(start)] / horizon
 
 
+def greedy_decide(states: tuple[PerSensorState, ...], budget: int) -> set[int]:
+    """Request-aware myopic rule, one slot at a time: the reference for the
+    batched greedy policy.
+
+    Only sensors with at least one request are eligible; the largest ages win
+    and ties break toward the lowest sensor position. Returns 0-based
+    positions, at most ``budget`` many.
+    """
+    eligible = [(s.age, -k, k) for k, s in enumerate(states) if s.requests >= 1]
+    eligible.sort(reverse=True)
+    return {k for _, _, k in eligible[:budget]}
+
+
 def random_sensor(rng: np.random.Generator, max_users: int = 3,
                   max_battery: int = 4, degenerate_ok: bool = False) -> SensorParams:
     """Generic random sensor; boundary probabilities only when asked for."""

@@ -146,24 +146,6 @@ def test_joint_kernel_factorizes():
         assert marginal1[state] == pytest.approx(p, abs=1e-12)
 
 
-def test_joint_index_round_trip():
-    from aoisched.model import joint_index, joint_state_of
-
-    s1 = SensorParams(0.3, 1, (0.6,))
-    s2 = SensorParams(0.8, 2, (0.4,))
-    models = [sensor_model(s1, 3), sensor_model(s2, 3)]
-    sizes = [m.num_states for m in models]
-    seen = set()
-    for i in range(sizes[0]):
-        for j in range(sizes[1]):
-            flat = joint_index((i, j), sizes)
-            joint = joint_state_of(flat, models)
-            assert joint.states[0] == models[0].state_of(i)
-            assert joint.states[1] == models[1].state_of(j)
-            seen.add(flat)
-    assert seen == set(range(sizes[0] * sizes[1]))
-
-
 def test_sensor_classes_dedupe():
     net = NetworkConfig(4, 1, 2, 4, (TINY1, TINY1, SensorParams(0.2, 1, (0.5,)), TINY1))
     classes, counts, class_of = sensor_classes(net)

@@ -1,61 +1,93 @@
-"""Decision-rule tests: proposals, truncation, greedy, and the batched policies."""
+"""Decision-rule tests: the batched greedy and relaxed policies, truncation
+included, as the simulation engine calls them."""
 
 import numpy as np
 import pytest
+from oracles import greedy_decide
 
 from aoisched import (
-    DecisionContext,
     GreedyFleetPolicy,
     MixedPolicy,
     NetworkConfig,
     PerSensorState,
+    PolicyTable,
     SensorParams,
     build_relaxed_fleet_policy,
-    evaluate_per_sensor,
-    greedy_decide,
-    relaxed_propose,
     run_experiment,
     SimConfig,
+    sensor_model,
     solve_per_sensor,
     solve_relaxed,
-    truncate,
 )
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 
 
+def _requested_rtt(num_sensors: int, budget: int):
+    """rtt fleet of TINY1 sensors whose tables propose exactly the requested ones."""
+    net = NetworkConfig(num_sensors, 1, budget, 2, (TINY1,) * num_sensors)
+    requested = PolicyTable(actions=sensor_model(TINY1, 2).requests_of >= 1, mu=0.0)
+    mixed = MixedPolicy(requested, requested, eta=1.0)
+    return build_relaxed_fleet_policy(net, (mixed,) * num_sensors, truncate_to_budget=True)
+
+
+def _decide(policy, requests, rng):
+    """One slot of ``policy`` for each row of ``requests``, at battery 1 and age 2."""
+    requests = np.asarray(requests, dtype=np.int64)
+    ones = np.ones_like(requests)
+    return policy.decide(requests, ones, 2 * ones, None, [rng] * requests.shape[0])
+
+
 def test_truncate_identity_within_budget():
-    rng = np.random.default_rng(0)
-    assert truncate({4, 9}, 5, rng) == {4, 9}
-    assert truncate(set(), 3, rng) == set()
+    rtt = _requested_rtt(10, budget=5)
+    requests = np.zeros((3, 10), dtype=np.int64)
+    requests[0, [4, 9]] = 1
+    requests[1, :5] = 1  # exactly the budget
+    actions, proposals = _decide(rtt, requests, np.random.default_rng(0))
+    np.testing.assert_array_equal(actions, requests)
+    assert proposals.tolist() == [2, 5, 0]
 
 
 def test_truncate_uniform_subsets():
+    rtt = _requested_rtt(5, budget=2)
+    requests = np.zeros((1000, 5), dtype=np.int64)
+    requests[:, 1:4] = 1
     rng = np.random.default_rng(1)
-    counts = {}
-    draws = 100_000
-    for _ in range(draws):
-        subset = frozenset(truncate({1, 2, 3}, 2, rng))
-        counts[subset] = counts.get(subset, 0) + 1
-    assert set(counts) == {frozenset(s) for s in ({1, 2}, {1, 3}, {2, 3})}
-    for n in counts.values():
-        assert n / draws == pytest.approx(1 / 3, abs=0.01)
+    keys = np.concatenate(
+        [_decide(rtt, requests, rng)[0] @ (1 << np.arange(5)) for _ in range(100)]
+    )
+    subsets, counts = np.unique(keys, return_counts=True)
+    # bit masks of {1, 2}, {1, 3} and {2, 3}
+    assert subsets.tolist() == [6, 10, 12]
+    for n in counts:
+        assert n / keys.size == pytest.approx(1 / 3, abs=0.01)
 
 
 def test_truncate_always_subset():
+    rtt = _requested_rtt(20, budget=4)
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        proposals = set(rng.choice(20, size=rng.integers(0, 12), replace=False).tolist())
-        chosen = truncate(proposals, 4, rng)
-        assert chosen <= proposals
-        assert len(chosen) == min(len(proposals), 4)
+    for _ in range(50):
+        requests = (rng.random((8, 20)) < rng.random((8, 1))).astype(np.int64)
+        actions, proposals = _decide(rtt, requests, rng)
+        assert (actions <= requests).all()
+        np.testing.assert_array_equal(proposals, requests.sum(axis=1))
+        np.testing.assert_array_equal(actions.sum(axis=1), np.minimum(proposals, 4))
+
+
+def _batched_greedy(states, budget):
+    policy = GreedyFleetPolicy(budget, len(states))
+    requests, battery, age = (np.array([[getattr(s, f) for s in states]])
+                              for f in ("requests", "battery", "age"))
+    actions, _ = policy.decide(requests, battery, age, None, [])
+    return set(np.flatnonzero(actions[0]).tolist())
 
 
 def test_greedy_examples():
-    states = (PerSensorState(1, 0, 5), PerSensorState(1, 0, 7), PerSensorState(0, 0, 7))
-    assert greedy_decide(states, 1) == {1}
-    assert greedy_decide((PerSensorState(1, 0, 7), PerSensorState(1, 0, 7)), 1) == {0}
-    assert greedy_decide((PerSensorState(0, 0, 7), PerSensorState(0, 0, 7)), 1) == set()
+    for decide in (greedy_decide, _batched_greedy):
+        states = (PerSensorState(1, 0, 5), PerSensorState(1, 0, 7), PerSensorState(0, 0, 7))
+        assert decide(states, 1) == {1}
+        assert decide((PerSensorState(1, 0, 7), PerSensorState(1, 0, 7)), 1) == {0}
+        assert decide((PerSensorState(0, 0, 7), PerSensorState(0, 0, 7)), 1) == set()
 
 
 def test_greedy_batched_matches_scalar():
@@ -75,28 +107,37 @@ def test_greedy_batched_matches_scalar():
 
 
 def test_relaxed_propose_eta_one_uses_lower_table():
-    solve = solve_per_sensor(TINY1, 2, 0.5)
-    never = solve.policy.actions * 0
-    from aoisched import PolicyTable
-
-    mixed = MixedPolicy(solve.policy, PolicyTable(actions=never, mu=9.9), eta=1.0)
-    rng = np.random.default_rng(4)
-    state = PerSensorState(1, 1, 2)
-    for _ in range(50):
-        assert relaxed_propose([mixed], (state,), 2, [TINY1], rng) == {0}
+    # With eta = 1 the engine still draws the mixture, and every draw picks the
+    # lower table: the run replays the pure lower-table policy exactly.
+    net = NetworkConfig(1, 1, 1, 2, (TINY1,))
+    lower = solve_per_sensor(TINY1, 2, 0.5).policy
+    never = PolicyTable(actions=lower.actions * 0, mu=9.9)
+    mixed = build_relaxed_fleet_policy(net, (MixedPolicy(lower, never, eta=1.0),), False)
+    pure = build_relaxed_fleet_policy(net, (MixedPolicy(lower, lower, eta=1.0),), False)
+    assert mixed.mixture_eta == 1.0 and pure.mixture_eta is None
+    sim = SimConfig(network=net, horizon=2_000, episodes=2, seed=4)
+    report = run_experiment(sim, mixed)
+    assert report.rate_mean > 0
+    assert report.per_episode == run_experiment(sim, pure).per_episode
 
 
 def test_relaxed_propose_skips_unrequested():
-    solve = solve_per_sensor(TINY1, 2, 0.1)
-    mixed = MixedPolicy(solve.policy, solve.policy, eta=1.0)
+    # Sensor 0 has no request in any (battery, age) state, sensor 1 one request.
+    model = sensor_model(TINY1, 2)
+    table = solve_per_sensor(TINY1, 2, 0.1).policy
+    net = NetworkConfig(2, 1, 1, 2, (TINY1,) * 2)
+    policy = build_relaxed_fleet_policy(net, (MixedPolicy(table, table, 1.0),) * 2, False)
+    unrequested = np.flatnonzero(model.requests_of == 0)
+    battery = np.repeat(model.battery_of[unrequested, None], 2, axis=1)
+    age = np.repeat(model.age_of[unrequested, None], 2, axis=1)
+    requests = np.tile([0, 1], (unrequested.size, 1))
     rng = np.random.default_rng(5)
-    state = PerSensorState(0, 1, 2)
-    assert relaxed_propose([mixed], (state,), 2, [TINY1], rng) == set()
-
-
-def test_decision_context_validation():
-    with pytest.raises(ValueError):
-        DecisionContext(slot=-1, states=(), rng=np.random.default_rng(0))
+    actions, proposals = policy.decide(requests, battery, age, None, [rng] * unrequested.size)
+    assert not actions[:, 0].any()
+    requested = unrequested + model.num_states // 2  # same battery and age, one request
+    np.testing.assert_array_equal(actions[:, 1], table.actions[requested])
+    assert actions[:, 1].any()
+    np.testing.assert_array_equal(proposals, actions.sum(axis=1))
 
 
 def test_fleet_proposal_rate_matches_evaluator():
