@@ -24,6 +24,7 @@ from .errors import (
     ConvergenceError,
     MultichainError,
     PolicyFileError,
+    SimulationError,
     StateSpaceError,
 )
 from .exact_solver import (

@@ -123,7 +123,6 @@ def check_ordering(
     horizon: int,
     episodes: int,
     seed: int,
-    theta: float = 1e-7,
     epsilon: float = 1e-7,
     exact_tol: float = 1e-6,
     relaxed: RelaxedSolution | None = None,
@@ -136,8 +135,8 @@ def check_ordering(
     bracket slack.
     """
     if relaxed is None:
-        relaxed = solve_relaxed(config, epsilon=epsilon, theta=theta)
-    _, rvia = solve_exact(config, theta=theta)
+        relaxed = solve_relaxed(config, epsilon=epsilon)
+    _, rvia = solve_exact(config)
     policy = build_relaxed_fleet_policy(config, relaxed.policies, truncate_to_budget=True)
     report = run_experiment(
         SimConfig(network=config, horizon=horizon, episodes=episodes, seed=seed),

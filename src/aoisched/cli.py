@@ -74,11 +74,8 @@ class ExperimentSpec:
     horizon: int = 1_000_000
     episodes: int = 50
     seed: int = 1
-    theta: float = 1e-7
     epsilon: float = 1e-4
-    eta_tol: float = 1e-6
     out_dir: str = "results"
-    threads: int = 1
     trace_points: int = 0
     sweep_sensors: tuple[int, ...] = ()
     sweep_gamma: tuple[float, ...] = ()
@@ -113,11 +110,8 @@ _KEY_ORDER = (
     ("horizon", "horizon"),
     ("episodes", "episodes"),
     ("seed", "seed"),
-    ("theta", "theta"),
     ("epsilon", "epsilon"),
-    ("eta_tol", "eta_tol"),
     ("out_dir", "out_dir"),
-    ("threads", "threads"),
     ("trace_points", "trace_points"),
     ("sweep_K", "sweep_sensors"),
     ("sweep_gamma", "sweep_gamma"),
@@ -199,14 +193,12 @@ def parse_spec(text: str) -> ExperimentSpec:
         ("horizon", "horizon"),
         ("episodes", "episodes"),
         ("seed", "seed"),
-        ("threads", "threads"),
         ("trace_points", "trace_points"),
     ):
         if key in raw:
             kwargs[attr] = int(raw[key])
-    for key, attr in (("theta", "theta"), ("epsilon", "epsilon"), ("eta_tol", "eta_tol")):
-        if key in raw:
-            kwargs[attr] = float(raw[key])
+    if "epsilon" in raw:
+        kwargs["epsilon"] = float(raw["epsilon"])
     if "out_dir" in raw:
         kwargs["out_dir"] = raw["out_dir"]
     if "sweep_K" in raw:
@@ -274,11 +266,11 @@ def build_network(spec: ExperimentSpec, num_sensors: int | None = None,
 
 def config_hash(spec: ExperimentSpec) -> str:
     """Hash of the experiment definition; execution details (output directory,
-    worker count, trace sampling) do not change it."""
+    trace sampling) do not change it."""
     lines = [
         line
         for line in serialize_spec(spec).splitlines()
-        if not line.startswith(("out_dir ", "threads ", "trace_points "))
+        if not line.startswith(("out_dir ", "trace_points "))
     ]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
@@ -352,8 +344,6 @@ def _load_spec(args) -> ExperimentSpec:
         overrides["out_dir"] = args.out
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
     return replace(spec, **overrides) if overrides else spec
 
 
@@ -391,7 +381,7 @@ def _policy_objects(
 def cmd_solve_exact(args) -> int:
     spec = _load_spec(args)
     network = build_network(spec)
-    policy, result = solve_exact(network, theta=spec.theta)
+    policy, result = solve_exact(network)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "exact_policy.csv"
@@ -405,13 +395,7 @@ def cmd_solve_exact(args) -> int:
 def cmd_solve_relaxed(args) -> int:
     spec = _load_spec(args)
     network = build_network(spec)
-    solution = solve_relaxed(
-        network,
-        epsilon=spec.epsilon,
-        theta=spec.theta,
-        eta_tol=spec.eta_tol,
-        threads=spec.threads,
-    )
+    solution = solve_relaxed(network, epsilon=spec.epsilon)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "relaxed_policy.csv"
@@ -484,13 +468,7 @@ def cmd_sweep(args) -> int:
     for kk in k_grid:
         for gamma in gamma_grid:
             network = build_network(spec, num_sensors=kk, gamma=gamma)
-            solution = solve_relaxed(
-                network,
-                epsilon=spec.epsilon,
-                theta=spec.theta,
-                eta_tol=spec.eta_tol,
-                threads=spec.threads,
-            )
+            solution = solve_relaxed(network, epsilon=spec.epsilon)
             mixed = solution.policies
             objects = {
                 "relaxed": build_relaxed_fleet_policy(network, mixed, False),
@@ -531,13 +509,7 @@ def cmd_analyze(args) -> int:
             failures += 1
         print(f"{status} {name} {detail}")
 
-    solution = solve_relaxed(
-        network,
-        epsilon=spec.epsilon,
-        theta=spec.theta,
-        eta_tol=spec.eta_tol,
-        threads=spec.threads,
-    )
+    solution = solve_relaxed(network, epsilon=spec.epsilon)
     emit(
         "INFO",
         "relaxed-solve",
@@ -596,7 +568,6 @@ def cmd_analyze(args) -> int:
             horizon=spec.horizon,
             episodes=spec.episodes,
             seed=spec.seed,
-            theta=spec.theta,
             relaxed=solution,
         )
         emit("PASS" if ordering.holds else "FAIL", "ordering-chain", ordering.describe())
@@ -673,7 +644,6 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
-        p.add_argument("--threads", type=int, help="solver worker cap (overrides config)")
 
     common(sub.add_parser("solve-exact", help="solve the joint problem exactly"))
     common(sub.add_parser("solve-relaxed", help="solve the time-average relaxation"))

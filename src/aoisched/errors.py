@@ -28,3 +28,7 @@ class BracketError(AoischedError):
 
 class PolicyFileError(AoischedError):
     """A policy file is missing, malformed, or does not match the network."""
+
+
+class SimulationError(AoischedError):
+    """A simulated slot broke the per-slot budget or left the battery range."""

@@ -14,8 +14,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConvergenceError, StateSpaceError
+from .errors import StateSpaceError
 from .model import NetworkConfig, sensor_model
+from .rvi import relative_value_iteration
 
 __all__ = [
     "JOINT_STATE_CAP",
@@ -31,10 +32,6 @@ log = logging.getLogger(__name__)
 
 JOINT_STATE_CAP = 2_000_000
 ACTION_COUNT_CAP = 1_000_000
-
-# Lazy-kernel weight, as in the per-sensor solver: same average cost and
-# optimal policies, but convergent even for periodic joint chains.
-APERIODICITY_TAU = 0.7
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,56 +132,27 @@ def _joint_problem(config: NetworkConfig):
     return sizes, mats, actions, [action_cost(a) for a in actions]
 
 
-def solve_exact(
-    config: NetworkConfig,
-    theta: float = 1e-7,
-    max_iter: int = 100_000,
-    v0: np.ndarray | None = None,
-) -> tuple[JointPolicy, RviaResult]:
+def solve_exact(config: NetworkConfig) -> tuple[JointPolicy, RviaResult]:
     """Optimal joint policy by relative value iteration over the product space.
 
     The reference state puts every sensor at (requests=0, battery=0, age=1);
-    the converged value there is the optimal average cost, independent of the
-    initial state. Raises :class:`StateSpaceError` above the joint-state cap
-    and :class:`ConvergenceError` if the span tolerance is not met.
+    the converged value there is the optimal average cost. Argmin ties go to
+    the first action in priority order. Raises :class:`StateSpaceError` above
+    the joint-state cap and :class:`ConvergenceError` if the span tolerance is
+    not met.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
     sizes, mats, actions, costs = _joint_problem(config)
-    tau = APERIODICITY_TAU
-    values = np.zeros(sizes) if v0 is None else np.asarray(v0, dtype=np.float64).reshape(sizes).copy()
+    backups = [
+        (cost, lambda values, bits=bits: _expected_next(values, mats, bits))
+        for bits, cost in zip(actions, costs)
+    ]
     ref = (0,) * len(sizes)  # every sensor at (requests=0, battery=0, age=1)
-    rel = values - values[ref]
-    span = np.inf
-    for it in range(1, max_iter + 1):
-        v_tmp = None
-        for bits, cost in zip(actions, costs):
-            q = cost + tau * _expected_next(rel, mats, bits)
-            v_tmp = q if v_tmp is None else np.minimum(v_tmp, q)
-        v_tmp = v_tmp + (1.0 - tau) * rel
-        diff = v_tmp - values
-        span = float(diff.max() - diff.min())
-        values = v_tmp
-        rel = values - values[ref]
-        if span < theta:
-            break
-    else:
-        raise ConvergenceError("joint value iteration did not converge", max_iter, span)
-    log.debug("joint solve: %d states, %d actions, %d iterations", values.size, len(actions), it)
+    values, rel, greedy, iterations, span = relative_value_iteration(
+        backups, ref, "joint value iteration"
+    )
+    log.debug("joint solve: %d states, %d actions, %d iterations", values.size, len(actions), iterations)
 
-    best_q = None
-    best_action = np.zeros(values.size, dtype=np.int64)
-    for a_idx, (bits, cost) in enumerate(zip(actions, costs)):
-        q = (cost + tau * _expected_next(rel, mats, bits)).ravel()
-        if best_q is None:
-            best_q = q
-        else:
-            better = q < best_q
-            best_q = np.where(better, q, best_q)
-            best_action[better] = a_idx
-    table = np.asarray(actions, dtype=np.int8)[best_action]
-    rel = tau * rel  # back to the untransformed optimality equation's scale
-
+    table = np.asarray(actions, dtype=np.int8)[greedy.ravel()]
     policy = JointPolicy(actions=table, budget=config.budget, state_sizes=sizes)
     flat_values = values.ravel()
     flat_rel = rel.ravel()
@@ -194,7 +162,7 @@ def solve_exact(
         values=flat_values,
         rel_values=flat_rel,
         avg_cost=float(values[ref]),
-        iterations=it,
+        iterations=iterations,
         span=span,
     )
     return policy, result

@@ -132,6 +132,9 @@ def load_mixed_policies(
     classes, _, class_of = sensor_classes(config)
     sizes = [sensor_model(s, config.delta_max).num_states for s in classes]
     actions, meta = _read(path, MIXED_TAG, config, MIXED_COLUMNS, _class_rows(sizes))
+    missing = [key for key in ("eta", "mu_minus", "mu_plus") if key not in meta]
+    if missing:
+        raise PolicyFileError(f"{path}: metadata lacks {', '.join(missing)}")
     eta = float(meta["eta"])
     mu_minus = float(meta["mu_minus"])
     mu_plus = float(meta["mu_plus"])
@@ -166,7 +169,8 @@ def load_joint_policy(
     actions, meta = _read(
         path, JOINT_TAG, config, _joint_columns(config.num_sensors), index
     )
-    return (
-        JointPolicy(actions=actions, budget=config.budget, state_sizes=sizes),
-        meta,
-    )
+    try:
+        policy = JointPolicy(actions=actions, budget=config.budget, state_sizes=sizes)
+    except ValueError as exc:
+        raise PolicyFileError(f"{path}: {exc}") from exc
+    return policy, meta

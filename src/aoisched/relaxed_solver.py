@@ -12,8 +12,6 @@ that respects the per-slot budget.
 from __future__ import annotations
 
 import logging
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,8 +20,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import spsolve
 
-from .errors import BracketError, ConvergenceError, MultichainError
+from .errors import BracketError, MultichainError
 from .model import NetworkConfig, SensorParams, sensor_classes, sensor_model
+# DEFAULT_THETA stays importable here: bench/run.py reads the span tolerance from this module.
+from .rvi import DEFAULT_THETA, relative_value_iteration  # noqa: F401
 
 __all__ = [
     "PolicyTable",
@@ -42,17 +42,8 @@ log = logging.getLogger(__name__)
 STATIONARY_RESIDUAL = 1e-10
 RATE_TIE_TOL = 1e-6  # command rate counts as "equal to Gamma" within this
 
-DEFAULT_THETA = 1e-7
 DEFAULT_EPSILON = 1e-4
-DEFAULT_ETA_TOL = 1e-6
-DEFAULT_MAX_ITER = 100_000
-
-# Aperiodicity transformation weight: value iteration runs on the lazy kernel
-# (1 - tau) I + tau P, which has the same average cost, the same optimal
-# policies, and relative values scaled by 1/tau, but converges even when a
-# policy-induced chain is periodic (e.g. deterministic dynamics at
-# harvest_rate = 1 with all-ones request probabilities).
-APERIODICITY_TAU = 0.7
+DEFAULT_ETA_TOL = 1e-6  # |mixed command rate - Gamma| that ends the eta bisection
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,64 +122,32 @@ class ChainEvaluation:
         return self.cost_rate + mu * self.command_rate
 
 
-def solve_per_sensor(
-    sensor: SensorParams,
-    delta_max: int,
-    mu: float,
-    theta: float = DEFAULT_THETA,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> PerSensorSolve:
+def solve_per_sensor(sensor: SensorParams, delta_max: int, mu: float) -> PerSensorSolve:
     """Relative value iteration for one sensor with commands priced at mu.
 
-    Synchronous sweeps over the aperiodicity-transformed kernel with the span
-    termination rule. The returned average Lagrangian is the value at the
-    reference state (requests=0, battery=0, age=1) and is within theta of the
-    true optimum; ``rel_values`` are rescaled to satisfy the untransformed
-    optimality equation. Ties in the final argmin resolve to no-command.
+    The returned average Lagrangian is the value at the reference state
+    (requests=0, battery=0, age=1) and is within ``DEFAULT_THETA`` of the true
+    optimum; ``rel_values`` satisfy the untransformed optimality equation.
+    Ties in the final argmin resolve to no-command.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
     model = sensor_model(sensor, delta_max)
-    p_idle = model.transition_matrix(0)
-    p_cmd = model.transition_matrix(1)
-    c_idle = model.cost_vector(0)
-    c_cmd = model.cost_vector(1) + mu
-    ref = model.ref_index
-    tau = APERIODICITY_TAU
-
-    values = np.zeros(model.num_states)
-    rel = values - values[ref]
-    span = np.inf
-    for it in range(1, max_iter + 1):
-        lazy = (1.0 - tau) * rel
-        v_tmp = np.minimum(
-            c_idle + tau * p_idle.dot(rel), c_cmd + tau * p_cmd.dot(rel)
-        ) + lazy
-        diff = v_tmp - values
-        span = float(diff.max() - diff.min())
-        values = v_tmp
-        rel = values - values[ref]
-        if span < theta:
-            break
-    else:
-        raise ConvergenceError(
-            f"per-sensor value iteration did not converge at mu={mu}", max_iter, span
-        )
-
-    q_idle = c_idle + tau * p_idle.dot(rel)
-    q_cmd = c_cmd + tau * p_cmd.dot(rel)
-    actions = (q_cmd < q_idle).astype(np.int8)
-    rel = tau * rel  # back to the untransformed optimality equation's scale
+    backups = [
+        (model.cost_vector(0), model.transition_matrix(0).dot),
+        (model.cost_vector(1) + mu, model.transition_matrix(1).dot),
+    ]
+    values, rel, greedy, iterations, span = relative_value_iteration(
+        backups, model.ref_index, f"per-sensor value iteration at mu={mu}"
+    )
     values.setflags(write=False)
     rel.setflags(write=False)
     return PerSensorSolve(
-        policy=PolicyTable(actions=actions, mu=float(mu)),
+        policy=PolicyTable(actions=greedy, mu=float(mu)),
         values=values,
         rel_values=rel,
-        avg_lagrangian=float(values[ref]),
-        iterations=it,
+        avg_lagrangian=float(values[model.ref_index]),
+        iterations=iterations,
         span=span,
     )
 
@@ -270,10 +229,10 @@ def evaluate_per_sensor(
 
 @lru_cache(maxsize=4096)
 def _solve_class(
-    sensor: SensorParams, delta_max: int, mu: float, theta: float, max_iter: int
+    sensor: SensorParams, delta_max: int, mu: float
 ) -> tuple[PerSensorSolve, ChainEvaluation]:
     """Cold-start solve plus exact evaluation, cached per sensor class."""
-    solve = solve_per_sensor(sensor, delta_max, mu, theta, max_iter)
+    solve = solve_per_sensor(sensor, delta_max, mu)
     return solve, evaluate_per_sensor(sensor, delta_max, solve.policy)
 
 
@@ -319,43 +278,25 @@ def _mu_upper_bound(config: NetworkConfig) -> float:
     return float(config.num_users * config.delta_max * config.delta_max)
 
 
-def solve_relaxed(
-    config: NetworkConfig,
-    epsilon: float = DEFAULT_EPSILON,
-    theta: float = DEFAULT_THETA,
-    eta_tol: float = DEFAULT_ETA_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    threads: int = 1,
-) -> RelaxedSolution:
+def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> RelaxedSolution:
     """Solve the time-average-budget problem exactly.
 
     If the zero-price policy already meets the budget the constraint is
     inactive and those tables are returned unmixed. Otherwise the price is
     bisected to width epsilon and the mixing factor eta is calibrated so the
-    exact command rate of the mixture equals Gamma to within eta_tol.
+    exact command rate of the mixture equals Gamma to within ``DEFAULT_ETA_TOL``.
     """
-    if epsilon <= 0 or theta <= 0 or eta_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     classes, counts, class_of = sensor_classes(config)
     gamma = config.gamma
     kk = config.num_sensors
     weights = counts / kk
 
-    def solve_all(mu: float) -> list[tuple[PerSensorSolve, ChainEvaluation]]:
-        if threads > 1 and len(classes) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(
-                    pool.map(
-                        lambda s: _solve_class(s, config.delta_max, mu, theta, max_iter),
-                        classes,
-                    )
-                )
-        return [_solve_class(s, config.delta_max, mu, theta, max_iter) for s in classes]
-
     evaluations: list[tuple[float, float, float]] = []
 
     def fleet_rate(mu: float) -> tuple[float, list[tuple[PerSensorSolve, ChainEvaluation]]]:
-        results = solve_all(mu)
+        results = [_solve_class(s, config.delta_max, mu) for s in classes]
         rate = float(sum(w * ev.command_rate for w, (_, ev) in zip(weights, results)))
         mean_lagr = float(
             sum(w * s.avg_lagrangian for w, (s, _) in zip(weights, results))
@@ -420,7 +361,7 @@ def solve_relaxed(
                 classes, config.delta_max,
                 [s.policy for s, _ in results_lo],
                 [s.policy for s, _ in results_hi],
-                weights, gamma, eta_tol, rate_lo, rate_hi,
+                weights, gamma, rate_lo, rate_hi,
             )
             class_policies = [
                 MixedPolicy(lower=lo.policy, upper=hi.policy, eta=eta)
@@ -475,15 +416,15 @@ def _calibrate_eta(
     upper: list[PolicyTable],
     weights: np.ndarray,
     gamma: float,
-    eta_tol: float,
     rate_at_one: float,
     rate_at_zero: float,
 ) -> tuple[float, list[ChainEvaluation]]:
     """Bisection on the mixing factor against the exact mixed command rate.
 
     The rate is evaluated through the stationary distribution of each mixed
-    chain. If the bisection bracket turns out inconsistent (the rate is not
-    monotone in eta), falls back to a 10^4-point grid scan.
+    chain, which rises with eta. The bracket keeps rate(lo) <= Gamma <= rate(hi),
+    so a rate continuous in eta meets ``DEFAULT_ETA_TOL`` before the bracket
+    collapses; a collapse raises :class:`BracketError` with the best rate seen.
     """
 
     def rate_at(eta: float) -> tuple[float, list[ChainEvaluation]]:
@@ -499,33 +440,19 @@ def _calibrate_eta(
             f"[{rate_at_zero:.6g}, {rate_at_one:.6g}]"
         )
     lo_eta, hi_eta = 0.0, 1.0
-    best: tuple[float, float, list[ChainEvaluation]] | None = None
-    for _ in range(200):
+    best_rate = rate_at_zero
+    while hi_eta - lo_eta >= 1e-15:
         mid = 0.5 * (lo_eta + hi_eta)
         rate, evals = rate_at(mid)
-        if best is None or abs(rate - gamma) < abs(best[1] - gamma):
-            best = (mid, rate, evals)
-        if abs(rate - gamma) <= eta_tol:
+        if abs(rate - gamma) <= DEFAULT_ETA_TOL:
             return mid, evals
+        if abs(rate - gamma) < abs(best_rate - gamma):
+            best_rate = rate
         if rate > gamma:
             hi_eta = mid
         else:
             lo_eta = mid
-        if hi_eta - lo_eta < 1e-15:
-            break
-    # Monotonicity apparently fails only in degenerate instances; scan instead.
-    warnings.warn(
-        "mixing-factor bisection missed the budget; falling back to a grid scan",
-        RuntimeWarning,
-        stacklevel=2,
+    raise BracketError(
+        f"no mixing factor reaches the budget: best rate {best_rate:.6g} "
+        f"vs {gamma:.6g}"
     )
-    for eta in np.linspace(0.0, 1.0, 10_001):
-        rate, evals = rate_at(float(eta))
-        if abs(rate - gamma) < abs(best[1] - gamma):
-            best = (float(eta), rate, evals)
-    if abs(best[1] - gamma) > 100 * eta_tol:
-        raise BracketError(
-            f"no mixing factor reaches the budget: best rate {best[1]:.6g} "
-            f"vs {gamma:.6g}"
-        )
-    return best[0], best[2]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SimulationError
 from .model import NetworkConfig
 
 __all__ = [
@@ -161,7 +162,7 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
             if policy.budget is not None:
                 counts = actions.sum(axis=1)
                 if (counts > policy.budget).any():
-                    raise AssertionError("per-slot budget violated")
+                    raise SimulationError("per-slot budget violated")
             sends = (actions == 1) & (battery >= 1)
             new_age = np.where(sends, 1, np.minimum(age + 1, delta_max))
             cost_sum += np.sum(r * new_age, axis=1, dtype=np.int64)
@@ -173,7 +174,7 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
                 trace.append((slot, float(cost_sum.mean() / (n_users * n_sensors * slot))))
                 next_checkpoint += 1
         if (battery < 0).any() or (battery > capacities).any():
-            raise AssertionError("battery left its feasible range")
+            raise SimulationError("battery left its feasible range")
 
     values = np.arange(n_sensors + 1, dtype=np.float64)
     totals = proposal_hist.sum(axis=1)

@@ -59,8 +59,10 @@ def test_spec_requires_exactly_one_budget_form():
 
 
 def test_spec_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        parse_spec(TINY_CONFIG + "\nbogus = 1\n")
+    # solver tolerances are fixed constants and the solve runs in one thread
+    for line in ("bogus = 1", "theta = 1e-7", "eta_tol = 1e-6", "threads = 2"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            parse_spec(TINY_CONFIG + f"\n{line}\n")
 
 
 def test_spec_gamma_must_give_integer_budget():

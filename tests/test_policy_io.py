@@ -138,6 +138,22 @@ def test_mixed_policy_rejects_bit_two(tmp_path):
         load_mixed_policies(path, net)
 
 
+def test_mixed_policy_rejects_missing_metadata_key(tmp_path):
+    net, path = _saved_mixed(tmp_path)
+    path.write_text(path.read_text().replace("# eta=", "# eat="))
+    with pytest.raises(PolicyFileError, match="eta"):
+        load_mixed_policies(path, net)
+
+
+def test_joint_policy_rejects_budget_violation(tmp_path):
+    net, path = _saved_joint(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[4] = "0,1,1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PolicyFileError, match="budget"):
+        load_joint_policy(path, net)
+
+
 def test_joint_policy_rejects_short_row(tmp_path):
     net, path = _saved_joint(tmp_path)
     lines = path.read_text().splitlines()

@@ -15,6 +15,7 @@ from aoisched import (
     solve_per_sensor,
     solve_relaxed,
 )
+from aoisched.rvi import DEFAULT_THETA
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 
@@ -44,8 +45,6 @@ def test_free_commands_with_sure_energy():
 def test_solver_rejects_bad_arguments():
     with pytest.raises(ValueError):
         solve_per_sensor(TINY1, 2, -0.5)
-    with pytest.raises(ValueError):
-        solve_per_sensor(TINY1, 2, 0.0, theta=0.0)
 
 
 def test_evaluate_never_command_saturates():
@@ -165,8 +164,7 @@ def test_relaxed_solutions_scale_free_in_fleet_size():
 def test_per_sensor_bellman_residual():
     sensor = SensorParams(0.35, 2, (0.4, 0.7))
     mu = 0.8
-    theta = 1e-7
-    solve = solve_per_sensor(sensor, 6, mu, theta=theta)
+    solve = solve_per_sensor(sensor, 6, mu)
     model = sensor_model(sensor, 6)
     rel = solve.rel_values
     q_idle = model.cost_vector(0) + model.transition_matrix(0).dot(rel)
@@ -174,7 +172,7 @@ def test_per_sensor_bellman_residual():
     residual = np.abs(np.minimum(q_idle, q_cmd) - rel - solve.avg_lagrangian).max()
     # span termination leaves the average-cost estimate within one span and the
     # optimality-equation residual within two
-    assert residual <= 2 * theta
+    assert residual <= 2 * DEFAULT_THETA
 
 
 def test_generic_sensors_match_enumeration_oracle():
@@ -189,3 +187,26 @@ def test_generic_sensors_match_enumeration_oracle():
         oracle_value, _ = best_deterministic_policy(sensor, 2, mu)
         solve = solve_per_sensor(sensor, 2, mu)
         assert solve.avg_lagrangian == pytest.approx(oracle_value, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "harvest, prob, budget, delta_max, active, bound",
+    [
+        (0.3, 0.0, 1, 8, False, 0.0),  # no requests: nothing to pay for
+        (0.0, 0.6, 1, 8, False, 4.8),  # no energy: age stays capped, p * delta_max
+        (1.0, 1.0, 1, 8, True, 5.2),  # (1 + ... + 8 + 8 + 8) / 10
+        (0.3, 0.6, 10, 8, False, None),  # budget equals the fleet
+        (0.3, 0.6, 10, 256, False, None),
+    ],
+)
+def test_edge_instances(harvest, prob, budget, delta_max, active, bound):
+    net = NetworkConfig(10, 1, budget, delta_max, (SensorParams(harvest, 3, (prob,)),) * 10)
+    solution = solve_relaxed(net)
+    assert solution.constraint_active == active
+    if active:
+        assert solution.command_rate == pytest.approx(net.gamma, abs=1e-6)
+    else:
+        assert solution.mu_star == 0.0 and solution.eta == 1.0
+        assert solution.command_rate <= net.gamma
+    if bound is not None:
+        assert solution.avg_cost == pytest.approx(bound, abs=1e-6)

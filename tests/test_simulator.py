@@ -9,6 +9,7 @@ from aoisched import (
     PolicyTable,
     SensorParams,
     SimConfig,
+    SimulationError,
     build_relaxed_fleet_policy,
     evaluate_per_sensor,
     mean_abs_deviation,
@@ -155,6 +156,22 @@ def test_trace_running_average():
     # running average of the deterministic trajectory: (4 + (t-1)) / t
     for slot, value in report.trace:
         assert value == pytest.approx((4 + slot - 1) / slot, abs=1e-12)
+
+
+def test_budget_violation_raises():
+    class OverBudget:
+        name = "over"
+        budget = 1
+        mixture_eta = None
+
+        def decide(self, requests, battery, age, mix_lower, trunc_rngs):
+            actions = np.zeros_like(battery)
+            actions[:, : self.budget + 1] = 1
+            return actions, actions.sum(axis=1)
+
+    net = NetworkConfig(3, 1, 1, 4, (TINY1,) * 3)
+    with pytest.raises(SimulationError, match="budget"):
+        run_experiment(SimConfig(network=net, horizon=5, episodes=2, seed=0), OverBudget())
 
 
 def test_invalid_sim_config():
