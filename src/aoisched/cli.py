@@ -52,6 +52,7 @@ REPORT_COLUMNS = (
     "cost_mean,cost_se,rate_mean,rate_se,"
     "proposal_mean,proposal_mad,proposal_mad_se,lower_bound"
 )
+TRACE_COLUMNS = "config,build,policy,slot,running_cost"
 
 ANALYZE_CALIBRATION_TOL = 1e-4
 ANALYZE_EXACT_STATE_CAP = 50_000
@@ -88,63 +89,56 @@ class ExperimentSpec:
                 raise ValueError(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
 
 
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# Field shapes: one value, a comma-separated list, or either (a single entry
+# stays a scalar, two or more become a tuple).
+_SCALAR, _LIST, _SCALAR_OR_LIST = "scalar", "list", "scalar-or-list"
 
 
-_KEY_ORDER = (
-    ("K", "num_sensors"),
-    ("N", "num_users"),
-    ("M", "budget"),
-    ("gamma", "gamma"),
-    ("delta_max", "delta_max"),
-    ("battery", "battery"),
-    ("harvest", "harvest"),
-    ("harvest_set", "harvest_set"),
-    ("request_prob", "request_prob"),
-    ("policies", "policies"),
-    ("horizon", "horizon"),
-    ("episodes", "episodes"),
-    ("seed", "seed"),
-    ("epsilon", "epsilon"),
-    ("out_dir", "out_dir"),
-    ("trace_points", "trace_points"),
-    ("sweep_K", "sweep_sensors"),
-    ("sweep_gamma", "sweep_gamma"),
+def _harvest_value(text: str) -> str | float:
+    return text if text == "round_robin" else float(text)
+
+
+# Config key, ExperimentSpec field, cast of one entry, shape. parse_spec and
+# serialize_spec both walk this table in order, so the serialized text (and
+# with it config_hash) follows this order.
+_FIELDS = (
+    ("K", "num_sensors", int, _SCALAR),
+    ("N", "num_users", int, _SCALAR),
+    ("M", "budget", int, _SCALAR),
+    ("gamma", "gamma", float, _SCALAR),
+    ("delta_max", "delta_max", int, _SCALAR),
+    ("battery", "battery", int, _SCALAR_OR_LIST),
+    ("harvest", "harvest", _harvest_value, _SCALAR_OR_LIST),
+    ("harvest_set", "harvest_set", float, _LIST),
+    ("request_prob", "request_prob", float, _SCALAR_OR_LIST),
+    ("policies", "policies", str, _LIST),
+    ("horizon", "horizon", int, _SCALAR),
+    ("episodes", "episodes", int, _SCALAR),
+    ("seed", "seed", int, _SCALAR),
+    ("epsilon", "epsilon", float, _SCALAR),
+    ("out_dir", "out_dir", str, _SCALAR),
+    ("trace_points", "trace_points", int, _SCALAR),
+    ("sweep_K", "sweep_sensors", int, _LIST),
+    ("sweep_gamma", "sweep_gamma", float, _LIST),
 )
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:
     """Canonical config text; parse(serialize(spec)) is the identity."""
     lines = []
-    for key, attr in _KEY_ORDER:
+    for key, attr, _, _ in _FIELDS:
         value = getattr(spec, attr)
         if value is None or value == ():
             continue
-        lines.append(f"{key} = {_format_value(value)}")
+        # str of a Python float is its shortest round-tripping repr.
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_scalar_or_tuple(raw: str, cast):
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if len(parts) == 1:
-        return cast(parts[0])
-    return tuple(cast(p) for p in parts)
-
-
-def _as_tuple(value, cast):
-    if isinstance(value, tuple):
-        return value
-    return (cast(value),)
 
 
 def parse_spec(text: str) -> ExperimentSpec:
     """Parse flat ``key = value`` config text (``#`` starts a comment)."""
-    raw: dict[str, str] = {}
+    raw: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -154,63 +148,40 @@ def parse_spec(text: str) -> ExperimentSpec:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in raw:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
+        raw[key] = (lineno, value)
 
-    known = {k for k, _ in _KEY_ORDER}
-    unknown = set(raw) - known
+    unknown = set(raw) - {key for key, _, _, _ in _FIELDS}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
     kwargs = {}
-    if "K" in raw:
-        kwargs["num_sensors"] = int(raw["K"])
-    if "N" in raw:
-        kwargs["num_users"] = int(raw["N"])
-    if "delta_max" in raw:
-        kwargs["delta_max"] = int(raw["delta_max"])
-    if "M" in raw:
-        kwargs["budget"] = int(raw["M"])
-    if "gamma" in raw:
-        kwargs["gamma"] = float(raw["gamma"])
-    if "battery" in raw:
-        kwargs["battery"] = _parse_scalar_or_tuple(raw["battery"], int)
-    if "harvest" in raw:
-        value = raw["harvest"]
-        kwargs["harvest"] = (
-            value if value == "round_robin" else _parse_scalar_or_tuple(value, float)
-        )
-    if "harvest_set" in raw:
-        kwargs["harvest_set"] = _as_tuple(
-            _parse_scalar_or_tuple(raw["harvest_set"], float), float
-        )
-    if "request_prob" in raw:
-        kwargs["request_prob"] = _parse_scalar_or_tuple(raw["request_prob"], float)
-    if "policies" in raw:
-        kwargs["policies"] = tuple(
-            p.strip() for p in raw["policies"].split(",") if p.strip()
-        )
-    for key, attr in (
-        ("horizon", "horizon"),
-        ("episodes", "episodes"),
-        ("seed", "seed"),
-        ("trace_points", "trace_points"),
-    ):
-        if key in raw:
-            kwargs[attr] = int(raw[key])
-    if "epsilon" in raw:
-        kwargs["epsilon"] = float(raw["epsilon"])
-    if "out_dir" in raw:
-        kwargs["out_dir"] = raw["out_dir"]
-    if "sweep_K" in raw:
-        kwargs["sweep_sensors"] = _as_tuple(_parse_scalar_or_tuple(raw["sweep_K"], int), int)
-    if "sweep_gamma" in raw:
-        kwargs["sweep_gamma"] = _as_tuple(
-            _parse_scalar_or_tuple(raw["sweep_gamma"], float), float
-        )
+    for key, attr, cast, shape in _FIELDS:
+        if key not in raw:
+            continue
+        lineno, value = raw[key]
+        if shape == _SCALAR:
+            parts = [value] if value else []
+        else:
+            parts = [p.strip() for p in value.split(",") if p.strip()]
+        # An empty value would serialize to no line at all and reparse as the
+        # default, so it is refused rather than read as an empty list.
+        if not parts:
+            raise ValueError(f"line {lineno}: no value for {key!r}")
+        values = tuple(cast(p) for p in parts)
+        kwargs[attr] = values if shape == _LIST or len(values) > 1 else values[0]
     missing = {"num_sensors", "num_users", "delta_max"} - set(kwargs)
     if missing:
         raise ValueError(f"config must set K, N, and delta_max (missing {sorted(missing)})")
     return ExperimentSpec(**kwargs)
+
+
+def _expand(value, count: int, message: str) -> tuple:
+    """A scalar repeated ``count`` times, or a list that must hold ``count`` entries."""
+    if not isinstance(value, tuple):
+        return (value,) * count
+    if len(value) != count:
+        raise ValueError(message)
+    return value
 
 
 def build_network(spec: ExperimentSpec, num_sensors: int | None = None,
@@ -228,28 +199,12 @@ def build_network(spec: ExperimentSpec, num_sensors: int | None = None,
     if abs(budget - round(budget)) > 1e-9 or round(budget) < 1:
         raise ValueError(f"gamma * K = {budget} is not a positive integer")
 
-    if isinstance(spec.battery, tuple):
-        if len(spec.battery) != kk:
-            raise ValueError("battery list length must equal K")
-        batteries = spec.battery
-    else:
-        batteries = (spec.battery,) * kk
-
+    batteries = _expand(spec.battery, kk, "battery list length must equal K")
     if spec.harvest == "round_robin":
         rates = tuple(spec.harvest_set[k % len(spec.harvest_set)] for k in range(kk))
-    elif isinstance(spec.harvest, tuple):
-        if len(spec.harvest) != kk:
-            raise ValueError("harvest list length must equal K")
-        rates = spec.harvest
     else:
-        rates = (float(spec.harvest),) * kk
-
-    if isinstance(spec.request_prob, tuple):
-        if len(spec.request_prob) != spec.num_users:
-            raise ValueError("request_prob list length must equal N")
-        probs = spec.request_prob
-    else:
-        probs = (float(spec.request_prob),) * spec.num_users
+        rates = _expand(spec.harvest, kk, "harvest list length must equal K")
+    probs = _expand(spec.request_prob, spec.num_users, "request_prob list length must equal N")
 
     sensors = tuple(
         SensorParams(harvest_rate=rates[k], battery_capacity=batteries[k], request_probs=probs)
@@ -327,55 +282,49 @@ def _report_row(
     )
 
 
-def _append_rows(path: Path, rows: list[str]) -> None:
+def _append_rows(path: Path, header: str, rows: list[str]) -> None:
+    """Append rows to a CSV, writing the header when the file is new; no rows
+    leave the file untouched."""
+    if not rows:
+        return
     path.parent.mkdir(parents=True, exist_ok=True)
     fresh = not path.exists()
     with path.open("a", newline="\n") as fh:
         if fresh:
-            fh.write(REPORT_COLUMNS + "\n")
+            fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
 
 
 def _load_spec(args) -> ExperimentSpec:
     spec = parse_spec(Path(args.config).read_text())
-    overrides = {}
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return replace(spec, **overrides) if overrides else spec
+    return replace(spec, out_dir=args.out) if args.out else spec
 
 
-def _policy_objects(
-    spec: ExperimentSpec,
-    network: NetworkConfig,
-    names: tuple[str, ...],
-    exact_path: str | None,
-    relaxed_path: str | None,
-):
-    """Build runtime policies for simulation, loading solved tables as needed."""
-    objects = {}
-    lower_bound = float("nan")
-    if any(n in ("relaxed", "rtt") for n in names):
-        if relaxed_path is None:
-            raise AoischedError(
-                "policies 'relaxed' and 'rtt' need --relaxed-policy (run solve-relaxed first)"
-            )
-        mixed, meta = load_mixed_policies(relaxed_path, network)
-        lower_bound = float(meta.get("avg_cost", "nan"))
-        if "relaxed" in names:
-            objects["relaxed"] = build_relaxed_fleet_policy(network, mixed, False)
-        if "rtt" in names:
-            objects["rtt"] = build_relaxed_fleet_policy(network, mixed, True)
-    if "exact" in names:
-        if exact_path is None:
-            raise AoischedError("policy 'exact' needs --exact-policy (run solve-exact first)")
-        joint, _ = load_joint_policy(exact_path, network)
-        objects["exact"] = build_exact_fleet_policy(network, joint)
-    if "greedy" in names:
-        objects["greedy"] = GreedyFleetPolicy(network.budget, network.num_sensors)
-    return objects, lower_bound
+def _fleet(network: NetworkConfig, names, mixed=None, joint=None) -> dict:
+    """Runtime policies by name: ``relaxed`` and ``rtt`` run the per-sensor
+    mixed tables ``mixed``, ``exact`` runs the joint policy ``joint``."""
+    builders = {
+        "relaxed": lambda: build_relaxed_fleet_policy(network, mixed, False),
+        "rtt": lambda: build_relaxed_fleet_policy(network, mixed, True),
+        "exact": lambda: build_exact_fleet_policy(network, joint),
+        "greedy": lambda: GreedyFleetPolicy(network.budget, network.num_sensors),
+    }
+    return {name: builders[name]() for name in names}
+
+
+def _simulate(spec: ExperimentSpec, network: NetworkConfig, policy, trace_points: int = 0):
+    """Run the spec's horizon, episodes and seed for one runtime policy."""
+    return run_experiment(
+        SimConfig(
+            network=network,
+            horizon=spec.horizon,
+            episodes=spec.episodes,
+            seed=spec.seed,
+            trace_points=trace_points,
+        ),
+        policy,
+    )
 
 
 def cmd_solve_exact(args) -> int:
@@ -413,9 +362,20 @@ def cmd_simulate(args) -> int:
     spec = _load_spec(args)
     network = build_network(spec)
     names = tuple(args.policy) if args.policy else spec.policies
-    objects, lower_bound = _policy_objects(
-        spec, network, names, args.exact_policy, args.relaxed_policy
-    )
+    mixed = joint = None
+    lower_bound = float("nan")
+    if any(n in ("relaxed", "rtt") for n in names):
+        if args.relaxed_policy is None:
+            raise AoischedError(
+                "policies 'relaxed' and 'rtt' need --relaxed-policy (run solve-relaxed first)"
+            )
+        mixed, meta = load_mixed_policies(args.relaxed_policy, network)
+        lower_bound = float(meta.get("avg_cost", "nan"))
+    if "exact" in names:
+        if args.exact_policy is None:
+            raise AoischedError("policy 'exact' needs --exact-policy (run solve-exact first)")
+        joint, _ = load_joint_policy(args.exact_policy, network)
+    fleet = _fleet(network, names, mixed, joint)
     spec_hash = config_hash(spec)
     tag = build_tag()
     out = Path(spec.out_dir)
@@ -423,16 +383,7 @@ def cmd_simulate(args) -> int:
     trace_rows = []
     print(f"{'policy':>8} {'cost':>12} {'se':>10} {'rate':>10} {'|X| mad':>10}")
     for name in names:
-        report = run_experiment(
-            SimConfig(
-                network=network,
-                horizon=spec.horizon,
-                episodes=spec.episodes,
-                seed=spec.seed,
-                trace_points=spec.trace_points,
-            ),
-            objects[name],
-        )
+        report = _simulate(spec, network, fleet[name], spec.trace_points)
         rows.append(_report_row(spec_hash, tag, report, network, spec.seed, lower_bound))
         for slot, value in report.trace:
             trace_rows.append(f"{spec_hash},{tag},{name},{slot},{_fmt(value)}")
@@ -440,15 +391,8 @@ def cmd_simulate(args) -> int:
             f"{name:>8} {report.cost_mean:12.6f} {report.cost_se:10.2e} "
             f"{report.rate_mean:10.6f} {report.proposal_mad:10.4f}"
         )
-    _append_rows(out / "results.csv", rows)
-    if trace_rows:
-        path = out / "trace.csv"
-        fresh = not path.exists()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", newline="\n") as fh:
-            if fresh:
-                fh.write("config,build,policy,slot,running_cost\n")
-            fh.write("\n".join(trace_rows) + "\n")
+    _append_rows(out / "results.csv", REPORT_COLUMNS, rows)
+    _append_rows(out / "trace.csv", TRACE_COLUMNS, trace_rows)
     print(f"results_file = {out / 'results.csv'}")
     return 0
 
@@ -469,22 +413,9 @@ def cmd_sweep(args) -> int:
         for gamma in gamma_grid:
             network = build_network(spec, num_sensors=kk, gamma=gamma)
             solution = solve_relaxed(network, epsilon=spec.epsilon)
-            mixed = solution.policies
-            objects = {
-                "relaxed": build_relaxed_fleet_policy(network, mixed, False),
-                "rtt": build_relaxed_fleet_policy(network, mixed, True),
-                "greedy": GreedyFleetPolicy(network.budget, network.num_sensors),
-            }
+            fleet = _fleet(network, names, mixed=solution.policies)
             for name in names:
-                report = run_experiment(
-                    SimConfig(
-                        network=network,
-                        horizon=spec.horizon,
-                        episodes=spec.episodes,
-                        seed=spec.seed,
-                    ),
-                    objects[name],
-                )
+                report = _simulate(spec, network, fleet[name])
                 rows.append(
                     _report_row(spec_hash, tag, report, network, spec.seed, solution.avg_cost)
                 )
@@ -493,7 +424,7 @@ def cmd_sweep(args) -> int:
                     f"lower={solution.avg_cost:.6f}"
                 )
     out = Path(spec.out_dir)
-    _append_rows(out / "sweep.csv", rows)
+    _append_rows(out / "sweep.csv", REPORT_COLUMNS, rows)
     print(f"results_file = {out / 'sweep.csv'}")
     return 0
 
@@ -574,15 +505,9 @@ def cmd_analyze(args) -> int:
     else:
         emit("INFO", "ordering-chain", f"skipped: {total} joint states above {ANALYZE_EXACT_STATE_CAP}")
 
-    sim = SimConfig(
-        network=network, horizon=spec.horizon, episodes=spec.episodes, seed=spec.seed
-    )
-    relaxed_report = run_experiment(
-        sim, build_relaxed_fleet_policy(network, solution.policies, False)
-    )
-    rtt_report = run_experiment(
-        sim, build_relaxed_fleet_policy(network, solution.policies, True)
-    )
+    fleet = _fleet(network, ("relaxed", "rtt"), mixed=solution.policies)
+    relaxed_report = _simulate(spec, network, fleet["relaxed"])
+    rtt_report = _simulate(spec, network, fleet["rtt"])
     bound = check_gap_bound(
         network.delta_max,
         network.budget,
@@ -643,7 +568,6 @@ def _make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="master seed (overrides config)")
 
     common(sub.add_parser("solve-exact", help="solve the joint problem exactly"))
     common(sub.add_parser("solve-relaxed", help="solve the time-average relaxation"))
@@ -696,3 +620,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -65,11 +65,9 @@ class JointPolicy:
 class RviaResult:
     """Converged joint value iteration output."""
 
-    values: np.ndarray
     rel_values: np.ndarray
     avg_cost: float  # value at the reference state; error below the span tolerance
     iterations: int
-    span: float
 
 
 def enumerate_budget_actions(num_sensors: int, budget: int) -> list[tuple[int, ...]]:
@@ -147,23 +145,19 @@ def solve_exact(config: NetworkConfig) -> tuple[JointPolicy, RviaResult]:
         for bits, cost in zip(actions, costs)
     ]
     ref = (0,) * len(sizes)  # every sensor at (requests=0, battery=0, age=1)
-    values, rel, greedy, iterations, span = relative_value_iteration(
+    values, rel, greedy, iterations = relative_value_iteration(
         backups, ref, "joint value iteration"
     )
     log.debug("joint solve: %d states, %d actions, %d iterations", values.size, len(actions), iterations)
 
     table = np.asarray(actions, dtype=np.int8)[greedy.ravel()]
     policy = JointPolicy(actions=table, budget=config.budget, state_sizes=sizes)
-    flat_values = values.ravel()
     flat_rel = rel.ravel()
-    flat_values.setflags(write=False)
     flat_rel.setflags(write=False)
     result = RviaResult(
-        values=flat_values,
         rel_values=flat_rel,
         avg_cost=float(values[ref]),
         iterations=iterations,
-        span=span,
     )
     return policy, result
 

@@ -102,11 +102,9 @@ class PerSensorSolve:
     """Converged per-sensor value iteration output at a fixed command price."""
 
     policy: PolicyTable
-    values: np.ndarray
     rel_values: np.ndarray
     avg_lagrangian: float  # value at the reference state; error below the span tolerance
     iterations: int
-    span: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +113,6 @@ class ChainEvaluation:
 
     cost_rate: float
     command_rate: float
-    stationary: np.ndarray  # distribution over the recurrent class
-    support: np.ndarray  # state indices of the recurrent class
 
     def lagrangian(self, mu: float) -> float:
         return self.cost_rate + mu * self.command_rate
@@ -137,18 +133,15 @@ def solve_per_sensor(sensor: SensorParams, delta_max: int, mu: float) -> PerSens
         (model.cost_vector(0), model.transition_matrix(0).dot),
         (model.cost_vector(1) + mu, model.transition_matrix(1).dot),
     ]
-    values, rel, greedy, iterations, span = relative_value_iteration(
+    values, rel, greedy, iterations = relative_value_iteration(
         backups, model.ref_index, f"per-sensor value iteration at mu={mu}"
     )
-    values.setflags(write=False)
     rel.setflags(write=False)
     return PerSensorSolve(
         policy=PolicyTable(actions=greedy, mu=float(mu)),
-        values=values,
         rel_values=rel,
         avg_lagrangian=float(values[model.ref_index]),
         iterations=iterations,
-        span=span,
     )
 
 
@@ -222,8 +215,6 @@ def evaluate_per_sensor(
     return ChainEvaluation(
         cost_rate=float(dist @ cost[support]),
         command_rate=float(dist @ w_cmd[support]),
-        stationary=dist,
-        support=support,
     )
 
 
@@ -305,16 +296,14 @@ def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> Re
         log.debug("price %.6g -> rate %.6g, mean Lagrangian %.6g", mu, rate, mean_lagr)
         return rate, results
 
+    # Result set whose tables are returned unmixed (eta = 1): the zero-price
+    # one when the budget is slack, or a bracket end whose rate meets Gamma.
+    pure = None
     rate0, results0 = fleet_rate(0.0)
     if rate0 <= gamma:
-        class_policies = [
-            MixedPolicy(lower=s.policy, upper=s.policy, eta=1.0) for s, _ in results0
-        ]
-        class_evals = [ev for _, ev in results0]
         mu_minus = mu_plus = mu_star = 0.0
-        eta = 1.0
         active = False
-        lower_results = results0
+        lower_results = pure = results0
     else:
         active = True
         mu_lo, mu_hi = 0.0, _mu_upper_bound(config)
@@ -343,30 +332,27 @@ def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> Re
         lower_results = results_lo
 
         if abs(rate_lo - gamma) <= RATE_TIE_TOL:
-            class_policies = [
-                MixedPolicy(lower=s.policy, upper=s.policy, eta=1.0)
-                for s, _ in results_lo
-            ]
-            class_evals = [ev for _, ev in results_lo]
-            eta = 1.0
+            pure = results_lo
         elif abs(rate_hi - gamma) <= RATE_TIE_TOL:
-            class_policies = [
-                MixedPolicy(lower=s.policy, upper=s.policy, eta=1.0)
-                for s, _ in results_hi
-            ]
-            class_evals = [ev for _, ev in results_hi]
-            eta = 1.0
-        else:
-            eta, class_evals = _calibrate_eta(
-                classes, config.delta_max,
-                [s.policy for s, _ in results_lo],
-                [s.policy for s, _ in results_hi],
-                weights, gamma, rate_lo, rate_hi,
-            )
-            class_policies = [
-                MixedPolicy(lower=lo.policy, upper=hi.policy, eta=eta)
-                for (lo, _), (hi, _) in zip(results_lo, results_hi)
-            ]
+            pure = results_hi
+
+    if pure is not None:
+        eta = 1.0
+        class_policies = [
+            MixedPolicy(lower=s.policy, upper=s.policy, eta=1.0) for s, _ in pure
+        ]
+        class_evals = [ev for _, ev in pure]
+    else:
+        eta, class_evals = _calibrate_eta(
+            classes, config.delta_max,
+            [s.policy for s, _ in results_lo],
+            [s.policy for s, _ in results_hi],
+            weights, gamma, rate_lo, rate_hi,
+        )
+        class_policies = [
+            MixedPolicy(lower=lo.policy, upper=hi.policy, eta=eta)
+            for (lo, _), (hi, _) in zip(results_lo, results_hi)
+        ]
 
     avg_cost = float(
         sum(w * ev.cost_rate for w, ev in zip(weights, class_evals))

@@ -29,7 +29,7 @@ def relative_value_iteration(
     backups: Sequence[tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]],
     ref,
     label: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Synchronous sweeps until the span of the value change is below ``DEFAULT_THETA``.
 
     ``backups`` holds one (slot cost, expectation) pair per action in
@@ -41,8 +41,8 @@ def relative_value_iteration(
     Returns the values (their entry at ``ref`` is the optimal average cost,
     within the span tolerance), the relative values on the untransformed
     optimality equation's scale, the greedy action index per state (the first
-    minimum wins), the iteration count and the final span. Raises
-    :class:`ConvergenceError` after ``DEFAULT_MAX_ITER`` sweeps.
+    minimum wins) and the iteration count. Raises :class:`ConvergenceError`,
+    carrying the last span, after ``DEFAULT_MAX_ITER`` sweeps.
     """
     tau = APERIODICITY_TAU
     values = np.zeros(backups[0][0].shape)
@@ -73,4 +73,4 @@ def relative_value_iteration(
             better = q < best_q
             best_q = np.where(better, q, best_q)
             greedy[better] = a
-    return values, tau * rel, greedy, it, span
+    return values, tau * rel, greedy, it

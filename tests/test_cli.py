@@ -1,10 +1,14 @@
 """CLI tests: config round-trip, subcommand flows, and output determinism."""
 
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import aoisched
 from aoisched.cli import (
     ExperimentSpec,
     build_network,
@@ -49,6 +53,49 @@ def test_spec_round_trip():
     spec = parse_spec(TINY_CONFIG)
     assert parse_spec(serialize_spec(spec)) == spec
     assert config_hash(spec) == config_hash(parse_spec(serialize_spec(spec)))
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("fig2a.cfg", "421253131fbc"),
+        ("fig2b.cfg", "318206b2c475"),
+        ("sweep_gamma025.cfg", "7ec584cdd61e"),
+        ("tiny2.cfg", "c57eb2d38ed9"),
+    ],
+)
+def test_checked_in_config_hashes(name, digest):
+    # results.csv rows are traced back to their config by this hash
+    spec = parse_spec((CONFIGS / name).read_text())
+    assert config_hash(spec) == digest
+    assert parse_spec(serialize_spec(spec)) == spec
+
+
+def test_spec_round_trip_lists():
+    spec = parse_spec(
+        "K = 3\nN = 2\nM = 1\ndelta_max = 4\nbattery = 1,2,3\n"
+        "harvest = 0.1,0.5,1.0\nrequest_prob = 0.25,0.75\nsweep_K = 6\nharvest_set = 0.3\n"
+    )
+    assert spec.battery == (1, 2, 3)
+    assert spec.harvest == (0.1, 0.5, 1.0)
+    assert spec.request_prob == (0.25, 0.75)
+    assert spec.sweep_sensors == (6,)
+    assert spec.harvest_set == (0.3,)
+    assert parse_spec(serialize_spec(spec)) == spec
+    net = build_network(spec)
+    assert [s.battery_capacity for s in net.sensors] == [1, 2, 3]
+    assert net.sensors[2].request_probs == (0.25, 0.75)
+
+
+@pytest.mark.parametrize("line", ["policies = ,", "battery = ,"])
+def test_spec_rejects_empty_values(line):
+    # an empty value would serialize to no line and reparse as the default
+    key = line.split()[0]
+    with pytest.raises(ValueError, match=f"line 5: no value for '{key}'"):
+        parse_spec(f"K = 2\nN = 1\nM = 1\ndelta_max = 3\n{line}\n")
 
 
 def test_spec_requires_exactly_one_budget_form():
@@ -220,3 +267,19 @@ def test_sweep(tmp_path):
     assert code == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 3  # header + 2 grid points x 3 policies
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m aoisched.cli` runs the same commands as the aoisched script
+    env = dict(os.environ)
+    src = str(Path(aoisched.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "aoisched.cli", "solve-exact",
+         "--config", str(CONFIGS / "tiny2.cfg"), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "avg_cost = 1.5" in proc.stdout
+    assert (out / "exact_policy.csv").exists()
