@@ -36,17 +36,13 @@ from .exact_solver import (
 )
 from .model import (
     NetworkConfig,
-    PerSensorState,
     SensorModel,
     SensorParams,
-    effective_send,
-    per_sensor_cost,
-    per_sensor_kernel,
     request_pmf,
     sensor_classes,
     sensor_model,
-    step_age,
-    step_battery,
+    slot_step,
+    state_index,
 )
 from .relaxed_solver import (
     ChainEvaluation,

@@ -71,7 +71,8 @@ class RviaResult:
 
 
 def enumerate_budget_actions(num_sensors: int, budget: int) -> list[tuple[int, ...]]:
-    """All action bit-tuples with at most ``budget`` ones, in lexicographic order."""
+    """All action bit-tuples with at most ``budget`` ones, in argmin tie-break
+    order: fewest commands first, then lowest commanded indices."""
     if not 1 <= budget <= num_sensors:
         raise ValueError("need 1 <= budget <= num_sensors")
     count = sum(math.comb(num_sensors, m) for m in range(budget + 1))
@@ -87,13 +88,7 @@ def enumerate_budget_actions(num_sensors: int, budget: int) -> list[tuple[int, .
             for i in ones:
                 bits[i] = 1
             actions.append(tuple(bits))
-    actions.sort()
     return actions
-
-
-def _priority_order(actions: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    # Argmin tie-break: fewest commands first, then lowest commanded indices.
-    return sorted(actions, key=lambda a: (sum(a), tuple(i for i, b in enumerate(a) if b)))
 
 
 def _expected_next(values: np.ndarray, mats: list[np.ndarray], bits: tuple[int, ...]) -> np.ndarray:
@@ -115,7 +110,7 @@ def _joint_problem(config: NetworkConfig):
             f"joint state space has {total} states, above the cap of "
             f"{JOINT_STATE_CAP}; use the relaxed solver"
         )
-    actions = _priority_order(enumerate_budget_actions(config.num_sensors, config.budget))
+    actions = enumerate_budget_actions(config.num_sensors, config.budget)
     mats = [(m.transition_matrix(0).toarray(), m.transition_matrix(1).toarray()) for m in models]
     norm = 1.0 / (config.num_users * config.num_sensors)
 

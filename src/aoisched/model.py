@@ -18,16 +18,12 @@ import scipy.sparse as sp
 __all__ = [
     "SensorParams",
     "NetworkConfig",
-    "PerSensorState",
     "SensorModel",
     "sensor_model",
     "sensor_classes",
     "request_pmf",
-    "effective_send",
-    "step_battery",
-    "step_age",
-    "per_sensor_cost",
-    "per_sensor_kernel",
+    "slot_step",
+    "state_index",
 ]
 
 
@@ -92,48 +88,21 @@ class NetworkConfig:
         return self.budget / self.num_sensors
 
 
-@dataclass(frozen=True)
-class PerSensorState:
-    """State triple of a single sensor: request count, battery level, and age."""
+def slot_step(battery, age, command, harvested, capacity, delta_max):
+    """The slot rule, elementwise: returns ``(sent, next_battery, next_age)``.
 
-    requests: int
-    battery: int
-    age: int
-
-    def __post_init__(self):
-        if self.requests < 0 or self.battery < 0 or self.age < 1:
-            raise ValueError(f"invalid per-sensor state {self!r}")
-
-
-def effective_send(state: PerSensorState, command: int) -> int:
-    """Whether a commanded sensor actually transmits: needs one unit of energy."""
-    return int(bool(command) and state.battery >= 1)
-
-
-def step_battery(level: int, sent: int, harvested: int, capacity: int) -> int:
-    """Next battery level: spend one unit on a transmission, add a harvest, saturate."""
-    if not 0 <= level <= capacity:
-        raise ValueError(f"battery level {level} outside [0, {capacity}]")
-    if sent and level < 1:
-        raise ValueError("energy causality violated: transmission from an empty battery")
-    return min(level + int(bool(harvested)) - int(bool(sent)), capacity)
-
-
-def step_age(age: int, sent: int, delta_max: int) -> int:
-    """Next age: reset to one on a delivered update, otherwise count up to the cap."""
-    if not 1 <= age <= delta_max:
-        raise ValueError(f"age {age} outside [1, {delta_max}]")
-    return 1 if sent else min(age + 1, delta_max)
-
-
-def per_sensor_cost(state: PerSensorState, command: int, delta_max: int) -> int:
-    """Slot cost of one sensor: request count times the post-transition age.
-
-    Zero whenever nobody requested the quantity this slot, regardless of the
-    action or battery level.
+    A command transmits only from a nonempty battery; a delivered update resets
+    the age to one, otherwise the age counts up to ``delta_max``. Harvested
+    energy lands after the transmission and saturates at ``capacity``.
     """
-    sent = effective_send(state, command)
-    return state.requests * step_age(state.age, sent, delta_max)
+    sent = (command == 1) & (battery >= 1)
+    next_age = np.where(sent, 1, np.minimum(age + 1, delta_max))
+    return sent, np.minimum(battery + harvested - sent, capacity), next_age
+
+
+def state_index(requests, battery, age, capacity, delta_max):
+    """Flat per-sensor state index, elementwise; broadcasts over per-sensor capacities."""
+    return (requests * (capacity + 1) + battery) * delta_max + age - 1
 
 
 def request_pmf(sensor: SensorParams) -> np.ndarray:
@@ -151,12 +120,12 @@ def request_pmf(sensor: SensorParams) -> np.ndarray:
 
 
 class SensorModel:
-    """Precomputed per-sensor MDP pieces: indexing, transition matrices, costs.
+    """Precomputed per-sensor MDP pieces: state coordinates, transition matrices, costs.
 
-    State index = (requests * (B + 1) + battery) * delta_max + (age - 1).
-    Transition rows have at most 2 * (num_users + 1) nonzero successors: the
-    request count redraws independently, the battery moves to one of two
-    levels, and the next age is deterministic.
+    States are laid out as :func:`state_index` numbers them. Transition rows
+    have at most 2 * (num_users + 1) nonzero successors: the request count
+    redraws independently, the battery moves to one of two levels, and the
+    next age is deterministic.
     """
 
     def __init__(self, sensor: SensorParams, delta_max: int):
@@ -164,45 +133,42 @@ class SensorModel:
             raise ValueError("delta_max must be >= 2")
         self.sensor = sensor
         self.delta_max = int(delta_max)
-        n_users = sensor.num_users
-        capacity = sensor.battery_capacity
-        self.num_states = (n_users + 1) * (capacity + 1) * self.delta_max
-
-        idx = np.arange(self.num_states)
-        self.age_of = idx % self.delta_max + 1
-        self.battery_of = idx // self.delta_max % (capacity + 1)
-        self.requests_of = idx // (self.delta_max * (capacity + 1))
+        shape = (sensor.num_users + 1, sensor.battery_capacity + 1, self.delta_max)
+        self.num_states = int(np.prod(shape))
+        self.requests_of, self.battery_of, age0 = np.unravel_index(
+            np.arange(self.num_states), shape
+        )
+        self.age_of = age0 + 1
         self.request_dist = request_pmf(sensor)
         self.ref_index = 0  # state (requests=0, battery=0, age=1)
 
-        self._next_age = tuple(self._next_age_for(a) for a in (0, 1))
-        self._cost = tuple(
-            (self.requests_of * self._next_age[a]).astype(np.float64) for a in (0, 1)
-        )
-        self._transition = tuple(self._build_matrix(a) for a in (0, 1))
+        self._transition, self._cost = zip(*(self._build(a) for a in (0, 1)))
         for arr in (self.age_of, self.battery_of, self.requests_of, self.request_dist,
-                    *self._next_age, *self._cost):
+                    *self._cost):
             arr.setflags(write=False)
 
-    def _next_age_for(self, action: int) -> np.ndarray:
-        sends = (action == 1) & (self.battery_of >= 1)
-        return np.where(sends, 1, np.minimum(self.age_of + 1, self.delta_max))
-
-    def _build_matrix(self, action: int) -> sp.csr_matrix:
+    def _build(self, action: int) -> tuple[sp.csr_matrix, np.ndarray]:
         capacity = self.sensor.battery_capacity
         rate = self.sensor.harvest_rate
-        sends = ((action == 1) & (self.battery_of >= 1)).astype(np.int64)
-        b_spend = self.battery_of - sends
-        b_harvest = np.minimum(b_spend + 1, capacity)
-        age_col = self._next_age[action] - 1
+        # Harvest branch first, then the no-harvest branch; the age does not
+        # depend on the branch.
+        branches = [
+            slot_step(self.battery_of, self.age_of, action, harvested, capacity, self.delta_max)
+            for harvested in (1, 0)
+        ]
+        next_battery = np.stack([b for _, b, _ in branches], axis=1)  # (n, 2)
+        next_age = branches[0][2]
 
         pmf = self.request_dist
         n_req = pmf.size
         # Successor column for (state, next request count, harvest branch).
-        b_branch = np.stack([b_harvest, b_spend], axis=1)  # (n, 2)
-        base = b_branch * self.delta_max + age_col[:, None]  # (n, 2)
-        req_stride = (capacity + 1) * self.delta_max
-        cols = (np.arange(n_req)[None, :, None] * req_stride + base[:, None, :]).ravel()
+        cols = state_index(
+            np.arange(n_req)[None, :, None],
+            next_battery[:, None, :],
+            next_age[:, None, None],
+            capacity,
+            self.delta_max,
+        ).ravel()
         rows = np.repeat(np.arange(self.num_states), 2 * n_req)
         data = np.broadcast_to(
             pmf[None, :, None] * np.array([rate, 1.0 - rate])[None, None, :],
@@ -212,7 +178,7 @@ class SensorModel:
             (data, (rows, cols)), shape=(self.num_states, self.num_states)
         ).tocsr()
         mat.sum_duplicates()
-        return mat
+        return mat, (self.requests_of * next_age).astype(np.float64)
 
     def transition_matrix(self, action: int) -> sp.csr_matrix:
         """Sparse row-stochastic transition matrix under a fixed action bit."""
@@ -222,50 +188,11 @@ class SensorModel:
         """Slot cost per state under a fixed action bit (requests times next age)."""
         return self._cost[action]
 
-    def next_age_vector(self, action: int) -> np.ndarray:
-        return self._next_age[action]
-
-    def index_of(self, state: PerSensorState) -> int:
-        """Flat index of a state; validates the declared component ranges."""
-        n_users = self.sensor.num_users
-        capacity = self.sensor.battery_capacity
-        if not 0 <= state.requests <= n_users:
-            raise ValueError(f"requests {state.requests} outside [0, {n_users}]")
-        if not 0 <= state.battery <= capacity:
-            raise ValueError(f"battery {state.battery} outside [0, {capacity}]")
-        if not 1 <= state.age <= self.delta_max:
-            raise ValueError(f"age {state.age} outside [1, {self.delta_max}]")
-        return (state.requests * (capacity + 1) + state.battery) * self.delta_max + state.age - 1
-
-    def state_of(self, index: int) -> PerSensorState:
-        if not 0 <= index < self.num_states:
-            raise ValueError(f"state index {index} outside [0, {self.num_states})")
-        return PerSensorState(
-            requests=int(self.requests_of[index]),
-            battery=int(self.battery_of[index]),
-            age=int(self.age_of[index]),
-        )
-
 
 @lru_cache(maxsize=None)
 def sensor_model(sensor: SensorParams, delta_max: int) -> SensorModel:
     """Cached per-(sensor, age cap) model; kernels are built once and shared."""
     return SensorModel(sensor, delta_max)
-
-
-def per_sensor_kernel(
-    sensor: SensorParams, state: PerSensorState, command: int, delta_max: int
-) -> dict[PerSensorState, float]:
-    """Sparse successor distribution of one sensor under one action bit."""
-    model = sensor_model(sensor, delta_max)
-    i = model.index_of(state)
-    mat = model.transition_matrix(int(bool(command)))
-    start, stop = mat.indptr[i], mat.indptr[i + 1]
-    return {
-        model.state_of(int(j)): float(v)
-        for j, v in zip(mat.indices[start:stop], mat.data[start:stop])
-        if v != 0.0
-    }
 
 
 def sensor_classes(

@@ -208,7 +208,7 @@ def evaluate_per_sensor(
     core = sub[members][:, members].tocsr()
     dist = _stationary_on_class(core)
     residual = float(np.abs(dist @ core - dist).max())
-    if residual > STATIONARY_RESIDUAL:
+    if not residual <= STATIONARY_RESIDUAL:  # also catches a NaN solve
         raise MultichainError(
             f"stationary solve residual {residual:.3e} exceeds {STATIONARY_RESIDUAL:.0e}"
         )

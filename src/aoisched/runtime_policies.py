@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact_solver import JointPolicy
-from .model import NetworkConfig, sensor_classes, sensor_model
+from .model import NetworkConfig, sensor_classes, sensor_model, state_index
 from .relaxed_solver import MixedPolicy
 
 __all__ = [
@@ -66,7 +66,7 @@ class RelaxedFleetPolicy:
         lower_flat: np.ndarray,
         upper_flat: np.ndarray,
         offsets: np.ndarray,
-        request_strides: np.ndarray,
+        capacities: np.ndarray,
         delta_max: int,
         eta: float,
         budget: int | None,
@@ -77,21 +77,15 @@ class RelaxedFleetPolicy:
         self._lower = lower_flat
         self._upper = upper_flat
         self._offsets = offsets
-        self._request_strides = request_strides
+        self._capacities = capacities
         self._delta_max = delta_max
         degenerate = np.array_equal(lower_flat, upper_flat)
         self.mixture_eta = None if degenerate else float(eta)
 
-    def _flat_indices(self, requests, battery, age):
-        return (
-            self._offsets
-            + requests * self._request_strides
-            + battery * self._delta_max
-            + (age - 1)
-        )
-
     def decide(self, requests, battery, age, mix_lower, episode_rngs):
-        flat = self._flat_indices(requests, battery, age)
+        flat = self._offsets + state_index(
+            requests, battery, age, self._capacities, self._delta_max
+        )
         if self.mixture_eta is None:
             actions = self._lower[flat].copy()
         else:
@@ -111,29 +105,22 @@ class ExactFleetPolicy:
 
     mixture_eta = None
 
-    def __init__(self, table: np.ndarray, strides: np.ndarray,
-                 request_strides: np.ndarray, delta_max: int, budget: int):
+    def __init__(self, policy: JointPolicy, capacities: np.ndarray, delta_max: int):
         self.name = "exact"
-        self.budget = int(budget)
-        self._table = table
-        self._strides = strides
-        self._request_strides = request_strides
+        self.budget = policy.budget
+        self._policy = policy
+        self._capacities = capacities
         self._delta_max = delta_max
 
     def decide(self, requests, battery, age, mix_lower, episode_rngs):
-        per_sensor = (
-            requests * self._request_strides + battery * self._delta_max + (age - 1)
-        )
-        joint = per_sensor.astype(np.int64) @ self._strides
-        actions = self._table[joint]
+        per_sensor = state_index(requests, battery, age, self._capacities, self._delta_max)
+        joint = np.ravel_multi_index(tuple(per_sensor.T), self._policy.state_sizes)
+        actions = self._policy.actions[joint]
         return actions, actions.sum(axis=1, dtype=np.int64)
 
 
-def _request_strides(network: NetworkConfig) -> np.ndarray:
-    return np.array(
-        [(s.battery_capacity + 1) * network.delta_max for s in network.sensors],
-        dtype=np.int64,
-    )
+def _capacities(network: NetworkConfig) -> np.ndarray:
+    return np.array([s.battery_capacity for s in network.sensors], dtype=np.int64)
 
 
 def class_policies(
@@ -181,7 +168,7 @@ def build_relaxed_fleet_policy(
         lower_flat=np.concatenate([p.lower.actions for p in per_class]),
         upper_flat=np.concatenate([p.upper.actions for p in per_class]),
         offsets=class_offset[class_of],
-        request_strides=_request_strides(network),
+        capacities=_capacities(network),
         delta_max=network.delta_max,
         eta=per_class[0].eta,
         budget=network.budget if truncate_to_budget else None,
@@ -191,15 +178,6 @@ def build_relaxed_fleet_policy(
 
 def build_exact_fleet_policy(network: NetworkConfig, policy: JointPolicy) -> ExactFleetPolicy:
     sizes = [sensor_model(s, network.delta_max).num_states for s in network.sensors]
-    if tuple(policy.state_sizes) != tuple(sizes):
-        raise ValueError("joint policy table does not match the network state space")
-    strides = np.ones(network.num_sensors, dtype=np.int64)
-    for k in range(network.num_sensors - 2, -1, -1):
-        strides[k] = strides[k + 1] * sizes[k + 1]
-    return ExactFleetPolicy(
-        table=policy.actions,
-        strides=strides,
-        request_strides=_request_strides(network),
-        delta_max=network.delta_max,
-        budget=network.budget,
-    )
+    if tuple(policy.state_sizes) != tuple(sizes) or policy.budget != network.budget:
+        raise ValueError("joint policy table does not match the network")
+    return ExactFleetPolicy(policy, _capacities(network), network.delta_max)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .model import NetworkConfig
+from .model import NetworkConfig, slot_step
 
 __all__ = [
     "SimConfig",
@@ -163,12 +163,9 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
                 counts = actions.sum(axis=1)
                 if (counts > policy.budget).any():
                     raise SimulationError("per-slot budget violated")
-            sends = (actions == 1) & (battery >= 1)
-            new_age = np.where(sends, 1, np.minimum(age + 1, delta_max))
-            cost_sum += np.sum(r * new_age, axis=1, dtype=np.int64)
+            _, battery, age = slot_step(battery, age, actions, energy[i], capacities, delta_max)
+            cost_sum += np.sum(r * age, axis=1, dtype=np.int64)
             command_sum += actions.sum(axis=1, dtype=np.int64)
-            battery = np.minimum(battery + energy[i] - sends, capacities)
-            age = new_age
             slot += 1
             if next_checkpoint < checkpoints.size and slot == checkpoints[next_checkpoint]:
                 trace.append((slot, float(cost_sum.mean() / (n_users * n_sensors * slot))))

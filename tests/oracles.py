@@ -3,25 +3,89 @@
 Nothing here touches the iterative solvers: policies are evaluated by direct
 chain analysis (strongly connected components, stationary distributions, and
 absorption probabilities), and the joint problem is cross-checked by a
-finite-horizon dynamic program built from the public kernel primitives.
+finite-horizon dynamic program built from a per-sensor reference written out
+from the slot rule, independent of the sparse kernels it checks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from aoisched import (
-    NetworkConfig,
-    PerSensorState,
-    SensorParams,
-    per_sensor_cost,
-    per_sensor_kernel,
-    sensor_model,
-)
+from aoisched import NetworkConfig, SensorParams, sensor_model, state_index
+
+
+@dataclass(frozen=True)
+class PerSensorState:
+    """State triple of a single sensor: request count, battery level, and age."""
+
+    requests: int
+    battery: int
+    age: int
+
+
+def all_states(sensor: SensorParams, delta_max: int) -> list[PerSensorState]:
+    """Every per-sensor state, in the kernel's layout order."""
+    return [
+        PerSensorState(r, b, a)
+        for r, b, a in product(
+            range(sensor.num_users + 1),
+            range(sensor.battery_capacity + 1),
+            range(1, delta_max + 1),
+        )
+    ]
+
+
+def _reference_step(state: PerSensorState, command: int, delta_max: int) -> tuple[int, int]:
+    # A command transmits only from a nonempty battery; a delivery resets the
+    # age to one, otherwise the age counts up to the cap.
+    sent = int(command == 1 and state.battery >= 1)
+    return sent, 1 if sent else min(state.age + 1, delta_max)
+
+
+def reference_cost(state: PerSensorState, command: int, delta_max: int) -> int:
+    """Slot cost of one sensor: request count times the post-transition age."""
+    return state.requests * _reference_step(state, command, delta_max)[1]
+
+
+def reference_successors(
+    sensor: SensorParams, state: PerSensorState, command: int, delta_max: int
+) -> dict[PerSensorState, float]:
+    """Successor distribution of one sensor under one action bit.
+
+    The harvest lands after the transmission and saturates at the capacity;
+    the next request count is summed over every pattern of user requests.
+    """
+    sent, age = _reference_step(state, command, delta_max)
+    out: dict[PerSensorState, float] = {}
+    for harvested, p_energy in ((1, sensor.harvest_rate), (0, 1.0 - sensor.harvest_rate)):
+        battery = min(state.battery - sent + harvested, sensor.battery_capacity)
+        for pattern in product((0, 1), repeat=sensor.num_users):
+            p = p_energy
+            for asked, q in zip(pattern, sensor.request_probs):
+                p *= q if asked else 1.0 - q
+            if p > 0:
+                nxt = PerSensorState(sum(pattern), battery, age)
+                out[nxt] = out.get(nxt, 0.0) + p
+    return out
+
+
+def kernel_row(sensor: SensorParams, state: PerSensorState, command: int,
+               delta_max: int) -> dict[PerSensorState, float]:
+    """Nonzero entries of one row of the model's sparse kernel, keyed by successor."""
+    model = sensor_model(sensor, delta_max)
+    i = state_index(state.requests, state.battery, state.age, sensor.battery_capacity, delta_max)
+    mat = model.transition_matrix(command)
+    start, stop = mat.indptr[i], mat.indptr[i + 1]
+    return {
+        PerSensorState(int(model.requests_of[j]), int(model.battery_of[j]), int(model.age_of[j])): float(v)
+        for j, v in zip(mat.indices[start:stop], mat.data[start:stop])
+        if v != 0.0
+    }
 
 
 def chain_average_cost(transition: np.ndarray, cost: np.ndarray, start: int) -> float:
@@ -100,13 +164,9 @@ def finite_horizon_joint_cost(
     """Average of the minimum total cost over all action sequences of a horizon.
 
     A plain backward dynamic program over the product space, built from the
-    public per-sensor kernel and cost primitives; no value-iteration machinery.
+    slot-rule reference above; no value-iteration machinery and no sparse kernel.
     """
-    models = [sensor_model(s, config.delta_max) for s in config.sensors]
-    spaces = [
-        [m.state_of(i) for i in range(m.num_states)] for m in models
-    ]
-    states = list(product(*spaces))
+    states = list(product(*(all_states(s, config.delta_max) for s in config.sensors)))
     actions = [
         bits
         for bits in product((0, 1), repeat=config.num_sensors)
@@ -119,7 +179,7 @@ def finite_horizon_joint_cost(
     for state in states:
         for bits in actions:
             per_sensor = [
-                per_sensor_kernel(s, st, b, config.delta_max).items()
+                reference_successors(s, st, b, config.delta_max).items()
                 for s, st, b in zip(config.sensors, state, bits)
             ]
             rows = []
@@ -133,7 +193,7 @@ def finite_horizon_joint_cost(
                     rows.append((prob, tuple(nxt)))
             transitions[(state, bits)] = rows
             slot_cost[(state, bits)] = norm * sum(
-                per_sensor_cost(st, b, config.delta_max)
+                reference_cost(st, b, config.delta_max)
                 for st, b in zip(state, bits)
             )
 

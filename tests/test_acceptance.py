@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from oracles import (
+    PerSensorState,
     best_deterministic_policy,
     finite_horizon_joint_cost,
     random_tiny_network,
@@ -19,7 +20,6 @@ from oracles import (
 import aoisched.model
 from aoisched import (
     NetworkConfig,
-    PerSensorState,
     SensorParams,
     SimConfig,
     build_relaxed_fleet_policy,
@@ -30,6 +30,7 @@ from aoisched import (
     policy_structure_report,
     run_experiment,
     sensor_model,
+    slot_step,
     solve_exact,
     solve_per_sensor,
     solve_relaxed,
@@ -106,7 +107,9 @@ def test_criterion_1_kernel_sanity():
             worst = max(worst, float(np.abs(rows - 1.0).max()))
             np.testing.assert_array_equal(
                 model.cost_vector(action),
-                model.requests_of * model.next_age_vector(action),
+                model.requests_of
+                * slot_step(model.battery_of, model.age_of, action, 0,
+                            sensor.battery_capacity, delta_max)[2],
             )
     aoisched.model.sensor_model.cache_clear()
     elapsed = time.perf_counter() - started

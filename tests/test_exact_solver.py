@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
-from oracles import finite_horizon_joint_cost, random_tiny_network
+from oracles import PerSensorState, finite_horizon_joint_cost, random_tiny_network
 
 from aoisched import (
     NetworkConfig,
-    PerSensorState,
     SensorParams,
     StateSpaceError,
     bellman_residual,
@@ -20,11 +19,13 @@ TINY2 = NetworkConfig(2, 1, 1, 3, (TINY2_SENSOR, TINY2_SENSOR))
 
 
 def test_enumerate_budget_actions():
-    assert enumerate_budget_actions(2, 1) == [(0, 0), (0, 1), (1, 0)]
+    assert enumerate_budget_actions(2, 1) == [(0, 0), (1, 0), (0, 1)]
     assert len(enumerate_budget_actions(3, 2)) == 7
     assert len(enumerate_budget_actions(2, 2)) == 4
     acts = enumerate_budget_actions(4, 2)
-    assert acts == sorted(acts)  # lexicographic
+    # tie-break priority: fewest commands first, then lowest commanded indices
+    assert acts == sorted(acts, key=lambda a: (sum(a), [i for i, b in enumerate(a) if b]))
+    assert len(set(acts)) == len(acts) == 11
     assert all(sum(a) <= 2 for a in acts)
     with pytest.raises(ValueError):
         enumerate_budget_actions(2, 3)

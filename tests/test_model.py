@@ -1,22 +1,28 @@
 """Kernel, cost, and state-space tests for the model layer."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    PerSensorState,
+    all_states,
+    kernel_row,
+    random_sensor,
+    reference_cost,
+    reference_successors,
+)
 
 from aoisched import (
     NetworkConfig,
-    PerSensorState,
     SensorParams,
-    effective_send,
-    per_sensor_cost,
-    per_sensor_kernel,
     request_pmf,
     sensor_classes,
     sensor_model,
-    step_age,
-    step_battery,
+    slot_step,
+    state_index,
 )
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
@@ -45,29 +51,33 @@ def test_network_config_validation():
 
 
 def test_effective_send():
-    assert effective_send(PerSensorState(0, 0, 5), 1) == 0
-    assert effective_send(PerSensorState(0, 3, 5), 1) == 1
-    assert effective_send(PerSensorState(0, 3, 5), 0) == 0
+    # slot_step(battery, age, command, harvested, capacity, delta_max)
+    assert not slot_step(0, 5, 1, 0, 4, 40)[0]
+    assert slot_step(3, 5, 1, 0, 4, 40)[0]
+    assert not slot_step(3, 5, 0, 0, 4, 40)[0]
 
 
 def test_step_battery():
-    assert step_battery(4, 0, 1, 4) == 4  # saturation
-    assert step_battery(1, 1, 0, 4) == 0
-    assert step_battery(1, 1, 1, 4) == 1
-    with pytest.raises(ValueError):
-        step_battery(0, 1, 0, 4)  # energy causality
+    assert slot_step(4, 1, 0, 1, 4, 7)[1] == 4  # saturation
+    assert slot_step(1, 1, 1, 0, 4, 7)[1] == 0
+    assert slot_step(1, 1, 1, 1, 4, 7)[1] == 1
 
 
 def test_step_age():
-    assert step_age(7, 0, 7) == 7  # cap
-    assert step_age(5, 1, 7) == 1
-    assert step_age(5, 0, 7) == 6
+    assert slot_step(0, 7, 0, 0, 4, 7)[2] == 7  # cap
+    assert slot_step(1, 5, 1, 0, 4, 7)[2] == 1
+    assert slot_step(1, 5, 0, 0, 4, 7)[2] == 6
 
 
 def test_per_sensor_cost_examples():
-    assert per_sensor_cost(PerSensorState(0, 5, 30), 0, 40) == 0
-    assert per_sensor_cost(PerSensorState(2, 1, 9), 1, 40) == 2
-    assert per_sensor_cost(PerSensorState(3, 0, 40), 1, 40) == 3 * 40
+    model = sensor_model(SensorParams(0.5, 5, (0.5,) * 3), 40)
+
+    def cost(requests, battery, age, command):
+        return model.cost_vector(command)[state_index(requests, battery, age, 5, 40)]
+
+    assert cost(0, 5, 30, 0) == 0
+    assert cost(2, 1, 9, 1) == 2
+    assert cost(3, 0, 40, 1) == 3 * 40
 
 
 def test_request_pmf_examples():
@@ -87,7 +97,7 @@ def test_request_pmf_examples():
 def test_kernel_battery_rows():
     sensor = SensorParams(0.06, 5, (0.5,))
     # idle below capacity: harvest with probability lambda
-    dist = per_sensor_kernel(sensor, PerSensorState(0, 2, 3), 0, 10)
+    dist = kernel_row(sensor, PerSensorState(0, 2, 3), 0, 10)
     by_battery = {}
     for state, p in dist.items():
         assert state.age == 4
@@ -97,13 +107,13 @@ def test_kernel_battery_rows():
 
 def test_kernel_command_resets_age():
     sensor = SensorParams(0.3, 5, (0.5, 0.7))
-    dist = per_sensor_kernel(sensor, PerSensorState(1, 3, 9), 1, 10)
+    dist = kernel_row(sensor, PerSensorState(1, 3, 9), 1, 10)
     assert all(state.age == 1 for state in dist)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_tiny1_hand_enumeration():
-    dist = per_sensor_kernel(TINY1, PerSensorState(1, 1, 1), 1, 2)
+    dist = kernel_row(TINY1, PerSensorState(1, 1, 1), 1, 2)
     expected = {
         PerSensorState(r, b, 1): 0.25 for r in (0, 1) for b in (0, 1)
     }
@@ -114,18 +124,34 @@ def test_kernel_tiny1_hand_enumeration():
 
 def test_state_index_round_trip():
     model = sensor_model(SensorParams(0.4, 3, (0.2, 0.9)), 6)
-    seen = set()
-    for r in range(3):
-        for b in range(4):
-            for age in range(1, 7):
-                idx = model.index_of(PerSensorState(r, b, age))
-                assert model.state_of(idx) == PerSensorState(r, b, age)
-                seen.add(idx)
-    assert seen == set(range(model.num_states))
-    with pytest.raises(ValueError):
-        model.index_of(PerSensorState(0, 4, 1))
-    with pytest.raises(ValueError):
-        model.index_of(PerSensorState(0, 0, 7))
+    coords = list(zip(model.requests_of, model.battery_of, model.age_of))
+    assert sorted(coords) == list(product(range(3), range(4), range(1, 7)))
+    np.testing.assert_array_equal(
+        state_index(model.requests_of, model.battery_of, model.age_of, 3, 6),
+        np.arange(model.num_states),
+    )
+    # Age fastest, then battery, then requests; capacities broadcast per sensor.
+    np.testing.assert_array_equal(
+        state_index(np.array([[0, 0, 1]]), np.array([[0, 1, 0]]), 2, np.array([3, 3, 1]), 6),
+        [[1, 7, 13]],
+    )
+
+
+def test_kernel_matches_slot_rule_reference():
+    rng = np.random.default_rng(17)
+    sensors = [random_sensor(rng, degenerate_ok=True) for _ in range(30)]
+    sensors += [SensorParams(0.0, 2, (0.5, 0.3)), SensorParams(1.0, 3, (0.7,))]
+    for sensor in sensors:
+        delta_max = int(rng.integers(2, 7))
+        model = sensor_model(sensor, delta_max)
+        for i, state in enumerate(all_states(sensor, delta_max)):
+            for command in (0, 1):
+                row = kernel_row(sensor, state, command, delta_max)
+                reference = reference_successors(sensor, state, command, delta_max)
+                assert row.keys() == reference.keys()
+                for successor, p in reference.items():
+                    assert row[successor] == pytest.approx(p, abs=1e-12)
+                assert model.cost_vector(command)[i] == reference_cost(state, command, delta_max)
 
 
 def test_joint_kernel_factorizes():
@@ -133,8 +159,8 @@ def test_joint_kernel_factorizes():
     # per-sensor marginals exactly.
     s1 = SensorParams(0.3, 1, (0.6,))
     s2 = SensorParams(0.8, 2, (0.4,))
-    k1 = per_sensor_kernel(s1, PerSensorState(1, 1, 2), 1, 3)
-    k2 = per_sensor_kernel(s2, PerSensorState(0, 2, 3), 0, 3)
+    k1 = kernel_row(s1, PerSensorState(1, 1, 2), 1, 3)
+    k2 = kernel_row(s2, PerSensorState(0, 2, 3), 0, 3)
     joint = {
         (a, b): p * q for a, p in k1.items() for b, q in k2.items()
     }
@@ -178,14 +204,14 @@ def test_kernel_rows_stochastic_property(rate, capacity, probs, delta_max):
     command=st.integers(0, 1),
 )
 def test_cost_zero_without_requests_property(battery, age, command):
-    state = PerSensorState(0, battery, age)
-    assert per_sensor_cost(state, command, 8) == 0
+    model = sensor_model(SensorParams(0.5, 4, (0.5,)), 8)
+    assert model.cost_vector(command)[state_index(0, battery, age, 4, 8)] == 0
 
 
 def test_cost_equals_requests_times_next_age():
     model = sensor_model(SensorParams(0.37, 3, (0.3, 0.8)), 9)
     for action in (0, 1):
+        next_age = slot_step(model.battery_of, model.age_of, action, 0, 3, 9)[2]
         np.testing.assert_array_equal(
-            model.cost_vector(action),
-            model.requests_of * model.next_age_vector(action),
+            model.cost_vector(action), model.requests_of * next_age
         )

@@ -15,6 +15,7 @@ from aoisched import (
     solve_per_sensor,
     solve_relaxed,
 )
+from aoisched import relaxed_solver
 from aoisched.rvi import DEFAULT_THETA
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
@@ -73,25 +74,33 @@ def test_evaluate_matches_lagrangian_of_solver():
 
 
 def test_evaluate_detects_multichain():
-    # With zero harvesting, an always-command policy pins every battery level:
-    # level 0 never transmits and level >= 1 drains to a different class.
+    # Unreachable classes are legal: evaluation is restricted to the states
+    # reachable from the reference state.
     sensor = SensorParams(0.0, 1, (1.0,))
     model = sensor_model(sensor, 2)
     always = PolicyTable(actions=np.ones(model.num_states, dtype=np.int8), mu=0.0)
-    ev = evaluate_per_sensor(sensor, 2, always)  # fine: restricted to reachable set
+    ev = evaluate_per_sensor(sensor, 2, always)
     assert ev.command_rate == pytest.approx(1.0)
-
-    # A handcrafted split: never command at battery 0, always at battery 1,
-    # with zero harvesting. From battery 1 the sensor eventually drains into
-    # the battery-0 class, so this stays unichain; force a genuine split by
-    # making level 1 self-sustaining via harvest_rate 1 but command only at
-    # age 1 ... instead use a direct two-class chain: battery 0 vs battery 1
-    # under a policy that never commands (harvest 0 keeps levels separate) and
-    # start unreachable levels out of the picture. The reachable restriction
-    # makes that legal, so assert the evaluator still works there.
     never = PolicyTable(actions=np.zeros(model.num_states, dtype=np.int8), mu=0.0)
     ev2 = evaluate_per_sensor(sensor, 2, never)
     assert ev2.cost_rate == pytest.approx(2.0)
+
+    # Sure harvesting keeps a commanding sensor's battery level, so battery 2
+    # and (battery 1, age 1) close two classes; the request count at battery 1
+    # and age 2 decides which one the reference state enters.
+    sensor = SensorParams(1.0, 2, (0.5,))
+    model = sensor_model(sensor, 3)
+    battery, age, requests = model.battery_of, model.age_of, model.requests_of
+    split = (battery == 2) | ((battery == 1) & ((age == 1) | ((age == 2) & (requests >= 1))))
+    with pytest.raises(MultichainError, match="2 recurrent classes"):
+        evaluate_per_sensor(sensor, 3, PolicyTable(actions=split, mu=0.0))
+
+
+def test_evaluate_rejects_nan_stationary_solve(monkeypatch):
+    monkeypatch.setattr(relaxed_solver, "spsolve", lambda a, b: np.full(b.shape, np.nan))
+    always = PolicyTable(actions=np.ones(sensor_model(TINY1, 2).num_states, dtype=np.int8), mu=0.0)
+    with pytest.raises(MultichainError, match="residual nan"):
+        evaluate_per_sensor(TINY1, 2, always)
 
 
 def test_mixed_policy_validation():

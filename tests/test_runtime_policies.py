@@ -3,13 +3,12 @@ included, as the simulation engine calls them."""
 
 import numpy as np
 import pytest
-from oracles import greedy_decide
+from oracles import PerSensorState, greedy_decide
 
 from aoisched import (
     GreedyFleetPolicy,
     MixedPolicy,
     NetworkConfig,
-    PerSensorState,
     PolicyTable,
     SensorParams,
     build_relaxed_fleet_policy,
