@@ -6,7 +6,11 @@ class AoischedError(Exception):
 
 
 class ConvergenceError(AoischedError):
-    """Value iteration did not reach the span tolerance within the iteration cap."""
+    """Relative value iteration did not reach the span tolerance within the sweep cap.
+
+    Only the exact joint solver and the relaxed solver's multichain fallback
+    run value iteration; the relaxed solver's policy iteration does not raise it.
+    """
 
     def __init__(self, message: str, iterations: int, span: float):
         super().__init__(f"{message} (iterations={iterations}, last span={span:.3e})")

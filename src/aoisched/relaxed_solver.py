@@ -1,4 +1,4 @@
-"""Time-average-budget solver: per-sensor value iteration under a command price,
+"""Time-average-budget solver: per-sensor policy iteration under a command price,
 bisection on the price, and mixing of the two bracketing deterministic policies.
 
 The per-slot fleet budget is relaxed to a time-average rate Gamma = budget / K.
@@ -7,6 +7,12 @@ average-cost problems; bisection finds the smallest price whose induced command
 rate meets the budget, and a two-policy mixture calibrates the rate to Gamma
 exactly. The resulting average cost is a lower bound on the cost of any policy
 that respects the per-slot budget.
+
+Every policy evaluation goes through :func:`_poisson`, one sparse LU
+factorisation of the policy-induced chain that yields its cost rate, its
+command rate and its relative values at once. Howard policy iteration solves
+each priced per-sensor problem on it; a price at which policy iteration meets
+a multichain table is solved by relative value iteration instead.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .errors import BracketError, MultichainError
-from .model import NetworkConfig, SensorParams, sensor_classes, sensor_model
+from .model import NetworkConfig, SensorModel, SensorParams, sensor_classes, sensor_model
 # DEFAULT_THETA stays importable here: bench/run.py reads the span tolerance from this module.
 from .rvi import DEFAULT_THETA, relative_value_iteration  # noqa: F401
 
@@ -39,7 +45,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-STATIONARY_RESIDUAL = 1e-10
+POISSON_RESIDUAL = 1e-10  # normwise backward error a policy evaluation must meet
+# A state switches action only when that lowers its Q-value by more than this
+# times max|h|; 1e-9 flips true near-ties of the paper instances and moves the bound.
+IMPROVEMENT_TOL = 1e-12
 RATE_TIE_TOL = 1e-6  # command rate counts as "equal to Gamma" within this
 
 DEFAULT_EPSILON = 1e-4
@@ -98,16 +107,6 @@ class MixedPolicy:
 
 
 @dataclass(frozen=True, eq=False)
-class PerSensorSolve:
-    """Converged per-sensor value iteration output at a fixed command price."""
-
-    policy: PolicyTable
-    rel_values: np.ndarray
-    avg_lagrangian: float  # value at the reference state; error below the span tolerance
-    iterations: int
-
-
-@dataclass(frozen=True, eq=False)
 class ChainEvaluation:
     """Exact long-run averages of a policy-induced per-sensor chain."""
 
@@ -118,17 +117,84 @@ class ChainEvaluation:
         return self.cost_rate + mu * self.command_rate
 
 
-def solve_per_sensor(sensor: SensorParams, delta_max: int, mu: float) -> PerSensorSolve:
-    """Relative value iteration for one sensor with commands priced at mu.
+@dataclass(frozen=True, eq=False)
+class PerSensorSolve:
+    """Optimal per-sensor table at a fixed command price, with its exact averages.
 
-    The returned average Lagrangian is the value at the reference state
-    (requests=0, battery=0, age=1) and is within ``DEFAULT_THETA`` of the true
-    optimum; ``rel_values`` satisfy the untransformed optimality equation.
-    Ties in the final argmin resolve to no-command.
+    ``iterations`` counts the policy evaluations of policy iteration (one LU
+    factorisation each), or value-iteration sweeps when the price took the
+    multichain fallback.
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    model = sensor_model(sensor, delta_max)
+
+    policy: PolicyTable
+    rel_values: np.ndarray
+    avg_lagrangian: float
+    iterations: int
+    evaluation: ChainEvaluation
+
+
+def _poisson(chain: sp.csr_matrix, rhs: np.ndarray, ref: int) -> np.ndarray:
+    """Gains and relative values of a unichain chain, one column per reward in ``rhs``.
+
+    Solves (I - P) h + g 1 = r with h[ref] = 0: the system matrix is I - P
+    with column ``ref`` replaced by ones, factorised once for every column.
+    Entry ``ref`` of a solution column is the gain g, the other entries are h.
+    Raises :class:`MultichainError` when the chain has more than one closed
+    class, when SuperLU finds the system singular, or when the solve misses
+    ``POISSON_RESIDUAL``.
+    """
+    n = chain.shape[0]
+    index = np.arange(n)
+    rows, cols = np.repeat(index, np.diff(chain.indptr)), chain.indices
+    n_comp, labels = connected_components(chain, directed=True, connection="strong")
+    leaving = labels[rows] != labels[cols]
+    closed = n_comp - np.unique(labels[rows[leaving]]).size
+    if closed != 1:
+        raise MultichainError(f"{closed} recurrent classes in the policy-induced chain")
+    # I - P with column ref zeroed, plus a column of ones at ref; duplicates sum.
+    keep = cols != ref
+    system = sp.csc_matrix(
+        (
+            np.concatenate([-chain.data[keep], index != ref, np.ones(n)]),
+            (
+                np.concatenate([rows[keep], index, index]),
+                np.concatenate([cols[keep], index, np.full(n, ref)]),
+            ),
+        ),
+        shape=(n, n),
+    )
+    try:
+        x = splu(system).solve(rhs)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise MultichainError(f"policy evaluation failed: {exc}") from None
+    # Normwise backward error; every row of the system has absolute sum <= 3.
+    residual = float(np.abs(system @ x - rhs).max()) / (
+        3.0 * float(np.abs(x).max()) + float(np.abs(rhs).max())
+    )
+    if not residual <= POISSON_RESIDUAL:  # also catches a NaN solve
+        raise MultichainError(
+            f"policy evaluation residual {residual:.3e} exceeds {POISSON_RESIDUAL:.0e}"
+        )
+    return x
+
+
+def _policy_chain(model: SensorModel, w_cmd: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Chain and slot cost when each state commands with probability ``w_cmd``."""
+    w_idle = 1.0 - w_cmd
+
+    def scaled_rows(mat: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
+        data = mat.data * np.repeat(w, np.diff(mat.indptr))
+        return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+
+    # The sum drops the entries that a zero weight left behind.
+    chain = scaled_rows(model.transition_matrix(0), w_idle) + scaled_rows(
+        model.transition_matrix(1), w_cmd
+    )
+    return chain, w_idle * model.cost_vector(0) + w_cmd * model.cost_vector(1)
+
+
+def _value_iteration_solve(model: SensorModel, mu: float) -> PerSensorSolve:
+    """The multichain fallback: relative value iteration, then an exact evaluation."""
     backups = [
         (model.cost_vector(0), model.transition_matrix(0).dot),
         (model.cost_vector(1) + mu, model.transition_matrix(1).dot),
@@ -136,33 +202,77 @@ def solve_per_sensor(sensor: SensorParams, delta_max: int, mu: float) -> PerSens
     values, rel, greedy, iterations = relative_value_iteration(
         backups, model.ref_index, f"per-sensor value iteration at mu={mu}"
     )
+    policy = PolicyTable(actions=greedy, mu=float(mu))
     rel.setflags(write=False)
     return PerSensorSolve(
-        policy=PolicyTable(actions=greedy, mu=float(mu)),
+        policy=policy,
         rel_values=rel,
         avg_lagrangian=float(values[model.ref_index]),
         iterations=iterations,
+        evaluation=evaluate_per_sensor(model.sensor, model.delta_max, policy),
     )
 
 
-def _command_probabilities(policy: PolicyTable | MixedPolicy) -> np.ndarray:
-    if isinstance(policy, MixedPolicy):
-        return policy.command_prob()
-    return policy.actions.astype(np.float64)
+def solve_per_sensor(
+    sensor: SensorParams, delta_max: int, mu: float, start: np.ndarray | None = None
+) -> PerSensorSolve:
+    """Howard policy iteration for one sensor with commands priced at mu.
 
+    Starts from the action bits ``start`` (by default the myopic table that
+    commands where the price undercuts the slot-cost saving). Each step
+    evaluates the table exactly with :func:`_poisson` and switches the states
+    whose Q-value drops by more than ``IMPROVEMENT_TOL`` times max|h|. The
+    returned table is the first minimum of the converged Q-values, so ties
+    resolve to no-command and the table does not depend on ``start``; its
+    exact cost and command rates, average Lagrangian and relative values
+    (``rel_values``, zero at the reference state) come from its own
+    evaluation. A price at which policy iteration meets a multichain table is
+    solved by relative value iteration instead, whose average Lagrangian is
+    within ``DEFAULT_THETA`` of the optimum.
+    """
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    model = sensor_model(sensor, delta_max)
+    c0, c1 = model.cost_vector(0), model.cost_vector(1) + mu
+    p0, p1 = model.transition_matrix(0), model.transition_matrix(1)
+    actions = c1 < c0 if start is None else np.asarray(start) == 1
+    if actions.shape != (model.num_states,):
+        raise ValueError("start table does not cover the sensor state space")
 
-def _stationary_on_class(chain: sp.csr_matrix) -> np.ndarray:
-    """Stationary distribution of an irreducible chain via a direct sparse solve."""
-    n = chain.shape[0]
-    if n == 1:
-        return np.ones(1)
-    system = (chain.T - sp.identity(n, format="csr")).tolil()
-    system[n - 1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[n - 1] = 1.0
-    dist = spsolve(system.tocsc(), rhs)
-    dist = np.clip(dist, 0.0, None)
-    return dist / dist.sum()
+    def evaluate(actions):
+        chain, cost = _policy_chain(model, actions.astype(np.float64))
+        x = _poisson(chain, np.column_stack([cost, actions]), model.ref_index)
+        rates = x[model.ref_index].copy()
+        x[model.ref_index] = 0.0
+        return ChainEvaluation(float(rates[0]), float(rates[1])), x[:, 0] + mu * x[:, 1]
+
+    iterations = 0
+    try:
+        while True:
+            iterations += 1
+            evaluation, rel = evaluate(actions)
+            q0, q1 = c0 + p0 @ rel, c1 + p1 @ rel
+            tol = IMPROVEMENT_TOL * float(np.abs(rel).max())
+            switch = np.where(actions, q0 < q1 - tol, q1 < q0 - tol)
+            if not switch.any():
+                break
+            actions = actions ^ switch
+        final = q1 < q0
+        if not np.array_equal(final, actions):
+            iterations += 1
+            actions = final
+            evaluation, rel = evaluate(actions)
+    except MultichainError as exc:
+        log.debug("mu=%.6g: %s; solving by value iteration", mu, exc)
+        return _value_iteration_solve(model, mu)
+    rel.setflags(write=False)
+    return PerSensorSolve(
+        policy=PolicyTable(actions=actions, mu=float(mu)),
+        rel_values=rel,
+        avg_lagrangian=evaluation.lagrangian(mu),
+        iterations=iterations,
+        evaluation=evaluation,
+    )
 
 
 def evaluate_per_sensor(
@@ -173,58 +283,47 @@ def evaluate_per_sensor(
     """Exact long-run cost and command rates of a per-sensor policy.
 
     The policy-induced chain is restricted to the states reachable from the
-    reference state; exactly one recurrent class must exist there (verified via
-    strongly connected components), otherwise :class:`MultichainError` is
-    raised. The stationary solve is checked to a 1e-10 residual.
+    reference state and evaluated there by :func:`_poisson`, which raises
+    :class:`MultichainError` unless exactly one recurrent class is reachable.
     """
     model = sensor_model(sensor, delta_max)
-    w_cmd = _command_probabilities(policy)
+    if isinstance(policy, MixedPolicy):
+        w_cmd = policy.command_prob()
+    else:
+        w_cmd = policy.actions.astype(np.float64)
     if w_cmd.size != model.num_states:
         raise ValueError("policy does not cover the sensor state space")
-    w_idle = 1.0 - w_cmd
-    chain = model.transition_matrix(0).multiply(w_idle[:, None]) + model.transition_matrix(1).multiply(w_cmd[:, None])
-    chain = chain.tocsr()
-    cost = w_idle * model.cost_vector(0) + w_cmd * model.cost_vector(1)
-
-    reachable = breadth_first_order(
-        chain, model.ref_index, directed=True, return_predecessors=False
+    chain, cost = _policy_chain(model, w_cmd)
+    reachable = np.sort(
+        breadth_first_order(chain, model.ref_index, directed=True, return_predecessors=False)
     )
-    reachable = np.sort(reachable)
-    sub = chain[reachable][:, reachable].tocsr()
-
-    n_comp, labels = connected_components(sub, directed=True, connection="strong")
-    coo = sub.tocoo()
-    leaves = np.ones(n_comp, dtype=bool)
-    cross = labels[coo.row] != labels[coo.col]
-    leaves[np.unique(labels[coo.row[cross]])] = False
-    closed = np.flatnonzero(leaves)
-    if closed.size != 1:
-        raise MultichainError(
-            f"{closed.size} recurrent classes reachable from the reference state"
-        )
-
-    members = np.flatnonzero(labels == closed[0])
-    support = reachable[members]
-    core = sub[members][:, members].tocsr()
-    dist = _stationary_on_class(core)
-    residual = float(np.abs(dist @ core - dist).max())
-    if not residual <= STATIONARY_RESIDUAL:  # also catches a NaN solve
-        raise MultichainError(
-            f"stationary solve residual {residual:.3e} exceeds {STATIONARY_RESIDUAL:.0e}"
-        )
-    return ChainEvaluation(
-        cost_rate=float(dist @ cost[support]),
-        command_rate=float(dist @ w_cmd[support]),
+    ref = int(np.searchsorted(reachable, model.ref_index))
+    x = _poisson(
+        chain[reachable][:, reachable].tocsr(),
+        np.column_stack([cost[reachable], w_cmd[reachable]]),
+        ref,
     )
+    return ChainEvaluation(cost_rate=float(x[ref, 0]), command_rate=float(x[ref, 1]))
 
 
-@lru_cache(maxsize=4096)
-def _solve_class(
-    sensor: SensorParams, delta_max: int, mu: float
-) -> tuple[PerSensorSolve, ChainEvaluation]:
-    """Cold-start solve plus exact evaluation, cached per sensor class."""
-    solve = solve_per_sensor(sensor, delta_max, mu)
-    return solve, evaluate_per_sensor(sensor, delta_max, solve.policy)
+@lru_cache(maxsize=64)
+def _class_solves(sensor: SensorParams, delta_max: int) -> dict[float, PerSensorSolve]:
+    """Solves of one sensor class by price: the cache that :func:`_solve_class`
+    fills in and searches for a warm start (hence a dict, not a cached result)."""
+    return {}
+
+
+def _solve_class(sensor: SensorParams, delta_max: int, mu: float) -> PerSensorSolve:
+    """Per-class solve at mu, cached, warm-started from the nearest price solved so far.
+
+    The table does not depend on the start, so the cache is keyed by price alone.
+    """
+    solved = _class_solves(sensor, delta_max)
+    if mu not in solved:
+        nearest = min(solved, key=lambda m: abs(m - mu), default=None)
+        start = None if nearest is None else solved[nearest].policy.actions
+        solved[mu] = solve_per_sensor(sensor, delta_max, mu, start)
+    return solved[mu]
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,11 +385,11 @@ def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> Re
 
     evaluations: list[tuple[float, float, float]] = []
 
-    def fleet_rate(mu: float) -> tuple[float, list[tuple[PerSensorSolve, ChainEvaluation]]]:
+    def fleet_rate(mu: float) -> tuple[float, list[PerSensorSolve]]:
         results = [_solve_class(s, config.delta_max, mu) for s in classes]
-        rate = float(sum(w * ev.command_rate for w, (_, ev) in zip(weights, results)))
+        rate = float(sum(w * s.evaluation.command_rate for w, s in zip(weights, results)))
         mean_lagr = float(
-            sum(w * s.avg_lagrangian for w, (s, _) in zip(weights, results))
+            sum(w * s.avg_lagrangian for w, s in zip(weights, results))
         ) / config.num_users
         evaluations.append((mu, rate, mean_lagr))
         log.debug("price %.6g -> rate %.6g, mean Lagrangian %.6g", mu, rate, mean_lagr)
@@ -339,19 +438,19 @@ def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> Re
     if pure is not None:
         eta = 1.0
         class_policies = [
-            MixedPolicy(lower=s.policy, upper=s.policy, eta=1.0) for s, _ in pure
+            MixedPolicy(lower=s.policy, upper=s.policy, eta=1.0) for s in pure
         ]
-        class_evals = [ev for _, ev in pure]
+        class_evals = [s.evaluation for s in pure]
     else:
         eta, class_evals = _calibrate_eta(
             classes, config.delta_max,
-            [s.policy for s, _ in results_lo],
-            [s.policy for s, _ in results_hi],
+            [s.policy for s in results_lo],
+            [s.policy for s in results_hi],
             weights, gamma, rate_lo, rate_hi,
         )
         class_policies = [
             MixedPolicy(lower=lo.policy, upper=hi.policy, eta=eta)
-            for (lo, _), (hi, _) in zip(results_lo, results_hi)
+            for lo, hi in zip(results_lo, results_hi)
         ]
 
     avg_cost = float(
@@ -370,13 +469,13 @@ def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> Re
         mu_plus=mu_plus,
         evaluations=tuple(evaluations),
         per_sensor_rel_values=tuple(
-            lower_results[c][0].rel_values for c in class_of
+            lower_results[c].rel_values for c in class_of
         ),
         per_sensor_lagrangians=tuple(
-            float(lower_results[c][0].avg_lagrangian) for c in class_of
+            float(lower_results[c].avg_lagrangian) for c in class_of
         ),
         per_sensor_rates=tuple(
-            float(lower_results[c][1].command_rate) for c in class_of
+            float(lower_results[c].evaluation.command_rate) for c in class_of
         ),
         dual_bound=float(dual_bound),
     )
@@ -407,10 +506,10 @@ def _calibrate_eta(
 ) -> tuple[float, list[ChainEvaluation]]:
     """Bisection on the mixing factor against the exact mixed command rate.
 
-    The rate is evaluated through the stationary distribution of each mixed
-    chain, which rises with eta. The bracket keeps rate(lo) <= Gamma <= rate(hi),
-    so a rate continuous in eta meets ``DEFAULT_ETA_TOL`` before the bracket
-    collapses; a collapse raises :class:`BracketError` with the best rate seen.
+    The fleet's mixed command rate rises with eta. The bracket keeps
+    rate(lo) <= Gamma <= rate(hi), so a rate continuous in eta meets
+    ``DEFAULT_ETA_TOL`` before the bracket collapses; a collapse raises
+    :class:`BracketError` with the best rate seen.
     """
 
     def rate_at(eta: float) -> tuple[float, list[ChainEvaluation]]:

@@ -1,9 +1,11 @@
-"""Relative value iteration on the lazy kernel, shared by the exact joint
-solver and the per-sensor priced solver.
+"""Relative value iteration on the lazy kernel, for the exact joint solver and
+for the per-sensor priced problems that policy iteration cannot take.
 
 A per-sensor priced problem is the one-sensor joint problem with the command
-cost raised by the price, so both solvers run this one iteration and differ
-only in how they form the per-action slot costs and expectations.
+cost raised by the price. The relaxed solver runs this iteration only at a
+price where policy iteration meets a table with several closed classes
+(as at harvest rates of 0 or 1); both callers differ only in how they form the
+per-action slot costs and expectations.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Nothing here touches the iterative solvers: policies are evaluated by direct
 chain analysis (strongly connected components, stationary distributions, and
-absorption probabilities), and the joint problem is cross-checked by a
+absorption probabilities), the relaxed bound is a linear program over
+occupation measures, and the joint problem is cross-checked by a
 finite-horizon dynamic program built from a per-sensor reference written out
 from the slot rule, independent of the sparse kernels it checks.
 """
@@ -14,9 +15,10 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
-from aoisched import NetworkConfig, SensorParams, sensor_model, state_index
+from aoisched import NetworkConfig, SensorParams, sensor_classes, sensor_model, state_index
 
 
 @dataclass(frozen=True)
@@ -254,3 +256,43 @@ def random_tiny_network(rng: np.random.Generator) -> NetworkConfig:
     return NetworkConfig(
         num_sensors=2, num_users=1, budget=1, delta_max=delta_max, sensors=sensors
     )
+
+
+def relaxed_lp(network: NetworkConfig) -> float:
+    """Optimum of the relaxed problem as a linear program over occupation measures.
+
+    One variable x_c(s, a) >= 0 per sensor class, state and action; each class
+    has flow balance and normalisation rows, and one fleet row keeps the
+    class-weighted command rate at or below gamma. The objective is the
+    class-weighted slot cost over the number of users. Solved by HiGHS dual
+    simplex with 1e-10 feasibility tolerances; the residuals of the returned
+    point are checked before its value is trusted. Shares nothing with the
+    relaxed solver but the kernels.
+    """
+    classes, counts, _ = sensor_classes(network)
+    weights = counts / network.num_sensors
+    models = [sensor_model(c, network.delta_max) for c in classes]
+    blocks, objective, budget_row = [], [], []
+    for w, m in zip(weights, models):
+        n = m.num_states
+        eye = sp.identity(n, format="csr")
+        balance = sp.hstack([eye - m.transition_matrix(a).T for a in (0, 1)])
+        blocks.append(sp.vstack([balance, np.ones((1, 2 * n))]))
+        objective.append(w * np.concatenate([m.cost_vector(0), m.cost_vector(1)]))
+        budget_row.append(np.concatenate([np.zeros(n), np.full(n, w)]))
+    a_eq = sp.block_diag(blocks, format="csr")
+    b_eq = np.concatenate([np.append(np.zeros(m.num_states), 1.0) for m in models])
+    a_ub = np.concatenate(budget_row)[None, :]
+    cost = np.concatenate(objective) / network.num_users
+    res = linprog(
+        cost, A_ub=a_ub, b_ub=[network.gamma], A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+        method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if res.status != 0:
+        raise RuntimeError(f"relaxed LP failed: {res.message}")
+    x = res.x
+    assert np.abs(a_eq @ x - b_eq).max() <= 1e-9, "LP flow balance residual"
+    assert (a_ub @ x)[0] <= network.gamma + 1e-9, "LP budget residual"
+    assert x.min() >= -1e-9, "LP sign residual"
+    return float(cost @ x)

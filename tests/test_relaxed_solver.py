@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from oracles import best_deterministic_policy, random_sensor
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import best_deterministic_policy, random_sensor, relaxed_lp
 
 from aoisched import (
     MixedPolicy,
@@ -16,7 +18,7 @@ from aoisched import (
     solve_relaxed,
 )
 from aoisched import relaxed_solver
-from aoisched.rvi import DEFAULT_THETA
+from aoisched.rvi import DEFAULT_THETA, relative_value_iteration
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 
@@ -97,7 +99,11 @@ def test_evaluate_detects_multichain():
 
 
 def test_evaluate_rejects_nan_stationary_solve(monkeypatch):
-    monkeypatch.setattr(relaxed_solver, "spsolve", lambda a, b: np.full(b.shape, np.nan))
+    class NanFactor:
+        def solve(self, rhs):
+            return np.full(rhs.shape, np.nan)
+
+    monkeypatch.setattr(relaxed_solver, "splu", lambda system: NanFactor())
     always = PolicyTable(actions=np.ones(sensor_model(TINY1, 2).num_states, dtype=np.int8), mu=0.0)
     with pytest.raises(MultichainError, match="residual nan"):
         evaluate_per_sensor(TINY1, 2, always)
@@ -179,9 +185,8 @@ def test_per_sensor_bellman_residual():
     q_idle = model.cost_vector(0) + model.transition_matrix(0).dot(rel)
     q_cmd = model.cost_vector(1) + mu + model.transition_matrix(1).dot(rel)
     residual = np.abs(np.minimum(q_idle, q_cmd) - rel - solve.avg_lagrangian).max()
-    # span termination leaves the average-cost estimate within one span and the
-    # optimality-equation residual within two
-    assert residual <= 2 * DEFAULT_THETA
+    # the relative values come from an exact evaluation of the returned table
+    assert residual <= 1e-9
 
 
 def test_generic_sensors_match_enumeration_oracle():
@@ -206,6 +211,7 @@ def test_generic_sensors_match_enumeration_oracle():
         (1.0, 1.0, 1, 8, True, 5.2),  # (1 + ... + 8 + 8 + 8) / 10
         (0.3, 0.6, 10, 8, False, None),  # budget equals the fleet
         (0.3, 0.6, 10, 256, False, None),
+        (0.3, 0.6, 1, 256, True, "lp"),  # binding at delta_max 256: against the relaxed LP
     ],
 )
 def test_edge_instances(harvest, prob, budget, delta_max, active, bound):
@@ -217,5 +223,92 @@ def test_edge_instances(harvest, prob, budget, delta_max, active, bound):
     else:
         assert solution.mu_star == 0.0 and solution.eta == 1.0
         assert solution.command_rate <= net.gamma
-    if bound is not None:
+    if bound == "lp":
+        assert abs(solution.avg_cost - relaxed_lp(net)) <= _calibration_error(net, solution)
+    elif bound is not None:
         assert solution.avg_cost == pytest.approx(bound, abs=1e-6)
+
+
+def _calibration_error(net, solution):
+    """How far the mixture's exact cost may sit from the relaxed optimum: the
+    price times the miss of its calibrated rate, plus LP round-off."""
+    return solution.mu_star * abs(solution.command_rate - net.gamma) / net.num_users + 1e-9
+
+
+@st.composite
+def small_networks(draw):
+    """Up to three interior sensor classes, delta_max <= 8, battery <= 3."""
+    users = draw(st.integers(1, 2))
+    unit = st.floats(0.05, 0.95)
+    classes = [
+        SensorParams(draw(unit), draw(st.integers(1, 3)), tuple(draw(unit) for _ in range(users)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    sensors = tuple(c for c in classes for _ in range(draw(st.integers(1, 3))))
+    budget = draw(st.integers(1, len(sensors)))
+    return NetworkConfig(len(sensors), users, budget, draw(st.integers(2, 8)), sensors)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_networks())
+def test_lower_bound_matches_relaxed_lp(net):
+    solution = solve_relaxed(net)
+    optimum = relaxed_lp(net)
+    assert abs(solution.avg_cost - optimum) <= _calibration_error(net, solution)
+    assert solution.lagrange.dual_bound <= optimum + DEFAULT_THETA
+
+
+def _value_iteration(sensor, delta_max, mu):
+    model = sensor_model(sensor, delta_max)
+    backups = [
+        (model.cost_vector(0), model.transition_matrix(0).dot),
+        (model.cost_vector(1) + mu, model.transition_matrix(1).dot),
+    ]
+    values, _, greedy, _ = relative_value_iteration(backups, model.ref_index, "reference")
+    return float(values[model.ref_index]), greedy
+
+
+FIG2A_CLASS = SensorParams(0.05, 7, (0.6, 0.6, 0.6))
+_rng = np.random.default_rng(606)
+PI_CASES = [(random_sensor(_rng), int(_rng.integers(4, 11)), float(_rng.uniform(0.0, 6.0)))
+            for _ in range(4)]
+PI_CASES += [(FIG2A_CLASS, 64, 1136.7193908691406), (FIG2A_CLASS, 64, 1136.719482421875)]
+
+
+@pytest.mark.parametrize("sensor, delta_max, mu", PI_CASES)
+def test_policy_iteration_matches_value_iteration(sensor, delta_max, mu):
+    model = sensor_model(sensor, delta_max)
+    solve = solve_per_sensor(sensor, delta_max, mu)
+    neighbour = solve_per_sensor(sensor, delta_max, mu * 1.001 + 0.01).policy.actions
+    for start in (np.ones(model.num_states, dtype=np.int8), neighbour):
+        again = solve_per_sensor(sensor, delta_max, mu, start)
+        np.testing.assert_array_equal(again.policy.actions, solve.policy.actions)
+
+    value, greedy = _value_iteration(sensor, delta_max, mu)
+    assert abs(solve.avg_lagrangian - value) <= DEFAULT_THETA
+    rel = solve.rel_values
+    q_idle = model.cost_vector(0) + model.transition_matrix(0) @ rel
+    q_cmd = model.cost_vector(1) + mu + model.transition_matrix(1) @ rel
+    differ = np.flatnonzero(greedy != solve.policy.actions)
+    gaps = np.abs(q_cmd - q_idle)[differ]
+    print(f"{sensor}, delta_max={delta_max}, mu={mu}: tables differ at states "
+          f"{differ.tolist()} with |q1 - q0| = {gaps.tolist()}")
+    assert (gaps <= 1e-9).all(), f"states {differ.tolist()} differ with gaps {gaps.tolist()}"
+
+
+def test_multichain_price_falls_back_to_value_iteration(monkeypatch):
+    # Sure energy and sure requests: a table that commands at every charged
+    # level keeps each battery level closed, so policy iteration cannot run.
+    sensor = SensorParams(1.0, 3, (1.0,))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return relative_value_iteration(*args)
+
+    monkeypatch.setattr(relaxed_solver, "relative_value_iteration", counted)
+    solve = solve_per_sensor(sensor, 8, 0.0)
+    assert len(calls) == 1
+    _, greedy = _value_iteration(sensor, 8, 0.0)
+    np.testing.assert_array_equal(solve.policy.actions, greedy)
+    assert solve.evaluation.cost_rate == pytest.approx(1.0, abs=1e-10)
