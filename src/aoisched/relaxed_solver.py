@@ -443,9 +443,7 @@ def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> Re
         class_evals = [s.evaluation for s in pure]
     else:
         eta, class_evals = _calibrate_eta(
-            classes, config.delta_max,
-            [s.policy for s in results_lo],
-            [s.policy for s in results_hi],
+            classes, config.delta_max, results_lo, results_hi,
             weights, gamma, rate_lo, rate_hi,
         )
         class_policies = [
@@ -497,8 +495,8 @@ def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> Re
 def _calibrate_eta(
     classes: tuple[SensorParams, ...],
     delta_max: int,
-    lower: list[PolicyTable],
-    upper: list[PolicyTable],
+    lower: list[PerSensorSolve],
+    upper: list[PerSensorSolve],
     weights: np.ndarray,
     gamma: float,
     rate_at_one: float,
@@ -509,13 +507,20 @@ def _calibrate_eta(
     The fleet's mixed command rate rises with eta. The bracket keeps
     rate(lo) <= Gamma <= rate(hi), so a rate continuous in eta meets
     ``DEFAULT_ETA_TOL`` before the bracket collapses; a collapse raises
-    :class:`BracketError` with the best rate seen.
+    :class:`BracketError` with the best rate seen. A class whose lower and
+    upper tables coincide does not depend on eta: it keeps the evaluation of
+    its pure table.
     """
+    fixed = [
+        lo.evaluation if np.array_equal(lo.policy.actions, up.policy.actions) else None
+        for lo, up in zip(lower, upper)
+    ]
 
     def rate_at(eta: float) -> tuple[float, list[ChainEvaluation]]:
         evals = [
-            evaluate_per_sensor(s, delta_max, MixedPolicy(lo, up, eta))
-            for s, lo, up in zip(classes, lower, upper)
+            ev if ev is not None
+            else evaluate_per_sensor(s, delta_max, MixedPolicy(lo.policy, up.policy, eta))
+            for s, lo, up, ev in zip(classes, lower, upper, fixed)
         ]
         return float(sum(w * ev.command_rate for w, ev in zip(weights, evals))), evals
 

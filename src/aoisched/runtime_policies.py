@@ -3,7 +3,11 @@
 Fleet policy objects with a batched ``decide`` used by the simulation engine:
 the request-aware greedy rule, the mixed-table relaxed policy (optionally
 truncated to the per-slot budget), and lookup into a solved joint table. Each
-call decides one slot for every episode and sensor at once.
+call decides one slot for every episode and sensor at once:
+``decide(requests, battery, age, mix_rngs, trunc_rngs)`` takes (episodes, K)
+state arrays and one mixture and one truncation stream per episode, and
+returns the (episodes, K) action bits and each episode's proposal count
+before truncation.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ __all__ = [
 class GreedyFleetPolicy:
     """Batched greedy rule for the simulation engine."""
 
-    mixture_eta = None
-
     def __init__(self, budget: int, num_sensors: int):
         self.name = "greedy"
         self.budget = int(budget)
@@ -38,24 +40,53 @@ class GreedyFleetPolicy:
         # Combined sort key: age dominates, lower index wins ties.
         self._tiebreak = self.num_sensors - 1 - np.arange(self.num_sensors)
 
-    def decide(self, requests, battery, age, mix_lower, episode_rngs):
-        episodes, n = requests.shape
+    def decide(self, requests, battery, age, mix_rngs, trunc_rngs):
+        n = requests.shape[1]
         eligible = requests >= 1
         if self.budget >= n:
             actions = eligible.astype(np.int8)
             return actions, actions.sum(axis=1, dtype=np.int64)
+        # Keys of eligible sensors are unique per row, so the top ``budget``
+        # set is unique; ineligible entries (-1) that land in it are dropped.
         key = np.where(eligible, age * n + self._tiebreak, -1)
-        actions = np.zeros((episodes, n), dtype=np.int8)
-        cut = n - self.budget
-        for e in range(episodes):
-            top = np.argpartition(key[e], cut)[cut:]
-            actions[e, top[key[e, top] >= 0]] = 1
+        top = np.argpartition(key, n - self.budget, axis=1)[:, n - self.budget:]
+        rows = np.arange(requests.shape[0])[:, None]
+        actions = np.zeros(requests.shape, dtype=np.int8)
+        actions[rows, top] = key[rows, top] >= 0
         return actions, actions.sum(axis=1, dtype=np.int64)
+
+
+def _uniforms(rngs, rows: np.ndarray) -> np.ndarray:
+    """One uniform per entry of the sorted episode indices ``rows``, drawn from
+    that episode's stream: one call per episode, in episode order."""
+    counts = np.bincount(rows).tolist()
+    return np.concatenate([rngs[e].random(c) for e, c in enumerate(counts) if c])
+
+
+def _truncate(actions, proposals, budget: int, trunc_rngs) -> None:
+    """Keep a uniformly random ``budget``-subset of the proposals in each
+    overflowing row of ``actions``, in place.
+
+    Each overflowing episode draws one uniform key per proposing sensor from
+    its own truncation stream; the ``budget`` smallest keys of a row win.
+    """
+    over = np.flatnonzero(proposals > budget)
+    if over.size == 0:
+        return
+    keys = np.full((over.size, actions.shape[1]), np.inf)
+    rows, cols = np.nonzero(actions[over])
+    keys[rows, cols] = _uniforms(trunc_rngs, over[rows])
+    keep = np.argpartition(keys, budget - 1, axis=1)[:, :budget]
+    actions[over] = 0
+    actions[over[:, None], keep] = 1
 
 
 class RelaxedFleetPolicy:
     """Batched mixed-table policy, optionally truncated to the per-slot budget.
 
+    A sensor follows its lower table, except in the states where the lower and
+    upper tables differ: there it draws one uniform from its episode's mixture
+    stream and follows the upper table unless the draw is below eta.
     ``budget=None`` runs the pure relaxed policy (the lower-bound mode, which
     may exceed the per-slot budget); otherwise overflowing proposal sets are
     down-selected uniformly using the episode's truncation stream.
@@ -76,34 +107,32 @@ class RelaxedFleetPolicy:
         self.budget = budget
         self._lower = lower_flat
         self._upper = upper_flat
+        self._differs = lower_flat != upper_flat
+        self._mixed = bool(self._differs.any())
+        self._eta = float(eta)
         self._offsets = offsets
         self._capacities = capacities
         self._delta_max = delta_max
-        degenerate = np.array_equal(lower_flat, upper_flat)
-        self.mixture_eta = None if degenerate else float(eta)
 
-    def decide(self, requests, battery, age, mix_lower, episode_rngs):
+    def decide(self, requests, battery, age, mix_rngs, trunc_rngs):
         flat = self._offsets + state_index(
             requests, battery, age, self._capacities, self._delta_max
         )
-        if self.mixture_eta is None:
-            actions = self._lower[flat].copy()
-        else:
-            actions = np.where(mix_lower, self._lower[flat], self._upper[flat])
+        actions = self._lower[flat]
+        if self._mixed:
+            rows, cols = np.nonzero(self._differs[flat])
+            if rows.size:
+                upper = _uniforms(mix_rngs, rows) >= self._eta
+                rows, cols = rows[upper], cols[upper]
+                actions[rows, cols] = self._upper[flat[rows, cols]]
         proposals = actions.sum(axis=1, dtype=np.int64)
         if self.budget is not None:
-            for e in np.flatnonzero(proposals > self.budget):
-                members = np.flatnonzero(actions[e])
-                keep = episode_rngs[e].choice(members, size=self.budget, replace=False)
-                actions[e] = 0
-                actions[e, keep] = 1
+            _truncate(actions, proposals, self.budget, trunc_rngs)
         return actions, proposals
 
 
 class ExactFleetPolicy:
     """Batched lookup into a solved joint policy table."""
-
-    mixture_eta = None
 
     def __init__(self, policy: JointPolicy, capacities: np.ndarray, delta_max: int):
         self.name = "exact"
@@ -112,7 +141,7 @@ class ExactFleetPolicy:
         self._capacities = capacities
         self._delta_max = delta_max
 
-    def decide(self, requests, battery, age, mix_lower, episode_rngs):
+    def decide(self, requests, battery, age, mix_rngs, trunc_rngs):
         per_sensor = state_index(requests, battery, age, self._capacities, self._delta_max)
         joint = np.ravel_multi_index(tuple(per_sensor.T), self._policy.state_sizes)
         actions = self._policy.actions[joint]

@@ -7,6 +7,13 @@ becomes usable the next slot. Every episode owns private request / energy /
 mixture / truncation streams spawned from its seed, so runs replay bit-exactly
 and per-episode results do not depend on how many episodes run together.
 
+Per sensor-slot, the request stream gives one uniform, turned into the
+request count by inverse transform over :func:`model.request_pmf`, and the
+energy stream gives one uniform. The policy's ``decide`` consumes the other
+two: the mixture stream one uniform per sensor whose state is one where the
+two mixed tables differ, the truncation stream one uniform per proposing
+sensor in a slot whose proposals exceed the budget.
+
 Episodes start pessimistically at empty batteries and capped ages with fresh
 requests; no burn-in is discarded, long horizons wash out the transient.
 """
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .model import NetworkConfig, slot_step
+from .model import NetworkConfig, request_pmf, sensor_classes, slot_step
 
 __all__ = [
     "SimConfig",
@@ -108,13 +115,29 @@ def _episode_streams(config: SimConfig):
     return streams
 
 
+def _request_thresholds(network: NetworkConfig) -> np.ndarray:
+    """Inverse-transform thresholds of each sensor's request count, shape (N, K).
+
+    Row j holds P(count <= j); a count is the number of rows at or below one
+    uniform in [0, 1). Where a count above j is impossible the row holds 1.0,
+    which no uniform reaches, so degenerate probabilities give exact counts.
+    """
+    classes, _, class_of = sensor_classes(network)
+    rows = []
+    for sensor in classes:
+        pmf = request_pmf(sensor)
+        above = np.cumsum(pmf[::-1])[::-1][1:]  # P(count > j)
+        rows.append(np.where(above > 0, np.cumsum(pmf)[:-1], 1.0))
+    return np.array(rows)[class_of].T.copy()
+
+
 def run_experiment(config: SimConfig, policy) -> SimReport:
     """Run all episodes of one experiment under one fleet policy."""
     net = config.network
     n_sensors, n_users, delta_max = net.num_sensors, net.num_users, net.delta_max
     episodes, horizon = config.episodes, config.horizon
     capacities = np.array([s.battery_capacity for s in net.sensors], dtype=np.int64)
-    probs = np.array([s.request_probs for s in net.sensors])  # (K, N)
+    thresholds = _request_thresholds(net)
     rates = np.array([s.harvest_rate for s in net.sensors])
 
     streams = _episode_streams(config)
@@ -122,14 +145,13 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
     energy_rngs = [s[1] for s in streams]
     mix_rngs = [s[2] for s in streams]
     trunc_rngs = [s[3] for s in streams]
-    draw_mixture = policy.mixture_eta is not None
 
     battery = np.zeros((episodes, n_sensors), dtype=np.int64)
     age = np.full((episodes, n_sensors), delta_max, dtype=np.int64)
     cost_sum = np.zeros(episodes, dtype=np.int64)
     command_sum = np.zeros(episodes, dtype=np.int64)
     proposal_hist = np.zeros((episodes, n_sensors + 1), dtype=np.int64)
-    episode_rows = np.arange(episodes)
+    hist_offset = np.arange(episodes) * (n_sensors + 1)
 
     if config.trace_points > 0:
         checkpoints = np.unique(
@@ -138,40 +160,42 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
     else:
         checkpoints = np.empty(0, dtype=np.int64)
     trace: list[tuple[int, float]] = []
-    next_checkpoint = 0
 
     started = time.perf_counter()
     slot = 0
     while slot < horizon:
         block = min(_BLOCK, horizon - slot)
-        requests = np.empty((block, episodes, n_sensors), dtype=np.int16)
+        requests = np.zeros((block, episodes, n_sensors), dtype=np.int16)
         energy = np.empty((block, episodes, n_sensors), dtype=np.int8)
         for e in range(episodes):
-            requests[:, e] = (req_rngs[e].random((block, n_sensors, n_users)) < probs).sum(axis=2)
+            uniform = req_rngs[e].random((block, n_sensors))
+            counts = requests[:, e]
+            for row in thresholds:
+                counts += uniform >= row
             energy[:, e] = energy_rngs[e].random((block, n_sensors)) < rates
-        if draw_mixture:
-            mix_lower = np.empty((block, episodes, n_sensors), dtype=bool)
-            for e in range(episodes):
-                mix_lower[:, e] = mix_rngs[e].random((block, n_sensors)) < policy.mixture_eta
+        costs = np.empty((block, episodes), dtype=np.int64)
+        commands = np.empty((block, episodes), dtype=np.int64)
+        proposals = np.empty((block, episodes), dtype=np.int64)
         for i in range(block):
             r = requests[i]
-            actions, proposals = policy.decide(
-                r, battery, age, mix_lower[i] if draw_mixture else None, trunc_rngs
-            )
-            proposal_hist[episode_rows, proposals] += 1
-            if policy.budget is not None:
-                counts = actions.sum(axis=1)
-                if (counts > policy.budget).any():
-                    raise SimulationError("per-slot budget violated")
+            actions, proposals[i] = policy.decide(r, battery, age, mix_rngs, trunc_rngs)
             _, battery, age = slot_step(battery, age, actions, energy[i], capacities, delta_max)
-            cost_sum += np.sum(r * age, axis=1, dtype=np.int64)
-            command_sum += actions.sum(axis=1, dtype=np.int64)
-            slot += 1
-            if next_checkpoint < checkpoints.size and slot == checkpoints[next_checkpoint]:
-                trace.append((slot, float(cost_sum.mean() / (n_users * n_sensors * slot))))
-                next_checkpoint += 1
+            costs[i] = (r * age).sum(axis=1)
+            commands[i] = actions.sum(axis=1)
+        if policy.budget is not None and (commands > policy.budget).any():
+            raise SimulationError("per-slot budget violated")
         if (battery < 0).any() or (battery > capacities).any():
             raise SimulationError("battery left its feasible range")
+        proposal_hist += np.bincount(
+            (proposals + hist_offset).ravel(), minlength=proposal_hist.size
+        ).reshape(proposal_hist.shape)
+        running = cost_sum + np.cumsum(costs, axis=0)
+        for point in checkpoints[(checkpoints > slot) & (checkpoints <= slot + block)]:
+            mean = running[point - slot - 1].mean()
+            trace.append((int(point), float(mean / (n_users * n_sensors * point))))
+        cost_sum = running[-1]
+        command_sum += commands.sum(axis=0)
+        slot += block
 
     values = np.arange(n_sensors + 1, dtype=np.float64)
     totals = proposal_hist.sum(axis=1)

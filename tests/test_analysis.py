@@ -35,7 +35,7 @@ def test_ordering_chain_tiny2():
 def test_ordering_chain_vacuous_budget():
     # gamma = 1: relaxation, optimum, and truncation all coincide.
     net = NetworkConfig(2, 1, 2, 3, (TINY1, TINY1))
-    report = check_ordering(net, horizon=30_000, episodes=4, seed=23)
+    report = check_ordering(net, horizon=30_000, episodes=32, seed=23)
     assert report.holds, report.describe()
     assert report.lower_bound == pytest.approx(report.exact_cost, abs=1e-6)
     assert report.truncated_mean == pytest.approx(

@@ -137,6 +137,32 @@ def test_solve_relaxed_tiny1_forced_active():
     assert len(set(id(p) for p in solution.policies)) == 1
 
 
+def test_calibration_reuses_pure_evaluation_of_degenerate_classes(monkeypatch):
+    # The second class keeps one table across the price bracket, so its rates
+    # do not depend on eta: the calibration evaluates only the first class as
+    # a mixture, and the bound equals the one from evaluating both mixtures.
+    pair = (SensorParams(0.5, 2, (0.6,)), SensorParams(0.95, 2, (0.1,)))
+    net = NetworkConfig(4, 1, 1, 5, pair * 2)
+    inner = relaxed_solver.evaluate_per_sensor
+    mixed_calls = []
+
+    def counted(sensor, delta_max, policy):
+        if isinstance(policy, MixedPolicy):
+            mixed_calls.append(sensor)
+        return inner(sensor, delta_max, policy)
+
+    monkeypatch.setattr(relaxed_solver, "evaluate_per_sensor", counted)
+    solution = solve_relaxed(net)
+    assert 0.0 < solution.eta < 1.0
+    assert not solution.policies[0].degenerate and solution.policies[1].degenerate
+    assert mixed_calls and set(mixed_calls) == {pair[0]}
+    full = [inner(s, 5, p) for s, p in zip(pair, solution.policies)]
+    assert solution.avg_cost == pytest.approx(np.mean([e.cost_rate for e in full]), abs=1e-12)
+    assert solution.command_rate == pytest.approx(
+        np.mean([e.command_rate for e in full]), abs=1e-12
+    )
+
+
 def test_dual_pieces_monotone_over_bisection():
     net = NetworkConfig(20, 1, 1, 2, (TINY1,) * 20)
     solution = solve_relaxed(net)

@@ -12,6 +12,7 @@ from aoisched import (
     PolicyTable,
     SensorParams,
     build_relaxed_fleet_policy,
+    run_episode,
     run_experiment,
     SimConfig,
     sensor_model,
@@ -90,34 +91,70 @@ def test_greedy_examples():
 
 
 def test_greedy_batched_matches_scalar():
+    # Many episodes per call, as the engine decides them: each row matches the
+    # one-slot reference rule.
     rng = np.random.default_rng(3)
     policy = GreedyFleetPolicy(budget=2, num_sensors=6)
     for _ in range(100):
-        requests = rng.integers(0, 3, size=(1, 6))
-        ages = rng.integers(1, 9, size=(1, 6))
-        battery = rng.integers(0, 3, size=(1, 6))
-        actions, proposals = policy.decide(requests, battery, ages, None, [rng])
-        states = tuple(
-            PerSensorState(int(requests[0, k]), int(battery[0, k]), int(ages[0, k]))
-            for k in range(6)
-        )
-        assert set(np.flatnonzero(actions[0]).tolist()) == greedy_decide(states, 2)
-        assert proposals[0] == actions[0].sum()
+        requests = rng.integers(0, 3, size=(8, 6))
+        ages = rng.integers(1, 9, size=(8, 6))
+        battery = rng.integers(0, 3, size=(8, 6))
+        actions, proposals = policy.decide(requests, battery, ages, None, None)
+        for e in range(8):
+            states = tuple(
+                PerSensorState(int(requests[e, k]), int(battery[e, k]), int(ages[e, k]))
+                for k in range(6)
+            )
+            assert set(np.flatnonzero(actions[e]).tolist()) == greedy_decide(states, 2)
+        np.testing.assert_array_equal(proposals, actions.sum(axis=1))
 
 
 def test_relaxed_propose_eta_one_uses_lower_table():
-    # With eta = 1 the engine still draws the mixture, and every draw picks the
-    # lower table: the run replays the pure lower-table policy exactly.
+    # With eta = 1 every mixing draw at a state where the tables differ picks
+    # the lower table: the run replays the pure lower-table policy exactly.
     net = NetworkConfig(1, 1, 1, 2, (TINY1,))
     lower = solve_per_sensor(TINY1, 2, 0.5).policy
     never = PolicyTable(actions=lower.actions * 0, mu=9.9)
     mixed = build_relaxed_fleet_policy(net, (MixedPolicy(lower, never, eta=1.0),), False)
     pure = build_relaxed_fleet_policy(net, (MixedPolicy(lower, lower, eta=1.0),), False)
-    assert mixed.mixture_eta == 1.0 and pure.mixture_eta is None
     sim = SimConfig(network=net, horizon=2_000, episodes=2, seed=4)
     report = run_experiment(sim, mixed)
     assert report.rate_mean > 0
     assert report.per_episode == run_experiment(sim, pure).per_episode
+
+
+def test_tables_differing_only_off_the_chain_replay_the_lower_table():
+    # Requests are sure, so no state without requests is ever visited. Tables
+    # that differ only there never reach the upper table: with or without
+    # truncation, the mixed run replays the pure lower-table run bit for bit.
+    sensor = SensorParams(0.5, 2, (1.0,))
+    net = NetworkConfig(3, 1, 1, 4, (sensor,) * 3)
+    model = sensor_model(sensor, 4)
+    lower = solve_per_sensor(sensor, 4, 1.0).policy
+    flipped = np.where(model.requests_of == 0, 1 - lower.actions, lower.actions)
+    upper = PolicyTable(actions=flipped, mu=2.0)
+    sim = SimConfig(network=net, horizon=3_000, episodes=3, seed=7)
+    for truncate in (False, True):
+        mixed = build_relaxed_fleet_policy(net, (MixedPolicy(lower, upper, 0.5),) * 3, truncate)
+        pure = build_relaxed_fleet_policy(net, (MixedPolicy(lower, lower, 0.5),) * 3, truncate)
+        assert run_experiment(sim, mixed).per_episode == run_experiment(sim, pure).per_episode
+
+
+def test_rtt_episode_replays_alone():
+    # Mixing at reachable states where the tables differ and truncation of
+    # overflowing slots read only the episode's own streams, so each episode
+    # of a batch replays alone.
+    model = sensor_model(TINY1, 2)
+    requested = PolicyTable(actions=model.requests_of >= 1, mu=0.0)
+    never = PolicyTable(actions=np.zeros(model.num_states, dtype=np.int8), mu=1.0)
+    net = NetworkConfig(10, 1, 2, 2, (TINY1,) * 10)
+    rtt = build_relaxed_fleet_policy(net, (MixedPolicy(requested, never, 0.7),) * 10, True)
+    seeds = (11, 12, 13)
+    sim = SimConfig(network=net, horizon=2_000, episodes=3, seed=0, episode_seeds=seeds)
+    batch = run_experiment(sim, rtt)
+    assert batch.proposal_mean > net.budget  # most slots overflow
+    for e, seed in enumerate(seeds):
+        assert run_episode(sim, rtt, seed) == batch.per_episode[e]
 
 
 def test_relaxed_propose_skips_unrequested():
@@ -148,7 +185,7 @@ def test_fleet_proposal_rate_matches_evaluator():
     assert solution.constraint_active
     policy = build_relaxed_fleet_policy(net, solution.policies, truncate_to_budget=False)
     report = run_experiment(
-        SimConfig(network=net, horizon=20_000, episodes=5, seed=21), policy
+        SimConfig(network=net, horizon=20_000, episodes=32, seed=21), policy
     )
     exact_rate = solution.command_rate
     assert report.rate_mean == pytest.approx(exact_rate, abs=3 * report.rate_se)

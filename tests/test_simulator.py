@@ -13,6 +13,7 @@ from aoisched import (
     build_relaxed_fleet_policy,
     evaluate_per_sensor,
     mean_abs_deviation,
+    request_pmf,
     run_episode,
     run_experiment,
     solve_per_sensor,
@@ -98,6 +99,37 @@ def test_truncation_vacuous_when_budget_is_fleet():
     assert a.per_episode == b.per_episode
 
 
+def test_request_counts_match_request_pmf():
+    # One uniform per sensor-slot, inverted through the CDF of the request
+    # count. Every count frequency over 10^5 draws lies within five binomial
+    # standard errors of request_pmf; that tolerance is zero where the pmf is
+    # 0 or 1, so degenerate probabilities must give exact counts.
+    probs = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (1.0, 0.5, 0.0),
+             (0.0, 1.0, 0.3), (0.3, 0.3, 0.0), (0.2, 0.5, 0.9), (0.6, 0.6, 0.6))
+    sensors = tuple(SensorParams(0.5, 1, p) for p in probs)
+    net = NetworkConfig(len(sensors), 3, 1, 4, sensors)
+
+    class Recorder:
+        name = "recorder"
+        budget = None
+
+        def __init__(self):
+            self.counts = np.zeros((len(sensors), 4), dtype=np.int64)
+
+        def decide(self, requests, battery, age, mix_rngs, trunc_rngs):
+            np.add.at(self.counts, (np.arange(len(sensors)), requests), 1)
+            return np.zeros_like(battery), np.zeros(len(battery), dtype=np.int64)
+
+    recorder = Recorder()
+    run_experiment(SimConfig(network=net, horizon=25_000, episodes=4, seed=31), recorder)
+    draws = 100_000
+    assert (recorder.counts.sum(axis=1) == draws).all()
+    for sensor, counts in zip(sensors, recorder.counts):
+        pmf = request_pmf(sensor)
+        tolerance = 5 * np.sqrt(pmf * (1 - pmf) / draws)
+        assert (np.abs(counts / draws - pmf) <= tolerance).all(), (sensor, counts)
+
+
 def test_stationary_oracle_cross_check():
     net = NetworkConfig(1, 1, 1, 2, (TINY1,))
     solve = solve_per_sensor(TINY1, 2, 0.0)
@@ -105,7 +137,7 @@ def test_stationary_oracle_cross_check():
     mixed = (MixedPolicy(solve.policy, solve.policy, 1.0),)
     policy = build_relaxed_fleet_policy(net, mixed, truncate_to_budget=False)
     report = run_experiment(
-        SimConfig(network=net, horizon=200_000, episodes=8, seed=13), policy
+        SimConfig(network=net, horizon=200_000, episodes=32, seed=13), policy
     )
     assert report.cost_mean == pytest.approx(exact.cost_rate, abs=3 * report.cost_se)
     assert report.rate_mean == pytest.approx(exact.command_rate, abs=3 * report.rate_se)
@@ -123,7 +155,7 @@ def test_heterogeneous_fleet_matches_per_sensor_rates():
     solution = solve_relaxed(net)
     policy = build_relaxed_fleet_policy(net, solution.policies, truncate_to_budget=False)
     report = run_experiment(
-        SimConfig(network=net, horizon=100_000, episodes=6, seed=8), policy
+        SimConfig(network=net, horizon=100_000, episodes=32, seed=8), policy
     )
     assert report.cost_mean == pytest.approx(solution.avg_cost, abs=3 * report.cost_se)
     assert report.rate_mean == pytest.approx(
@@ -162,9 +194,8 @@ def test_budget_violation_raises():
     class OverBudget:
         name = "over"
         budget = 1
-        mixture_eta = None
 
-        def decide(self, requests, battery, age, mix_lower, trunc_rngs):
+        def decide(self, requests, battery, age, mix_rngs, trunc_rngs):
             actions = np.zeros_like(battery)
             actions[:, : self.budget + 1] = 1
             return actions, actions.sum(axis=1)
