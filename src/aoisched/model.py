@@ -3,14 +3,15 @@
 Every solver and the simulator consume the objects defined here. A per-sensor
 state is the triple (requests, battery, age); states are indexed row-major
 over (requests, battery, age) with age fastest, so policy tables serialize
-deterministically. All objects are immutable after construction and safe to
-share across concurrent workers.
+deterministically. All objects are immutable after construction (a model
+builds its full kernels once, on first use) and safe to share across
+concurrent workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,12 +121,15 @@ def request_pmf(sensor: SensorParams) -> np.ndarray:
 
 
 class SensorModel:
-    """Precomputed per-sensor MDP pieces: state coordinates, transition matrices, costs.
+    """Precomputed per-sensor MDP pieces: state coordinates, transition kernels, costs.
 
-    States are laid out as :func:`state_index` numbers them. Transition rows
-    have at most 2 * (num_users + 1) nonzero successors: the request count
-    redraws independently, the battery moves to one of two levels, and the
-    next age is deterministic.
+    States are laid out as :func:`state_index` numbers them. The request count
+    redraws independently of the state and the action every slot, so each
+    action's dynamics live on the (battery, age) states: a kernel Q_a whose
+    rows have at most two successors (harvest or not) and a deterministic
+    next age. The full kernel over (requests, battery, age) is pmf(r') Q_a(x, x'),
+    with x the (battery, age) index; it is built on first use, with at most
+    2 * (num_users + 1) nonzero successors per row.
     """
 
     def __init__(self, sensor: SensorParams, delta_max: int):
@@ -140,45 +144,49 @@ class SensorModel:
         )
         self.age_of = age0 + 1
         self.request_dist = request_pmf(sensor)
-        self.ref_index = 0  # state (requests=0, battery=0, age=1)
+        # State (requests=0, battery=0, age=1); also its (battery, age) index.
+        self.ref_index = 0
 
-        self._transition, self._cost = zip(*(self._build(a) for a in (0, 1)))
+        self._kernel, next_ages = zip(*(self._build(a) for a in (0, 1)))
+        self._cost = tuple(
+            (self.requests_of * np.tile(age, shape[0])).astype(np.float64) for age in next_ages
+        )
         for arr in (self.age_of, self.battery_of, self.requests_of, self.request_dist,
                     *self._cost):
             arr.setflags(write=False)
 
     def _build(self, action: int) -> tuple[sp.csr_matrix, np.ndarray]:
+        """Kernel Q_a and the next age per (battery, age) state."""
         capacity = self.sensor.battery_capacity
         rate = self.sensor.harvest_rate
+        n = (capacity + 1) * self.delta_max
+        battery, age = self.battery_of[:n], self.age_of[:n]  # the requests=0 block
         # Harvest branch first, then the no-harvest branch; the age does not
         # depend on the branch.
         branches = [
-            slot_step(self.battery_of, self.age_of, action, harvested, capacity, self.delta_max)
+            slot_step(battery, age, action, harvested, capacity, self.delta_max)
             for harvested in (1, 0)
         ]
-        next_battery = np.stack([b for _, b, _ in branches], axis=1)  # (n, 2)
         next_age = branches[0][2]
-
-        pmf = self.request_dist
-        n_req = pmf.size
-        # Successor column for (state, next request count, harvest branch).
-        cols = state_index(
-            np.arange(n_req)[None, :, None],
-            next_battery[:, None, :],
-            next_age[:, None, None],
-            capacity,
-            self.delta_max,
-        ).ravel()
-        rows = np.repeat(np.arange(self.num_states), 2 * n_req)
-        data = np.broadcast_to(
-            pmf[None, :, None] * np.array([rate, 1.0 - rate])[None, None, :],
-            (self.num_states, n_req, 2),
-        ).ravel()
+        cols = state_index(0, np.stack([b for _, b, _ in branches], axis=1), next_age[:, None],
+                           capacity, self.delta_max)
         mat = sp.coo_matrix(
-            (data, (rows, cols)), shape=(self.num_states, self.num_states)
+            (np.tile([rate, 1.0 - rate], n), (np.repeat(np.arange(n), 2), cols.ravel())),
+            shape=(n, n),
         ).tocsr()
         mat.sum_duplicates()
-        return mat, (self.requests_of * next_age).astype(np.float64)
+        mat.eliminate_zeros()
+        return mat, next_age
+
+    def battery_age_kernel(self, action: int) -> sp.csr_matrix:
+        """Row-stochastic kernel Q_a over the (battery, age) states under one action bit."""
+        return self._kernel[action]
+
+    @cached_property
+    def _transition(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        # Row (r, x) is pmf(r') Q_a(x, x') over (r', x'), whatever r is.
+        lift = np.tile(self.request_dist, (self.request_dist.size, 1))
+        return tuple(sp.kron(lift, q, format="csr") for q in self._kernel)
 
     def transition_matrix(self, action: int) -> sp.csr_matrix:
         """Sparse row-stochastic transition matrix under a fixed action bit."""

@@ -8,11 +8,16 @@ rate meets the budget, and a two-policy mixture calibrates the rate to Gamma
 exactly. The resulting average cost is a lower bound on the cost of any policy
 that respects the per-slot budget.
 
-Every policy evaluation goes through :func:`_poisson`, one sparse LU
-factorisation of the policy-induced chain that yields its cost rate, its
-command rate and its relative values at once. Howard policy iteration solves
-each priced per-sensor problem on it; a price at which policy iteration meets
-a multichain table is solved by relative value iteration instead.
+The request count is redrawn independently every slot, whatever the state
+and the action, so a table over (requests, battery, age) acts on the
+(battery, age) states only through its request-averaged command probability.
+Every policy evaluation therefore runs on that (battery, age) chain, a factor
+num_users + 1 smaller than the full one: :func:`_poisson`, one sparse LU
+factorisation, yields its cost rate, its command rate and its relative values
+at once. Howard policy iteration solves each priced per-sensor problem on it,
+and the Q-values of the full states follow from one kernel product per
+action; a price at which policy iteration meets a multichain table is solved
+by relative value iteration, with the same request-averaged expectations.
 """
 
 from __future__ import annotations
@@ -139,8 +144,10 @@ def _poisson(chain: sp.csr_matrix, rhs: np.ndarray, ref: int) -> np.ndarray:
     Solves (I - P) h + g 1 = r with h[ref] = 0: the system matrix is I - P
     with column ``ref`` replaced by ones, factorised once for every column.
     Entry ``ref`` of a solution column is the gain g, the other entries are h.
-    Raises :class:`MultichainError` when the chain has more than one closed
-    class, when SuperLU finds the system singular, or when the solve misses
+    The solvers pass the request-averaged (battery, age) chain, so the system
+    has (battery_capacity + 1) * delta_max unknowns. Raises
+    :class:`MultichainError` when the chain has more than one closed class,
+    when SuperLU finds the system singular, or when the solve misses
     ``POISSON_RESIDUAL``.
     """
     n = chain.shape[0]
@@ -168,9 +175,10 @@ def _poisson(chain: sp.csr_matrix, rhs: np.ndarray, ref: int) -> np.ndarray:
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise MultichainError(f"policy evaluation failed: {exc}") from None
     # Normwise backward error; every row of the system has absolute sum <= 3.
-    residual = float(np.abs(system @ x - rhs).max()) / (
-        3.0 * float(np.abs(x).max()) + float(np.abs(rhs).max())
-    )
+    # A zero scale means x and rhs are both exactly zero, which solves the system.
+    error = float(np.abs(system @ x - rhs).max())
+    scale = 3.0 * float(np.abs(x).max()) + float(np.abs(rhs).max())
+    residual = error / scale if scale else 0.0
     if not residual <= POISSON_RESIDUAL:  # also catches a NaN solve
         raise MultichainError(
             f"policy evaluation residual {residual:.3e} exceeds {POISSON_RESIDUAL:.0e}"
@@ -178,36 +186,55 @@ def _poisson(chain: sp.csr_matrix, rhs: np.ndarray, ref: int) -> np.ndarray:
     return x
 
 
-def _policy_chain(model: SensorModel, w_cmd: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Chain and slot cost when each state commands with probability ``w_cmd``."""
-    w_idle = 1.0 - w_cmd
+def _mean_chain(
+    model: SensorModel, w_cmd: np.ndarray
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """The (battery, age) chain of a table with the request count averaged out.
 
-    def scaled_rows(mat: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
-        data = mat.data * np.repeat(w, np.diff(mat.indptr))
+    ``w_cmd`` is the command probability per full state. With w̄(x) its
+    request-averaged value at (battery, age) index x, the chain is
+    diag(1 - w̄) Q_0 + diag(w̄) Q_1; also returns the request-averaged slot
+    cost and w̄, the per-state command rate.
+    """
+    pmf = model.request_dist
+    w = w_cmd.reshape(pmf.size, -1)
+    w_bar = pmf @ w
+    cost = pmf @ (w * model.cost_vector(1).reshape(w.shape)
+                  + (1.0 - w) * model.cost_vector(0).reshape(w.shape))
+
+    def scaled_rows(mat: sp.csr_matrix, weight: np.ndarray) -> sp.csr_matrix:
+        data = mat.data * np.repeat(weight, np.diff(mat.indptr))
         return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
     # The sum drops the entries that a zero weight left behind.
-    chain = scaled_rows(model.transition_matrix(0), w_idle) + scaled_rows(
-        model.transition_matrix(1), w_cmd
+    chain = scaled_rows(model.battery_age_kernel(0), 1.0 - w_bar) + scaled_rows(
+        model.battery_age_kernel(1), w_bar
     )
-    return chain, w_idle * model.cost_vector(0) + w_cmd * model.cost_vector(1)
+    return chain, cost, w_bar
 
 
 def _value_iteration_solve(model: SensorModel, mu: float) -> PerSensorSolve:
-    """The multichain fallback: relative value iteration, then an exact evaluation."""
+    """The multichain fallback: relative value iteration, then an exact evaluation.
+
+    Values are shaped (requests, battery-age); an action's expectation pushes
+    their request average through Q_a, the same for every request count.
+    """
+    pmf = model.request_dist
     backups = [
-        (model.cost_vector(0), model.transition_matrix(0).dot),
-        (model.cost_vector(1) + mu, model.transition_matrix(1).dot),
+        (model.cost_vector(a).reshape(pmf.size, -1) + a * mu,
+         lambda values, kernel=model.battery_age_kernel(a): kernel @ (pmf @ values))
+        for a in (0, 1)
     ]
     values, rel, greedy, iterations = relative_value_iteration(
-        backups, model.ref_index, f"per-sensor value iteration at mu={mu}"
+        backups, (0, model.ref_index), f"per-sensor value iteration at mu={mu}"
     )
-    policy = PolicyTable(actions=greedy, mu=float(mu))
+    policy = PolicyTable(actions=greedy.ravel(), mu=float(mu))
+    rel = rel.ravel()
     rel.setflags(write=False)
     return PerSensorSolve(
         policy=policy,
         rel_values=rel,
-        avg_lagrangian=float(values[model.ref_index]),
+        avg_lagrangian=float(values[0, model.ref_index]),
         iterations=iterations,
         evaluation=evaluate_per_sensor(model.sensor, model.delta_max, policy),
     )
@@ -220,38 +247,45 @@ def solve_per_sensor(
 
     Starts from the action bits ``start`` (by default the myopic table that
     commands where the price undercuts the slot-cost saving). Each step
-    evaluates the table exactly with :func:`_poisson` and switches the states
-    whose Q-value drops by more than ``IMPROVEMENT_TOL`` times max|h|. The
-    returned table is the first minimum of the converged Q-values, so ties
+    evaluates the table exactly with :func:`_poisson` on its request-averaged
+    (battery, age) chain, whose relative values h̄ give the Q-values
+    q_a(r, x) = c_a(r, x) + (Q_a h̄)(x) of every full state, and switches the
+    states whose Q-value drops by more than ``IMPROVEMENT_TOL`` times max|h|.
+    The returned table is the first minimum of the converged Q-values, so ties
     resolve to no-command and the table does not depend on ``start``; its
-    exact cost and command rates, average Lagrangian and relative values
-    (``rel_values``, zero at the reference state) come from its own
-    evaluation. A price at which policy iteration meets a multichain table is
-    solved by relative value iteration instead, whose average Lagrangian is
-    within ``DEFAULT_THETA`` of the optimum.
+    exact cost and command rates, average Lagrangian and relative values come
+    from its own evaluation. ``rel_values`` covers the full (requests,
+    battery, age) states: h(s) = q_π(s)(s) - q_π(ref)(ref), zero at the
+    reference state. A price at which policy iteration meets a multichain
+    table is solved by relative value iteration instead, whose average
+    Lagrangian is within ``DEFAULT_THETA`` of the optimum.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     model = sensor_model(sensor, delta_max)
-    c0, c1 = model.cost_vector(0), model.cost_vector(1) + mu
-    p0, p1 = model.transition_matrix(0), model.transition_matrix(1)
-    actions = c1 < c0 if start is None else np.asarray(start) == 1
-    if actions.shape != (model.num_states,):
+    if start is not None and np.shape(start) != (model.num_states,):
         raise ValueError("start table does not cover the sensor state space")
+    shape = (model.request_dist.size, -1)  # (requests, battery-age)
+    c0, c1 = model.cost_vector(0).reshape(shape), model.cost_vector(1).reshape(shape) + mu
+    k0, k1 = model.battery_age_kernel(0), model.battery_age_kernel(1)
+    actions = c1 < c0 if start is None else np.asarray(start).reshape(shape) == 1
 
     def evaluate(actions):
-        chain, cost = _policy_chain(model, actions.astype(np.float64))
-        x = _poisson(chain, np.column_stack([cost, actions]), model.ref_index)
-        rates = x[model.ref_index].copy()
+        chain, cost, rate = _mean_chain(model, actions.astype(np.float64))
+        x = _poisson(chain, np.column_stack([cost, rate]), model.ref_index)
+        gains = x[model.ref_index].copy()
         x[model.ref_index] = 0.0
-        return ChainEvaluation(float(rates[0]), float(rates[1])), x[:, 0] + mu * x[:, 1]
+        h_bar = x[:, 0] + mu * x[:, 1]
+        q0, q1 = c0 + k0 @ h_bar, c1 + k1 @ h_bar
+        q_pi = np.where(actions, q1, q0)
+        rel = q_pi - q_pi[0, model.ref_index]
+        return ChainEvaluation(float(gains[0]), float(gains[1])), q0, q1, rel
 
     iterations = 0
     try:
         while True:
             iterations += 1
-            evaluation, rel = evaluate(actions)
-            q0, q1 = c0 + p0 @ rel, c1 + p1 @ rel
+            evaluation, q0, q1, rel = evaluate(actions)
             tol = IMPROVEMENT_TOL * float(np.abs(rel).max())
             switch = np.where(actions, q0 < q1 - tol, q1 < q0 - tol)
             if not switch.any():
@@ -261,13 +295,14 @@ def solve_per_sensor(
         if not np.array_equal(final, actions):
             iterations += 1
             actions = final
-            evaluation, rel = evaluate(actions)
+            evaluation, _, _, rel = evaluate(actions)
     except MultichainError as exc:
         log.debug("mu=%.6g: %s; solving by value iteration", mu, exc)
         return _value_iteration_solve(model, mu)
+    rel = rel.ravel()
     rel.setflags(write=False)
     return PerSensorSolve(
-        policy=PolicyTable(actions=actions, mu=float(mu)),
+        policy=PolicyTable(actions=actions.ravel(), mu=float(mu)),
         rel_values=rel,
         avg_lagrangian=evaluation.lagrangian(mu),
         iterations=iterations,
@@ -282,9 +317,12 @@ def evaluate_per_sensor(
 ) -> ChainEvaluation:
     """Exact long-run cost and command rates of a per-sensor policy.
 
-    The policy-induced chain is restricted to the states reachable from the
-    reference state and evaluated there by :func:`_poisson`, which raises
-    :class:`MultichainError` unless exactly one recurrent class is reachable.
+    Pure and mixed tables alike act through their request-averaged (battery,
+    age) chain. It is restricted to the states reachable from the reference
+    state (battery 0, age 1; its successors do not depend on the request
+    count or the action) and evaluated there by :func:`_poisson`, which
+    raises :class:`MultichainError` unless exactly one recurrent class is
+    reachable.
     """
     model = sensor_model(sensor, delta_max)
     if isinstance(policy, MixedPolicy):
@@ -293,14 +331,14 @@ def evaluate_per_sensor(
         w_cmd = policy.actions.astype(np.float64)
     if w_cmd.size != model.num_states:
         raise ValueError("policy does not cover the sensor state space")
-    chain, cost = _policy_chain(model, w_cmd)
+    chain, cost, rate = _mean_chain(model, w_cmd)
     reachable = np.sort(
         breadth_first_order(chain, model.ref_index, directed=True, return_predecessors=False)
     )
     ref = int(np.searchsorted(reachable, model.ref_index))
     x = _poisson(
         chain[reachable][:, reachable].tocsr(),
-        np.column_stack([cost[reachable], w_cmd[reachable]]),
+        np.column_stack([cost[reachable], rate[reachable]]),
         ref,
     )
     return ChainEvaluation(cost_rate=float(x[ref, 0]), command_rate=float(x[ref, 1]))

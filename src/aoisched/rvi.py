@@ -35,8 +35,9 @@ def relative_value_iteration(
     """Synchronous sweeps until the span of the value change is below ``DEFAULT_THETA``.
 
     ``backups`` holds one (slot cost, expectation) pair per action in
-    tie-break priority order; the expectation maps a value array to the
-    expected next-slot value under that action, both shaped like the cost.
+    tie-break priority order; the expectation maps a value array shaped like
+    the cost to the expected next-slot value under that action, in a shape
+    that broadcasts against the cost.
     ``ref`` indexes the reference state. Per-action Q arrays are formed one at
     a time, so at most two are alive at once.
 

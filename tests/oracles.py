@@ -5,7 +5,9 @@ chain analysis (strongly connected components, stationary distributions, and
 absorption probabilities), the relaxed bound is a linear program over
 occupation measures, and the joint problem is cross-checked by a
 finite-horizon dynamic program built from a per-sensor reference written out
-from the slot rule, independent of the sparse kernels it checks.
+from the slot rule, independent of the sparse kernels it checks. The same
+reference gives dense full-state chains (requests, battery, age) for checking
+the solver's request-averaged evaluations.
 """
 
 from __future__ import annotations
@@ -88,6 +90,60 @@ def kernel_row(sensor: SensorParams, state: PerSensorState, command: int,
         for j, v in zip(mat.indices[start:stop], mat.data[start:stop])
         if v != 0.0
     }
+
+
+def full_chain(
+    sensor: SensorParams, delta_max: int, w_cmd: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense chain and slot cost over (requests, battery, age) when each state
+    commands with probability ``w_cmd``, written out from the slot-rule
+    reference and not from the model's kernels."""
+    states = all_states(sensor, delta_max)
+    index = {state: i for i, state in enumerate(states)}
+    chain = np.zeros((len(states), len(states)))
+    cost = np.zeros(len(states))
+    for i, state in enumerate(states):
+        for command, weight in ((0, 1.0 - w_cmd[i]), (1, w_cmd[i])):
+            for successor, p in reference_successors(sensor, state, command, delta_max).items():
+                chain[i, index[successor]] += weight * p
+            cost[i] += weight * reference_cost(state, command, delta_max)
+    return chain, cost
+
+
+def full_chain_rates(
+    sensor: SensorParams, delta_max: int, w_cmd: np.ndarray
+) -> tuple[float, float] | None:
+    """Long-run (cost, command) rates of a per-sensor table from the reference
+    state (requests=0, battery=0, age=1), by a dense stationary solve over
+    the full (requests, battery, age) chain of :func:`full_chain`.
+
+    Returns None when more than one closed class is reachable from the
+    reference state, where the rates depend on the start.
+    """
+    chain, cost = full_chain(sensor, delta_max, w_cmd)
+    edges = chain > 0
+    reach = np.zeros(len(cost), dtype=bool)
+    reach[0] = True
+    while True:
+        grown = reach | edges[reach].any(axis=0)
+        if (grown == reach).all():
+            break
+        reach = grown
+    members = np.flatnonzero(reach)
+    _, labels = connected_components(
+        sp.csr_matrix(edges[np.ix_(members, members)]), directed=True, connection="strong"
+    )
+    closed = [
+        members[labels == comp] for comp in np.unique(labels)
+        if not edges[np.ix_(members[labels == comp], members[labels != comp])].any()
+    ]
+    if len(closed) != 1:
+        return None
+    recurrent = closed[0]
+    m = recurrent.size
+    system = np.vstack([(chain[np.ix_(recurrent, recurrent)].T - np.eye(m))[:-1], np.ones(m)])
+    dist = np.linalg.solve(system, np.eye(m)[-1])
+    return float(dist @ cost[recurrent]), float(dist @ np.asarray(w_cmd)[recurrent])
 
 
 def chain_average_cost(transition: np.ndarray, cost: np.ndarray, start: int) -> float:

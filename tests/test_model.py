@@ -154,6 +154,25 @@ def test_kernel_matches_slot_rule_reference():
                 assert model.cost_vector(command)[i] == reference_cost(state, command, delta_max)
 
 
+def test_kernel_lifts_battery_age_kernel():
+    # Row (r, x) of the full kernel is pmf(r') Q_a(x, x') over (r', x'),
+    # whatever the request count r.
+    rng = np.random.default_rng(29)
+    sensors = [random_sensor(rng, degenerate_ok=True) for _ in range(30)]
+    sensors += [SensorParams(0.0, 2, (0.5, 0.3)), SensorParams(1.0, 3, (0.7,))]
+    for sensor in sensors:
+        delta_max = int(rng.integers(2, 7))
+        model = sensor_model(sensor, delta_max)
+        pmf = model.request_dist
+        for action in (0, 1):
+            kernel = model.battery_age_kernel(action).toarray()
+            np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
+            full = model.transition_matrix(action).toarray()
+            for i, row in enumerate(full):
+                x = i % kernel.shape[0]
+                np.testing.assert_array_equal(row, np.outer(pmf, kernel[x]).ravel())
+
+
 def test_joint_kernel_factorizes():
     # Two-sensor product of per-sensor kernels sums to one and matches the
     # per-sensor marginals exactly.

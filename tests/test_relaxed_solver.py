@@ -1,10 +1,19 @@
 """Per-sensor solver, exact evaluator, price bisection, and mixing tests."""
 
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import best_deterministic_policy, random_sensor, relaxed_lp
+from oracles import (
+    best_deterministic_policy,
+    full_chain,
+    full_chain_rates,
+    random_sensor,
+    relaxed_lp,
+)
 
 from aoisched import (
     MixedPolicy,
@@ -13,6 +22,7 @@ from aoisched import (
     PolicyTable,
     SensorParams,
     evaluate_per_sensor,
+    sensor_classes,
     sensor_model,
     solve_per_sensor,
     solve_relaxed,
@@ -229,19 +239,28 @@ def test_generic_sensors_match_enumeration_oracle():
         assert solve.avg_lagrangian == pytest.approx(oracle_value, abs=1e-6)
 
 
+def _edge(harvest, prob, budget, delta_max, active, bound):
+    """Ten sensors of battery 3 and one user."""
+    net = NetworkConfig(10, 1, budget, delta_max, (SensorParams(harvest, 3, (prob,)),) * 10)
+    return pytest.param(net, active, bound,
+                        id=f"{harvest}-{prob}-{budget}-{delta_max}-{active}-{bound}")
+
+
 @pytest.mark.parametrize(
-    "harvest, prob, budget, delta_max, active, bound",
+    "net, active, bound",
     [
-        (0.3, 0.0, 1, 8, False, 0.0),  # no requests: nothing to pay for
-        (0.0, 0.6, 1, 8, False, 4.8),  # no energy: age stays capped, p * delta_max
-        (1.0, 1.0, 1, 8, True, 5.2),  # (1 + ... + 8 + 8 + 8) / 10
-        (0.3, 0.6, 10, 8, False, None),  # budget equals the fleet
-        (0.3, 0.6, 10, 256, False, None),
-        (0.3, 0.6, 1, 256, True, "lp"),  # binding at delta_max 256: against the relaxed LP
+        _edge(0.3, 0.0, 1, 8, False, 0.0),  # no requests: nothing to pay for
+        _edge(0.0, 0.6, 1, 8, False, 4.8),  # no energy: age stays capped, p * delta_max
+        _edge(1.0, 1.0, 1, 8, True, 5.2),  # (1 + ... + 8 + 8 + 8) / 10
+        _edge(0.3, 0.6, 10, 8, False, None),  # budget equals the fleet
+        _edge(0.3, 0.6, 10, 256, False, None),
+        _edge(0.3, 0.6, 1, 256, True, "lp"),  # binding at delta_max 256: against the relaxed LP
+        # Never harvests, never requested: every evaluation is the zero solution.
+        pytest.param(NetworkConfig(2, 1, 1, 5, (SensorParams(0.0, 2, (0.0,)),) * 2),
+                     False, 0.0, id="no-energy-no-requests"),
     ],
 )
-def test_edge_instances(harvest, prob, budget, delta_max, active, bound):
-    net = NetworkConfig(10, 1, budget, delta_max, (SensorParams(harvest, 3, (prob,)),) * 10)
+def test_edge_instances(net, active, bound):
     solution = solve_relaxed(net)
     assert solution.constraint_active == active
     if active:
@@ -282,6 +301,75 @@ def test_lower_bound_matches_relaxed_lp(net):
     optimum = relaxed_lp(net)
     assert abs(solution.avg_cost - optimum) <= _calibration_error(net, solution)
     assert solution.lagrange.dual_bound <= optimum + DEFAULT_THETA
+
+
+PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
+
+
+@st.composite
+def boundary_sensors(draw):
+    """Up to three users and battery 3, harvest and request probabilities 0 and 1 included."""
+    users = draw(st.integers(1, 3))
+    return SensorParams(draw(PROBABILITY), draw(st.integers(1, 3)),
+                        tuple(draw(PROBABILITY) for _ in range(users)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_sensors(), st.integers(2, 8), st.data())
+def test_evaluation_matches_full_chain_oracle(sensor, delta_max, data):
+    n = sensor_model(sensor, delta_max).num_states
+    table = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(
+        lambda bits: PolicyTable(np.array(bits, dtype=np.int8), 0.0))
+    policy = data.draw(table)
+    if data.draw(st.booleans()):
+        policy = MixedPolicy(policy, data.draw(table), data.draw(PROBABILITY))
+    w_cmd = policy.command_prob() if isinstance(policy, MixedPolicy) else policy.actions
+    expected = full_chain_rates(sensor, delta_max, w_cmd.astype(np.float64))
+    if expected is None:
+        with pytest.raises(MultichainError):
+            evaluate_per_sensor(sensor, delta_max, policy)
+        return
+    ev = evaluate_per_sensor(sensor, delta_max, policy)
+    assert abs(ev.cost_rate - expected[0]) <= 1e-10
+    assert abs(ev.command_rate - expected[1]) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_sensors(), st.integers(2, 8), st.floats(0.0, 6.0))
+def test_relative_values_solve_full_chain_poisson_equation(sensor, delta_max, mu):
+    # Only policy iteration's relative values are exact; those of the
+    # multichain fallback are value-iteration estimates.
+    with mock.patch.object(relaxed_solver, "relative_value_iteration",
+                           wraps=relative_value_iteration) as fallback:
+        solve = solve_per_sensor(sensor, delta_max, mu)
+    assume(not fallback.called)
+    actions = solve.policy.actions.astype(np.float64)
+    chain, cost = full_chain(sensor, delta_max, actions)
+    rel = solve.rel_values
+    residual = cost + mu * actions + chain @ rel - rel - solve.avg_lagrangian
+    assert np.abs(residual).max() <= 1e-9
+    assert rel[0] == 0.0
+
+
+def test_fig2a_solve_matches_fixture():
+    # The paper instance against the committed tables the benchmark simulates.
+    from aoisched.cli import build_network, parse_spec
+
+    root = Path(__file__).resolve().parents[1]
+    network = build_network(parse_spec((root / "configs" / "fig2a.cfg").read_text()))
+    with np.load(root / "bench" / "data" / "fig2a_tables.npz") as fixture:
+        expected = dict(fixture)
+    solution = solve_relaxed(network)
+    classes, _, class_of = sensor_classes(network)
+    first = [int(np.flatnonzero(class_of == c)[0]) for c in range(len(classes))]
+    np.testing.assert_array_equal([c.harvest_rate for c in classes], expected["harvest"])
+    for name in ("lower", "upper"):
+        np.testing.assert_array_equal(
+            [getattr(solution.policies[k], name).actions for k in first], expected[name])
+    assert solution.eta == expected["eta"]
+    assert solution.lagrange.mu_minus == expected["mu_minus"]
+    assert solution.lagrange.mu_plus == expected["mu_plus"]
+    assert abs(solution.avg_cost - expected["lower_bound"]) <= 1e-9
 
 
 def _value_iteration(sensor, delta_max, mu):
