@@ -30,7 +30,6 @@ from .errors import (
 from .exact_solver import (
     JointPolicy,
     RviaResult,
-    bellman_residual,
     enumerate_budget_actions,
     solve_exact,
 )

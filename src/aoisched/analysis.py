@@ -130,7 +130,8 @@ def check_ordering(
     """Verify lower bound <= exact optimum <= truncated cost on a small instance.
 
     The left pair is exact (solver tolerances); the right side is Monte Carlo
-    with a three-standard-error allowance. ``epsilon`` defaults tighter than
+    with a three-standard-error allowance, none with a single episode, whose
+    standard error is NaN. ``epsilon`` defaults tighter than
     the production bisection width so the primal lower bound carries no
     bracket slack.
     """
@@ -143,7 +144,8 @@ def check_ordering(
         policy,
     )
     left = relaxed.avg_cost <= rvia.avg_cost + exact_tol
-    right = rvia.avg_cost <= report.cost_mean + 3.0 * report.cost_se + 1e-9
+    se = 0.0 if np.isnan(report.cost_se) else report.cost_se
+    right = rvia.avg_cost <= report.cost_mean + 3.0 * se + 1e-9
     return OrderingReport(
         lower_bound=relaxed.avg_cost,
         exact_cost=rvia.avg_cost,

@@ -1,8 +1,11 @@
 """Exact solver: the joint MDP over the product state space with the per-slot
 budget built into the action set, solved by synchronous relative value iteration.
 
-Tractable only for small fleets; the joint state count is capped and larger
-instances are directed to the relaxed solver.
+Each backup takes its expectation from :func:`model.expected_next`, which
+averages out every sensor's request count and applies its sparse (battery,
+age) kernel, so memory and per-sweep work are linear in the joint state
+count. The joint state count is capped and larger instances are directed to
+the relaxed solver.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import StateSpaceError
-from .model import NetworkConfig, sensor_model
+from .model import NetworkConfig, expected_next, sensor_model
 from .rvi import relative_value_iteration
 
 __all__ = [
@@ -25,7 +28,6 @@ __all__ = [
     "RviaResult",
     "enumerate_budget_actions",
     "solve_exact",
-    "bellman_residual",
 ]
 
 log = logging.getLogger(__name__)
@@ -91,40 +93,6 @@ def enumerate_budget_actions(num_sensors: int, budget: int) -> list[tuple[int, .
     return actions
 
 
-def _expected_next(values: np.ndarray, mats: list[np.ndarray], bits: tuple[int, ...]) -> np.ndarray:
-    """Contract the joint value tensor with the product kernel of one joint action."""
-    out = values
-    for axis, (pair, b) in enumerate(zip(mats, bits)):
-        out = np.moveaxis(np.tensordot(pair[b], out, axes=(1, axis)), 0, axis)
-    return out
-
-
-def _joint_problem(config: NetworkConfig):
-    """State sizes, dense per-sensor kernels, priority-ordered joint actions and
-    their normalized slot costs; raises above the joint-state cap."""
-    models = [sensor_model(s, config.delta_max) for s in config.sensors]
-    sizes = tuple(m.num_states for m in models)
-    total = int(np.prod(sizes))
-    if total > JOINT_STATE_CAP:
-        raise StateSpaceError(
-            f"joint state space has {total} states, above the cap of "
-            f"{JOINT_STATE_CAP}; use the relaxed solver"
-        )
-    actions = enumerate_budget_actions(config.num_sensors, config.budget)
-    mats = [(m.transition_matrix(0).toarray(), m.transition_matrix(1).toarray()) for m in models]
-    norm = 1.0 / (config.num_users * config.num_sensors)
-
-    def action_cost(bits: tuple[int, ...]) -> np.ndarray:
-        cost = np.zeros(sizes)
-        for k, (m, b) in enumerate(zip(models, bits)):
-            reshape = [1] * len(sizes)
-            reshape[k] = sizes[k]
-            cost = cost + m.cost_vector(b).reshape(reshape)
-        return cost * norm
-
-    return sizes, mats, actions, [action_cost(a) for a in actions]
-
-
 def solve_exact(config: NetworkConfig) -> tuple[JointPolicy, RviaResult]:
     """Optimal joint policy by relative value iteration over the product space.
 
@@ -134,12 +102,32 @@ def solve_exact(config: NetworkConfig) -> tuple[JointPolicy, RviaResult]:
     the joint-state cap and :class:`ConvergenceError` if the span tolerance is
     not met.
     """
-    sizes, mats, actions, costs = _joint_problem(config)
+    models = [sensor_model(s, config.delta_max) for s in config.sensors]
+    sizes = tuple(m.num_states for m in models)
+    total = int(np.prod(sizes))
+    if total > JOINT_STATE_CAP:
+        raise StateSpaceError(
+            f"joint state space has {total} states, above the cap of "
+            f"{JOINT_STATE_CAP}; use the relaxed solver"
+        )
+    actions = enumerate_budget_actions(config.num_sensors, config.budget)
+    # Axes (requests_1, x_1, ..., requests_K, x_K), x_k the (battery, age) index.
+    shape = [n for m in models for n in (m.request_dist.size, m.num_states // m.request_dist.size)]
+    norm = 1.0 / (config.num_users * config.num_sensors)
+
+    def action_cost(bits: tuple[int, ...]) -> np.ndarray:
+        cost = np.zeros(sizes)
+        for k, (m, b) in enumerate(zip(models, bits)):
+            reshape = [1] * len(sizes)
+            reshape[k] = sizes[k]
+            cost = cost + m.cost_vector(b).reshape(reshape)
+        return (cost * norm).reshape(shape)
+
     backups = [
-        (cost, lambda values, bits=bits: _expected_next(values, mats, bits))
-        for bits, cost in zip(actions, costs)
+        (action_cost(bits), lambda values, bits=bits: expected_next(models, bits, values))
+        for bits in actions
     ]
-    ref = (0,) * len(sizes)  # every sensor at (requests=0, battery=0, age=1)
+    ref = (0,) * len(shape)  # every sensor at (requests=0, battery=0, age=1)
     values, rel, greedy, iterations = relative_value_iteration(
         backups, ref, "joint value iteration"
     )
@@ -155,14 +143,3 @@ def solve_exact(config: NetworkConfig) -> tuple[JointPolicy, RviaResult]:
         iterations=iterations,
     )
     return policy, result
-
-
-def bellman_residual(config: NetworkConfig, result: RviaResult) -> float:
-    """Max absolute residual of the average-cost optimality equation at a solution."""
-    sizes, mats, actions, costs = _joint_problem(config)
-    rel = result.rel_values.reshape(sizes)
-    v_tmp = None
-    for bits, cost in zip(actions, costs):
-        q = cost + _expected_next(rel, mats, bits)
-        v_tmp = q if v_tmp is None else np.minimum(v_tmp, q)
-    return float(np.abs(v_tmp - rel - result.avg_cost).max())

@@ -3,15 +3,18 @@
 Every solver and the simulator consume the objects defined here. A per-sensor
 state is the triple (requests, battery, age); states are indexed row-major
 over (requests, battery, age) with age fastest, so policy tables serialize
-deterministically. All objects are immutable after construction (a model
-builds its full kernels once, on first use) and safe to share across
+deterministically. The request count redraws independently every slot, so
+the dynamics are kept factorised: a request pmf and one (battery, age)
+kernel per action, never the full kernel over (requests, battery, age).
+:func:`expected_next` is the one expectation both value iterations use. All
+objects are immutable after construction and safe to share across
 concurrent workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +28,7 @@ __all__ = [
     "request_pmf",
     "slot_step",
     "state_index",
+    "expected_next",
 ]
 
 
@@ -127,9 +131,9 @@ class SensorModel:
     redraws independently of the state and the action every slot, so each
     action's dynamics live on the (battery, age) states: a kernel Q_a whose
     rows have at most two successors (harvest or not) and a deterministic
-    next age. The full kernel over (requests, battery, age) is pmf(r') Q_a(x, x'),
-    with x the (battery, age) index; it is built on first use, with at most
-    2 * (num_users + 1) nonzero successors per row.
+    next age. The transition over (requests, battery, age) is
+    pmf(r') Q_a(x, x'), with x the (battery, age) index; it is applied in that
+    factorised form by :func:`expected_next` and never built.
     """
 
     def __init__(self, sensor: SensorParams, delta_max: int):
@@ -182,19 +186,33 @@ class SensorModel:
         """Row-stochastic kernel Q_a over the (battery, age) states under one action bit."""
         return self._kernel[action]
 
-    @cached_property
-    def _transition(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        # Row (r, x) is pmf(r') Q_a(x, x') over (r', x'), whatever r is.
-        lift = np.tile(self.request_dist, (self.request_dist.size, 1))
-        return tuple(sp.kron(lift, q, format="csr") for q in self._kernel)
-
-    def transition_matrix(self, action: int) -> sp.csr_matrix:
-        """Sparse row-stochastic transition matrix under a fixed action bit."""
-        return self._transition[action]
-
     def cost_vector(self, action: int) -> np.ndarray:
         """Slot cost per state under a fixed action bit (requests times next age)."""
         return self._cost[action]
+
+
+def expected_next(models, bits, values: np.ndarray) -> np.ndarray:
+    """Expected next-slot value of independent sensors under one joint action.
+
+    ``values`` lies on the axes (requests_1, x_1, ..., requests_K, x_K), with
+    x_k sensor k's (battery, age) index: the (S_1, ..., S_K) state layout,
+    reshaped. Sensor k's next request count is drawn from its request pmf
+    whatever its state, and its (battery, age) moves by
+    ``battery_age_kernel(bits[k])``; so each request axis is averaged out,
+    then each kernel is applied along its x axis. Returns the result with
+    length-one request axes, which broadcasts against ``values``.
+    """
+
+    def along(axis, apply, arr):
+        moved = np.moveaxis(arr, axis, 0)
+        out = apply(moved.reshape(moved.shape[0], -1))
+        return np.moveaxis(out.reshape(-1, *moved.shape[1:]), 0, axis)
+
+    for k, model in enumerate(models):
+        values = along(2 * k, lambda m: model.request_dist @ m, values)
+    for k, (model, bit) in enumerate(zip(models, bits)):
+        values = along(2 * k + 1, lambda m: model.battery_age_kernel(bit) @ m, values)
+    return values
 
 
 @lru_cache(maxsize=None)

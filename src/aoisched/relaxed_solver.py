@@ -4,7 +4,8 @@ bisection on the price, and mixing of the two bracketing deterministic policies.
 The per-slot fleet budget is relaxed to a time-average rate Gamma = budget / K.
 Pricing each command at mu decouples the fleet into independent per-sensor
 average-cost problems; bisection finds the smallest price whose induced command
-rate meets the budget, and a two-policy mixture calibrates the rate to Gamma
+rate meets the budget, a price at the breakpoint of the bracket's ends picks up
+any table between them, and a two-policy mixture calibrates the rate to Gamma
 exactly. The resulting average cost is a lower bound on the cost of any policy
 that respects the per-slot budget.
 
@@ -32,7 +33,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import BracketError, MultichainError
-from .model import NetworkConfig, SensorModel, SensorParams, sensor_classes, sensor_model
+from .model import NetworkConfig, SensorModel, SensorParams, expected_next, sensor_classes, sensor_model
 # DEFAULT_THETA stays importable here: bench/run.py reads the span tolerance from this module.
 from .rvi import DEFAULT_THETA, relative_value_iteration  # noqa: F401
 
@@ -216,13 +217,12 @@ def _mean_chain(
 def _value_iteration_solve(model: SensorModel, mu: float) -> PerSensorSolve:
     """The multichain fallback: relative value iteration, then an exact evaluation.
 
-    Values are shaped (requests, battery-age); an action's expectation pushes
-    their request average through Q_a, the same for every request count.
+    Values are shaped (requests, battery-age), the one-sensor joint layout of
+    :func:`expected_next`.
     """
-    pmf = model.request_dist
     backups = [
-        (model.cost_vector(a).reshape(pmf.size, -1) + a * mu,
-         lambda values, kernel=model.battery_age_kernel(a): kernel @ (pmf @ values))
+        (model.cost_vector(a).reshape(model.request_dist.size, -1) + a * mu,
+         lambda values, bits=(a,): expected_next((model,), bits, values))
         for a in (0, 1)
     ]
     values, rel, greedy, iterations = relative_value_iteration(
@@ -411,8 +411,10 @@ def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> Re
 
     If the zero-price policy already meets the budget the constraint is
     inactive and those tables are returned unmixed. Otherwise the price is
-    bisected to width epsilon and the mixing factor eta is calibrated so the
-    exact command rate of the mixture equals Gamma to within ``DEFAULT_ETA_TOL``.
+    bisected to width epsilon, the bracket's ends are narrowed to adjacent
+    vertices of the dual by pricing at their breakpoint, and the mixing factor
+    eta is calibrated so the exact command rate of the mixture equals Gamma to
+    within ``DEFAULT_ETA_TOL``.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -464,6 +466,27 @@ def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> Re
                 mu_lo, rate_lo, results_lo = mid, rate_mid, results_mid
             else:
                 mu_hi, rate_hi, results_hi = mid, rate_mid, results_mid
+        # Several breakpoints of the dual can fall inside the final bracket,
+        # and then the mixture of its ends misses the tables between them.
+        # Price at the ends' breakpoint until no fleet table there undercuts
+        # their common Lagrangian: the ends are then adjacent and their
+        # mixture is optimal.
+        while min(abs(rate_lo - gamma), abs(rate_hi - gamma)) > RATE_TIE_TOL:
+            cost_lo, cost_hi = (
+                sum(w * s.evaluation.cost_rate for w, s in zip(weights, r))
+                for r in (results_lo, results_hi)
+            )
+            mu_b = (cost_hi - cost_lo) / (rate_lo - rate_hi)
+            if not mu_lo < mu_b < mu_hi:
+                break
+            rate_b, results_b = fleet_rate(mu_b)
+            chord = (cost_lo + mu_b * rate_lo) / config.num_users
+            if evaluations[-1][2] >= chord - IMPROVEMENT_TOL * max(1.0, abs(chord)):
+                break
+            if rate_b >= gamma:
+                mu_lo, rate_lo, results_lo = mu_b, rate_b, results_b
+            else:
+                mu_hi, rate_hi, results_hi = mu_b, rate_b, results_b
         mu_minus, mu_plus = mu_lo, mu_hi
         mu_star = 0.5 * (mu_lo + mu_hi)
         lower_results = results_lo

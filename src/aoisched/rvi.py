@@ -4,8 +4,8 @@ for the per-sensor priced problems that policy iteration cannot take.
 A per-sensor priced problem is the one-sensor joint problem with the command
 cost raised by the price. The relaxed solver runs this iteration only at a
 price where policy iteration meets a table with several closed classes
-(as at harvest rates of 0 or 1); both callers differ only in how they form the
-per-action slot costs and expectations.
+(as at harvest rates of 0 or 1). Both callers take their expectations from
+:func:`model.expected_next` and differ only in their per-action slot costs.
 """
 
 from __future__ import annotations

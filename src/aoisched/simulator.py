@@ -20,7 +20,6 @@ requests; no burn-in is discarded, long horizons wash out the transient.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +98,6 @@ class SimReport:
     proposal_mad_se: float
     per_episode: tuple[EpisodeMetrics, ...]
     trace: tuple[tuple[int, float], ...]
-    wall_time: float
 
 
 def _episode_streams(config: SimConfig):
@@ -161,7 +159,6 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
         checkpoints = np.empty(0, dtype=np.int64)
     trace: list[tuple[int, float]] = []
 
-    started = time.perf_counter()
     slot = 0
     while slot < horizon:
         block = min(_BLOCK, horizon - slot)
@@ -234,7 +231,6 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
         proposal_mad_se=spread(prop_mads),
         per_episode=per_episode,
         trace=tuple(trace),
-        wall_time=time.perf_counter() - started,
     )
 
 

@@ -1,13 +1,13 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
-Nothing here touches the iterative solvers: policies are evaluated by direct
-chain analysis (strongly connected components, stationary distributions, and
-absorption probabilities), the relaxed bound is a linear program over
-occupation measures, and the joint problem is cross-checked by a
-finite-horizon dynamic program built from a per-sensor reference written out
-from the slot rule, independent of the sparse kernels it checks. The same
-reference gives dense full-state chains (requests, battery, age) for checking
-the solver's request-averaged evaluations.
+Nothing here touches the iterative solvers or the model's kernels: every
+chain is written out from a per-sensor reference of the slot rule, as dense
+full-state chains over (requests, battery, age). Policies are evaluated on
+them by direct chain analysis (strongly connected components, stationary
+distributions, and absorption probabilities), the relaxed bound is a linear
+program over their occupation measures, and the joint problem is
+cross-checked by a finite-horizon dynamic program and a Bellman residual on
+their product.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
-from aoisched import NetworkConfig, SensorParams, sensor_classes, sensor_model, state_index
+from aoisched import NetworkConfig, SensorParams, sensor_classes
 
 
 @dataclass(frozen=True)
@@ -78,20 +78,6 @@ def reference_successors(
     return out
 
 
-def kernel_row(sensor: SensorParams, state: PerSensorState, command: int,
-               delta_max: int) -> dict[PerSensorState, float]:
-    """Nonzero entries of one row of the model's sparse kernel, keyed by successor."""
-    model = sensor_model(sensor, delta_max)
-    i = state_index(state.requests, state.battery, state.age, sensor.battery_capacity, delta_max)
-    mat = model.transition_matrix(command)
-    start, stop = mat.indptr[i], mat.indptr[i + 1]
-    return {
-        PerSensorState(int(model.requests_of[j]), int(model.battery_of[j]), int(model.age_of[j])): float(v)
-        for j, v in zip(mat.indices[start:stop], mat.data[start:stop])
-        if v != 0.0
-    }
-
-
 def full_chain(
     sensor: SensorParams, delta_max: int, w_cmd: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -108,6 +94,12 @@ def full_chain(
                 chain[i, index[successor]] += weight * p
             cost[i] += weight * reference_cost(state, command, delta_max)
     return chain, cost
+
+
+def pure_chains(sensor: SensorParams, delta_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The :func:`full_chain` and slot cost of each action bit held in every state."""
+    n = len(all_states(sensor, delta_max))
+    return [full_chain(sensor, delta_max, np.full(n, float(a))) for a in (0, 1)]
 
 
 def full_chain_rates(
@@ -199,31 +191,25 @@ def best_deterministic_policy(
     Exhaustive over all 2^n action tables; each policy's chain is evaluated
     exactly from the reference state (requests=0, battery=0, age=1).
     """
-    model = sensor_model(sensor, delta_max)
-    n = model.num_states
+    n = len(all_states(sensor, delta_max))
     if n > 16:
         raise ValueError(f"{2 ** n} policies is too many to enumerate")
-    mats = [model.transition_matrix(a).toarray() for a in (0, 1)]
-    costs = [model.cost_vector(0), model.cost_vector(1) + mu]
+    (mat0, cost0), (mat1, cost1) = pure_chains(sensor, delta_max)
     best_value, best_actions = np.inf, None
     for bits in range(2**n):
         actions = np.array([(bits >> i) & 1 for i in range(n)])
-        transition = np.where(actions[:, None] == 1, mats[1], mats[0])
-        cost = np.where(actions == 1, costs[1], costs[0])
-        value = chain_average_cost(transition, cost, model.ref_index)
+        transition = np.where(actions[:, None] == 1, mat1, mat0)
+        cost = np.where(actions == 1, cost1 + mu, cost0)
+        value = chain_average_cost(transition, cost, 0)
         if value < best_value:
             best_value, best_actions = value, actions
     return best_value, best_actions
 
 
-def finite_horizon_joint_cost(
-    config: NetworkConfig, horizon: int, start: tuple[PerSensorState, ...]
-) -> float:
-    """Average of the minimum total cost over all action sequences of a horizon.
-
-    A plain backward dynamic program over the product space, built from the
-    slot-rule reference above; no value-iteration machinery and no sparse kernel.
-    """
+def _joint_problem(config: NetworkConfig):
+    """Joint states in the solver's flat order, the budget-feasible action
+    bits, and per (state, bits) the successor list and normalized slot cost,
+    all written out from the slot-rule reference."""
     states = list(product(*(all_states(s, config.delta_max) for s in config.sensors)))
     actions = [
         bits
@@ -254,7 +240,18 @@ def finite_horizon_joint_cost(
                 reference_cost(st, b, config.delta_max)
                 for st, b in zip(state, bits)
             )
+    return states, actions, transitions, slot_cost
 
+
+def finite_horizon_joint_cost(
+    config: NetworkConfig, horizon: int, start: tuple[PerSensorState, ...]
+) -> float:
+    """Average of the minimum total cost over all action sequences of a horizon.
+
+    A plain backward dynamic program over the product space, built from the
+    slot-rule reference above; no value-iteration machinery and no sparse kernel.
+    """
+    states, actions, transitions, slot_cost = _joint_problem(config)
     values = {state: 0.0 for state in states}
     for _ in range(horizon):
         values = {
@@ -266,6 +263,26 @@ def finite_horizon_joint_cost(
             for state in states
         }
     return values[tuple(start)] / horizon
+
+
+def bellman_residual(config: NetworkConfig, result) -> float:
+    """Max absolute residual of the joint average-cost optimality equation
+    min_a [c(s, a) + sum_s' p(s' | s, a) h(s')] = h(s) + g at an exact solve's
+    relative values h and average cost g; every other term comes from the
+    slot-rule reference."""
+    states, actions, transitions, slot_cost = _joint_problem(config)
+    h = dict(zip(states, result.rel_values))
+    return max(
+        abs(
+            min(
+                slot_cost[(state, bits)] + sum(p * h[nxt] for p, nxt in transitions[(state, bits)])
+                for bits in actions
+            )
+            - h[state]
+            - result.avg_cost
+        )
+        for state in states
+    )
 
 
 def greedy_decide(states: tuple[PerSensorState, ...], budget: int) -> set[int]:
@@ -322,22 +339,23 @@ def relaxed_lp(network: NetworkConfig) -> float:
     class-weighted command rate at or below gamma. The objective is the
     class-weighted slot cost over the number of users. Solved by HiGHS dual
     simplex with 1e-10 feasibility tolerances; the residuals of the returned
-    point are checked before its value is trusted. Shares nothing with the
-    relaxed solver but the kernels.
+    point are checked before its value is trusted. Chains and costs come from
+    :func:`pure_chains`, so nothing is shared with the relaxed solver.
     """
     classes, counts, _ = sensor_classes(network)
     weights = counts / network.num_sensors
-    models = [sensor_model(c, network.delta_max) for c in classes]
-    blocks, objective, budget_row = [], [], []
-    for w, m in zip(weights, models):
-        n = m.num_states
+    blocks, objective, budget_row, b_eq = [], [], [], []
+    for w, c in zip(weights, classes):
+        (mat0, cost0), (mat1, cost1) = pure_chains(c, network.delta_max)
+        n = cost0.size
         eye = sp.identity(n, format="csr")
-        balance = sp.hstack([eye - m.transition_matrix(a).T for a in (0, 1)])
+        balance = sp.hstack([eye - sp.csr_matrix(mat).T for mat in (mat0, mat1)])
         blocks.append(sp.vstack([balance, np.ones((1, 2 * n))]))
-        objective.append(w * np.concatenate([m.cost_vector(0), m.cost_vector(1)]))
+        objective.append(w * np.concatenate([cost0, cost1]))
         budget_row.append(np.concatenate([np.zeros(n), np.full(n, w)]))
+        b_eq.append(np.append(np.zeros(n), 1.0))
     a_eq = sp.block_diag(blocks, format="csr")
-    b_eq = np.concatenate([np.append(np.zeros(m.num_states), 1.0) for m in models])
+    b_eq = np.concatenate(b_eq)
     a_ub = np.concatenate(budget_row)[None, :]
     cost = np.concatenate(objective) / network.num_users
     res = linprog(

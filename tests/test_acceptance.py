@@ -102,8 +102,11 @@ def test_criterion_1_kernel_sanity():
         )
         delta_max = int(rng.integers(2, 13))
         model = sensor_model(sensor, delta_max)
+        pmf = model.request_dist
         for action in (0, 1):
-            rows = np.asarray(model.transition_matrix(action).sum(axis=1)).ravel()
+            # The kernel over (requests, battery, age) is pmf(r') Q_a(x, x').
+            full = np.kron(np.tile(pmf, (pmf.size, 1)), model.battery_age_kernel(action).toarray())
+            rows = full.sum(axis=1)
             worst = max(worst, float(np.abs(rows - 1.0).max()))
             np.testing.assert_array_equal(
                 model.cost_vector(action),

@@ -32,6 +32,14 @@ def test_ordering_chain_tiny2():
     assert report.truncated_mean >= 1.5 - 3 * report.truncated_se - 1e-9
 
 
+def test_ordering_chain_single_episode():
+    # One episode has no spread: its NaN standard error gets no allowance.
+    report = check_ordering(TINY2, horizon=20_000, episodes=1, seed=17)
+    assert np.isnan(report.truncated_se)
+    assert report.truncated_mean >= report.exact_cost
+    assert report.holds, report.describe()
+
+
 def test_ordering_chain_vacuous_budget():
     # gamma = 1: relaxation, optimum, and truncation all coincide.
     net = NetworkConfig(2, 1, 2, 3, (TINY1, TINY1))

@@ -1,15 +1,22 @@
-"""Joint-solver tests: action enumeration, tiny oracles, and Bellman residuals."""
+"""Joint-solver tests: action enumeration, tiny oracles, Bellman residuals, and memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import PerSensorState, finite_horizon_joint_cost, random_tiny_network
+from oracles import (
+    PerSensorState,
+    bellman_residual,
+    finite_horizon_joint_cost,
+    random_tiny_network,
+)
 
 from aoisched import (
     NetworkConfig,
     SensorParams,
     StateSpaceError,
-    bellman_residual,
     enumerate_budget_actions,
+    sensor_model,
     solve_exact,
     solve_per_sensor,
 )
@@ -61,12 +68,18 @@ def test_tiny2_finite_horizon_oracle():
 
 
 def test_k1_exact_equals_relaxed_at_zero_price():
-    sensor = SensorParams(0.5, 1, (0.5,))
-    net = NetworkConfig(1, 1, 1, 2, (sensor,))
-    policy, result = solve_exact(net)
-    per_sensor = solve_per_sensor(sensor, 2, 0.0)
-    assert result.avg_cost == pytest.approx(per_sensor.avg_lagrangian, abs=1e-6)
-    np.testing.assert_array_equal(policy.actions.ravel(), per_sensor.policy.actions)
+    # One, two and three users: the exact cost is normalized per user.
+    for sensor, delta_max in [
+        (SensorParams(0.5, 1, (0.5,)), 2),
+        (SensorParams(0.4, 2, (0.3, 0.8)), 4),
+        (SensorParams(0.6, 3, (0.5, 0.2, 0.9)), 5),
+    ]:
+        net = NetworkConfig(1, sensor.num_users, 1, delta_max, (sensor,))
+        policy, result = solve_exact(net)
+        per_sensor = solve_per_sensor(sensor, delta_max, 0.0)
+        assert result.avg_cost * sensor.num_users == pytest.approx(
+            per_sensor.avg_lagrangian, abs=1e-6)
+        np.testing.assert_array_equal(policy.actions.ravel(), per_sensor.policy.actions)
 
 
 def test_bellman_residual_small():
@@ -84,3 +97,18 @@ def test_finite_horizon_oracle_on_random_instance():
     dp_value = finite_horizon_joint_cost(net, horizon, start)
     # Finite-horizon bias decays like span/horizon.
     assert dp_value == pytest.approx(result.avg_cost, abs=0.5 * net.delta_max / horizon + 1e-6)
+
+
+def test_exact_memory_linear_in_states():
+    # 4,096 states on one sensor: dense per-sensor kernels would take 134 MB each.
+    sensor = SensorParams(0.3, 15, (0.6,))
+    net = NetworkConfig(1, 1, 1, 128, (sensor,))
+    sensor_model(sensor, net.delta_max)  # built outside the measured window
+    tracemalloc.start()
+    try:
+        _, result = solve_exact(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert result.rel_values.size == 4096

@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     PerSensorState,
-    all_states,
-    kernel_row,
+    pure_chains,
     random_sensor,
-    reference_cost,
     reference_successors,
 )
 
@@ -24,6 +22,7 @@ from aoisched import (
     slot_step,
     state_index,
 )
+from aoisched.model import expected_next
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 
@@ -97,7 +96,7 @@ def test_request_pmf_examples():
 def test_kernel_battery_rows():
     sensor = SensorParams(0.06, 5, (0.5,))
     # idle below capacity: harvest with probability lambda
-    dist = kernel_row(sensor, PerSensorState(0, 2, 3), 0, 10)
+    dist = reference_successors(sensor, PerSensorState(0, 2, 3), 0, 10)
     by_battery = {}
     for state, p in dist.items():
         assert state.age == 4
@@ -107,13 +106,13 @@ def test_kernel_battery_rows():
 
 def test_kernel_command_resets_age():
     sensor = SensorParams(0.3, 5, (0.5, 0.7))
-    dist = kernel_row(sensor, PerSensorState(1, 3, 9), 1, 10)
+    dist = reference_successors(sensor, PerSensorState(1, 3, 9), 1, 10)
     assert all(state.age == 1 for state in dist)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_tiny1_hand_enumeration():
-    dist = kernel_row(TINY1, PerSensorState(1, 1, 1), 1, 2)
+    dist = reference_successors(TINY1, PerSensorState(1, 1, 1), 1, 2)
     expected = {
         PerSensorState(r, b, 1): 0.25 for r in (0, 1) for b in (0, 1)
     }
@@ -137,6 +136,12 @@ def test_state_index_round_trip():
     )
 
 
+def _model_kernel(model, action):
+    """The model's kernel over (requests, battery, age), densified: pmf(r') Q_a(x, x')."""
+    pmf = model.request_dist
+    return np.kron(np.tile(pmf, (pmf.size, 1)), model.battery_age_kernel(action).toarray())
+
+
 def test_kernel_matches_slot_rule_reference():
     rng = np.random.default_rng(17)
     sensors = [random_sensor(rng, degenerate_ok=True) for _ in range(30)]
@@ -144,33 +149,37 @@ def test_kernel_matches_slot_rule_reference():
     for sensor in sensors:
         delta_max = int(rng.integers(2, 7))
         model = sensor_model(sensor, delta_max)
-        for i, state in enumerate(all_states(sensor, delta_max)):
-            for command in (0, 1):
-                row = kernel_row(sensor, state, command, delta_max)
-                reference = reference_successors(sensor, state, command, delta_max)
-                assert row.keys() == reference.keys()
-                for successor, p in reference.items():
-                    assert row[successor] == pytest.approx(p, abs=1e-12)
-                assert model.cost_vector(command)[i] == reference_cost(state, command, delta_max)
+        for action, (chain, cost) in enumerate(pure_chains(sensor, delta_max)):
+            full = _model_kernel(model, action)
+            np.testing.assert_array_equal(full != 0, chain != 0)
+            np.testing.assert_allclose(full, chain, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(model.cost_vector(action), cost)
 
 
 def test_kernel_lifts_battery_age_kernel():
-    # Row (r, x) of the full kernel is pmf(r') Q_a(x, x') over (r', x'),
-    # whatever the request count r.
+    # Averaging out the request count and then applying Q_a is the same as
+    # applying the reference chain over (requests, battery, age), for one
+    # sensor and for the product of two or three.
     rng = np.random.default_rng(29)
-    sensors = [random_sensor(rng, degenerate_ok=True) for _ in range(30)]
-    sensors += [SensorParams(0.0, 2, (0.5, 0.3)), SensorParams(1.0, 3, (0.7,))]
-    for sensor in sensors:
-        delta_max = int(rng.integers(2, 7))
-        model = sensor_model(sensor, delta_max)
-        pmf = model.request_dist
-        for action in (0, 1):
-            kernel = model.battery_age_kernel(action).toarray()
-            np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
-            full = model.transition_matrix(action).toarray()
-            for i, row in enumerate(full):
-                x = i % kernel.shape[0]
-                np.testing.assert_array_equal(row, np.outer(pmf, kernel[x]).ravel())
+    for _ in range(12):
+        delta_max = int(rng.integers(2, 5))
+        sensors = [random_sensor(rng, max_battery=2, degenerate_ok=True)
+                   for _ in range(int(rng.integers(1, 4)))]
+        models = [sensor_model(s, delta_max) for s in sensors]
+        for m in models:
+            for action in (0, 1):
+                kernel = m.battery_age_kernel(action)
+                np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
+                assert (np.diff(kernel.indptr) <= 2).all()
+        chains = [pure_chains(s, delta_max) for s in sensors]
+        shape = [n for m in models for n in (m.request_dist.size, m.num_states // m.request_dist.size)]
+        values = rng.normal(size=[m.num_states for m in models])
+        for bits in product((0, 1), repeat=len(sensors)):
+            expected = values
+            for k, (chain, bit) in enumerate(zip(chains, bits)):
+                expected = np.moveaxis(np.tensordot(chain[bit][0], expected, axes=(1, k)), 0, k)
+            got = np.broadcast_to(expected_next(models, bits, values.reshape(shape)), shape)
+            np.testing.assert_allclose(got.ravel(), expected.ravel(), rtol=0, atol=1e-12)
 
 
 def test_joint_kernel_factorizes():
@@ -178,8 +187,8 @@ def test_joint_kernel_factorizes():
     # per-sensor marginals exactly.
     s1 = SensorParams(0.3, 1, (0.6,))
     s2 = SensorParams(0.8, 2, (0.4,))
-    k1 = kernel_row(s1, PerSensorState(1, 1, 2), 1, 3)
-    k2 = kernel_row(s2, PerSensorState(0, 2, 3), 0, 3)
+    k1 = reference_successors(s1, PerSensorState(1, 1, 2), 1, 3)
+    k2 = reference_successors(s2, PerSensorState(0, 2, 3), 0, 3)
     joint = {
         (a, b): p * q for a, p in k1.items() for b, q in k2.items()
     }
@@ -207,13 +216,13 @@ def test_sensor_classes_dedupe():
     delta_max=st.integers(2, 8),
 )
 def test_kernel_rows_stochastic_property(rate, capacity, probs, delta_max):
-    model = sensor_model(SensorParams(rate, capacity, tuple(probs)), delta_max)
-    for action in (0, 1):
-        mat = model.transition_matrix(action)
-        rows = np.asarray(mat.sum(axis=1)).ravel()
-        np.testing.assert_allclose(rows, 1.0, atol=1e-12)
-        assert (mat.data >= 0).all()
-        assert (mat.indptr[1:] - mat.indptr[:-1] <= 2 * (len(probs) + 1)).all()
+    sensor = SensorParams(rate, capacity, tuple(probs))
+    model = sensor_model(sensor, delta_max)
+    for action, (chain, _) in enumerate(pure_chains(sensor, delta_max)):
+        for mat in (chain, _model_kernel(model, action)):
+            np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
+            assert (mat >= 0).all()
+            assert ((mat != 0).sum(axis=1) <= 2 * (len(probs) + 1)).all()
 
 
 @settings(max_examples=60, deadline=None)

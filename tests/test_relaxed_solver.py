@@ -5,12 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     best_deterministic_policy,
     full_chain,
     full_chain_rates,
+    pure_chains,
     random_sensor,
     relaxed_lp,
 )
@@ -216,10 +218,10 @@ def test_per_sensor_bellman_residual():
     sensor = SensorParams(0.35, 2, (0.4, 0.7))
     mu = 0.8
     solve = solve_per_sensor(sensor, 6, mu)
-    model = sensor_model(sensor, 6)
+    (mat0, cost0), (mat1, cost1) = pure_chains(sensor, 6)
     rel = solve.rel_values
-    q_idle = model.cost_vector(0) + model.transition_matrix(0).dot(rel)
-    q_cmd = model.cost_vector(1) + mu + model.transition_matrix(1).dot(rel)
+    q_idle = cost0 + mat0 @ rel
+    q_cmd = cost1 + mu + mat1 @ rel
     residual = np.abs(np.minimum(q_idle, q_cmd) - rel - solve.avg_lagrangian).max()
     # the relative values come from an exact evaluation of the returned table
     assert residual <= 1e-9
@@ -303,6 +305,21 @@ def test_lower_bound_matches_relaxed_lp(net):
     assert solution.lagrange.dual_bound <= optimum + DEFAULT_THETA
 
 
+def test_breakpoints_inside_final_bracket_reach_relaxed_lp():
+    # Two breakpoints of the dual lie within epsilon of each other near
+    # mu = 2.875: the bisection's ends skip the table that flips only one of
+    # the last class's states 25 and 29, and mixing them sat 4e-9 above the LP.
+    net = NetworkConfig(3, 1, 1, 4, (
+        SensorParams(0.5, 1, (0.5,)),
+        SensorParams(0.875, 1, (0.75,)),
+        SensorParams(0.875, 3, (0.875,)),
+    ))
+    solution = solve_relaxed(net)
+    optimum = relaxed_lp(net)
+    assert abs(solution.avg_cost - optimum) <= _calibration_error(net, solution)
+    assert abs(solution.lagrange.dual_bound - optimum) <= 1e-9
+
+
 PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
 
 
@@ -373,13 +390,13 @@ def test_fig2a_solve_matches_fixture():
 
 
 def _value_iteration(sensor, delta_max, mu):
-    model = sensor_model(sensor, delta_max)
+    # On the reference chains, so the check shares no kernel with the solver.
     backups = [
-        (model.cost_vector(0), model.transition_matrix(0).dot),
-        (model.cost_vector(1) + mu, model.transition_matrix(1).dot),
+        (cost + a * mu, sp.csr_matrix(mat).dot)
+        for a, (mat, cost) in enumerate(pure_chains(sensor, delta_max))
     ]
-    values, _, greedy, _ = relative_value_iteration(backups, model.ref_index, "reference")
-    return float(values[model.ref_index]), greedy
+    values, _, greedy, _ = relative_value_iteration(backups, 0, "reference")
+    return float(values[0]), greedy
 
 
 FIG2A_CLASS = SensorParams(0.05, 7, (0.6, 0.6, 0.6))
@@ -401,8 +418,9 @@ def test_policy_iteration_matches_value_iteration(sensor, delta_max, mu):
     value, greedy = _value_iteration(sensor, delta_max, mu)
     assert abs(solve.avg_lagrangian - value) <= DEFAULT_THETA
     rel = solve.rel_values
-    q_idle = model.cost_vector(0) + model.transition_matrix(0) @ rel
-    q_cmd = model.cost_vector(1) + mu + model.transition_matrix(1) @ rel
+    (mat0, cost0), (mat1, cost1) = pure_chains(sensor, delta_max)
+    q_idle = cost0 + mat0 @ rel
+    q_cmd = cost1 + mu + mat1 @ rel
     differ = np.flatnonzero(greedy != solve.policy.actions)
     gaps = np.abs(q_cmd - q_idle)[differ]
     print(f"{sensor}, delta_max={delta_max}, mu={mu}: tables differ at states "
