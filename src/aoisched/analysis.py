@@ -123,7 +123,6 @@ def check_ordering(
     horizon: int,
     episodes: int,
     seed: int,
-    epsilon: float = 1e-7,
     exact_tol: float = 1e-6,
     relaxed: RelaxedSolution | None = None,
 ) -> OrderingReport:
@@ -131,12 +130,10 @@ def check_ordering(
 
     The left pair is exact (solver tolerances); the right side is Monte Carlo
     with a three-standard-error allowance, none with a single episode, whose
-    standard error is NaN. ``epsilon`` defaults tighter than
-    the production bisection width so the primal lower bound carries no
-    bracket slack.
+    standard error is NaN.
     """
     if relaxed is None:
-        relaxed = solve_relaxed(config, epsilon=epsilon)
+        relaxed = solve_relaxed(config)
     _, rvia = solve_exact(config)
     policy = build_relaxed_fleet_policy(config, relaxed.policies, truncate_to_budget=True)
     report = run_experiment(

@@ -75,7 +75,6 @@ class ExperimentSpec:
     horizon: int = 1_000_000
     episodes: int = 50
     seed: int = 1
-    epsilon: float = 1e-4
     out_dir: str = "results"
     trace_points: int = 0
     sweep_sensors: tuple[int, ...] = ()
@@ -115,7 +114,6 @@ _FIELDS = (
     ("horizon", "horizon", int, _SCALAR),
     ("episodes", "episodes", int, _SCALAR),
     ("seed", "seed", int, _SCALAR),
-    ("epsilon", "epsilon", float, _SCALAR),
     ("out_dir", "out_dir", str, _SCALAR),
     ("trace_points", "trace_points", int, _SCALAR),
     ("sweep_K", "sweep_sensors", int, _LIST),
@@ -344,7 +342,7 @@ def cmd_solve_exact(args) -> int:
 def cmd_solve_relaxed(args) -> int:
     spec = _load_spec(args)
     network = build_network(spec)
-    solution = solve_relaxed(network, epsilon=spec.epsilon)
+    solution = solve_relaxed(network)
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "relaxed_policy.csv"
@@ -412,7 +410,7 @@ def cmd_sweep(args) -> int:
     for kk in k_grid:
         for gamma in gamma_grid:
             network = build_network(spec, num_sensors=kk, gamma=gamma)
-            solution = solve_relaxed(network, epsilon=spec.epsilon)
+            solution = solve_relaxed(network)
             fleet = _fleet(network, names, mixed=solution.policies)
             for name in names:
                 report = _simulate(spec, network, fleet[name])
@@ -440,7 +438,7 @@ def cmd_analyze(args) -> int:
             failures += 1
         print(f"{status} {name} {detail}")
 
-    solution = solve_relaxed(network, epsilon=spec.epsilon)
+    solution = solve_relaxed(network)
     emit(
         "INFO",
         "relaxed-solve",

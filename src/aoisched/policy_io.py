@@ -132,12 +132,15 @@ def load_mixed_policies(
     classes, _, class_of = sensor_classes(config)
     sizes = [sensor_model(s, config.delta_max).num_states for s in classes]
     actions, meta = _read(path, MIXED_TAG, config, MIXED_COLUMNS, _class_rows(sizes))
-    missing = [key for key in ("eta", "mu_minus", "mu_plus") if key not in meta]
-    if missing:
-        raise PolicyFileError(f"{path}: metadata lacks {', '.join(missing)}")
-    eta = float(meta["eta"])
-    mu_minus = float(meta["mu_minus"])
-    mu_plus = float(meta["mu_plus"])
+    numbers = []
+    for key in ("eta", "mu_minus", "mu_plus"):
+        if key not in meta:
+            raise PolicyFileError(f"{path}: metadata lacks {key}")
+        try:
+            numbers.append(float(meta[key]))
+        except ValueError:
+            raise PolicyFileError(f"{path}: metadata {key}={meta[key]!r} is not a number") from None
+    eta, mu_minus, mu_plus = numbers
     splits = np.cumsum(sizes)[:-1]
     per_class = [
         MixedPolicy(

@@ -1,13 +1,14 @@
 """Time-average-budget solver: per-sensor policy iteration under a command price,
-bisection on the price, and mixing of the two bracketing deterministic policies.
+a breakpoint search for the critical price, and mixing of the two tables optimal there.
 
 The per-slot fleet budget is relaxed to a time-average rate Gamma = budget / K.
 Pricing each command at mu decouples the fleet into independent per-sensor
-average-cost problems; bisection finds the smallest price whose induced command
-rate meets the budget, a price at the breakpoint of the bracket's ends picks up
-any table between them, and a two-policy mixture calibrates the rate to Gamma
-exactly. The resulting average cost is a lower bound on the cost of any policy
-that respects the per-slot budget.
+average-cost problems. Pricing at the breakpoint of a price bracket's two end
+tables either finds a table between them, which replaces an end, or shows both
+ends optimal at that critical price; a two-policy mixture of them then
+calibrates the rate to Gamma exactly. One constraint leaves no duality gap, so
+the resulting average cost is the relaxed optimum: a lower bound on the cost of
+any policy that respects the per-slot budget.
 
 The request count is redrawn independently every slot, whatever the state
 and the action, so a table over (requests, battery, age) acts on the
@@ -35,7 +36,7 @@ from scipy.sparse.linalg import splu
 from .errors import BracketError, MultichainError
 from .model import NetworkConfig, SensorModel, SensorParams, expected_next, sensor_classes, sensor_model
 # DEFAULT_THETA stays importable here: bench/run.py reads the span tolerance from this module.
-from .rvi import DEFAULT_THETA, relative_value_iteration  # noqa: F401
+from .rvi import DEFAULT_THETA, IMPROVEMENT_TOL, relative_value_iteration  # noqa: F401
 
 __all__ = [
     "PolicyTable",
@@ -52,12 +53,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 POISSON_RESIDUAL = 1e-10  # normwise backward error a policy evaluation must meet
-# A state switches action only when that lowers its Q-value by more than this
-# times max|h|; 1e-9 flips true near-ties of the paper instances and moves the bound.
-IMPROVEMENT_TOL = 1e-12
 RATE_TIE_TOL = 1e-6  # command rate counts as "equal to Gamma" within this
-
-DEFAULT_EPSILON = 1e-4
 DEFAULT_ETA_TOL = 1e-6  # |mixed command rate - Gamma| that ends the eta bisection
 
 
@@ -366,8 +362,10 @@ def _solve_class(sensor: SensorParams, delta_max: int, mu: float) -> PerSensorSo
 
 @dataclass(frozen=True, eq=False)
 class LagrangeSolve:
-    """Record of the price search: bracket, trajectory, and per-sensor pieces.
+    """Record of the price search: prices, trajectory, and per-sensor pieces.
 
+    Both tables are optimal at ``mu_star``, the final breakpoint (or a tied
+    end's price); they were solved at ``mu_minus`` and ``mu_plus``.
     ``evaluations`` collects (mu, fleet command rate, mean optimal Lagrangian)
     triples for every price evaluated, where the mean Lagrangian is
     sum_k L*_k(mu) / (num_users * K) without the -mu * Gamma / num_users
@@ -406,22 +404,22 @@ def _mu_upper_bound(config: NetworkConfig) -> float:
     return float(config.num_users * config.delta_max * config.delta_max)
 
 
-def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> RelaxedSolution:
+def solve_relaxed(config: NetworkConfig) -> RelaxedSolution:
     """Solve the time-average-budget problem exactly.
 
     If the zero-price policy already meets the budget the constraint is
-    inactive and those tables are returned unmixed. Otherwise the price is
-    bisected to width epsilon, the bracket's ends are narrowed to adjacent
-    vertices of the dual by pricing at their breakpoint, and the mixing factor
-    eta is calibrated so the exact command rate of the mixture equals Gamma to
-    within ``DEFAULT_ETA_TOL``.
+    inactive and those tables are returned unmixed. Otherwise, from the
+    bracket [0, a price that stops every command], each step prices the fleet
+    at the breakpoint of the two ends' Lagrangian lines, and its tables
+    replace the end on their side of Gamma until none undercuts the ends'
+    chord there. Both ends are then optimal at that price ``mu_star``, and the
+    mixing factor eta is calibrated so the exact command rate of their mixture
+    equals Gamma to within ``DEFAULT_ETA_TOL``. An end whose rate ties Gamma
+    is returned unmixed, and ``mu_star`` is its price.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     classes, counts, class_of = sensor_classes(config)
     gamma = config.gamma
-    kk = config.num_sensors
-    weights = counts / kk
+    weights = counts / config.num_sensors
 
     evaluations: list[tuple[float, float, float]] = []
 
@@ -453,48 +451,39 @@ def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> Re
                 f"the budget {gamma:.6g}"
             )
         rate_lo, results_lo = rate0, results0
-        while mu_hi - mu_lo > epsilon:
-            mid = 0.5 * (mu_lo + mu_hi)
-            rate_mid, results_mid = fleet_rate(mid)
-            if rate_mid > rate_lo + 1e-9 or rate_mid < rate_hi - 1e-9:
-                raise BracketError(
-                    f"command rate not monotone across the bracket: "
-                    f"rate({mid:.6g})={rate_mid:.6g} outside "
-                    f"[{rate_hi:.6g}, {rate_lo:.6g}]"
-                )
-            if rate_mid >= gamma:
-                mu_lo, rate_lo, results_lo = mid, rate_mid, results_mid
-            else:
-                mu_hi, rate_hi, results_hi = mid, rate_mid, results_mid
-        # Several breakpoints of the dual can fall inside the final bracket,
-        # and then the mixture of its ends misses the tables between them.
-        # Price at the ends' breakpoint until no fleet table there undercuts
-        # their common Lagrangian: the ends are then adjacent and their
-        # mixture is optimal.
-        while min(abs(rate_lo - gamma), abs(rate_hi - gamma)) > RATE_TIE_TOL:
+        while True:
+            if abs(rate_lo - gamma) <= RATE_TIE_TOL:
+                pure, mu_star = results_lo, mu_lo
+                break
+            if abs(rate_hi - gamma) <= RATE_TIE_TOL:
+                pure, mu_star = results_hi, mu_hi
+                break
             cost_lo, cost_hi = (
                 sum(w * s.evaluation.cost_rate for w, s in zip(weights, r))
                 for r in (results_lo, results_hi)
             )
-            mu_b = (cost_hi - cost_lo) / (rate_lo - rate_hi)
-            if not mu_lo < mu_b < mu_hi:
+            # Prices stay Python floats: policy files write them with repr.
+            mu_star = float((cost_hi - cost_lo) / (rate_lo - rate_hi))
+            if not mu_lo < mu_star < mu_hi:
+                # Both ends tie at a bracket end, up to round-off.
+                mu_star = min(max(mu_star, mu_lo), mu_hi)
                 break
-            rate_b, results_b = fleet_rate(mu_b)
-            chord = (cost_lo + mu_b * rate_lo) / config.num_users
+            rate_b, results_b = fleet_rate(mu_star)
+            if rate_b > rate_lo + 1e-9 or rate_b < rate_hi - 1e-9:
+                raise BracketError(
+                    f"command rate not monotone across the bracket: "
+                    f"rate({mu_star:.6g})={rate_b:.6g} outside "
+                    f"[{rate_hi:.6g}, {rate_lo:.6g}]"
+                )
+            chord = (cost_lo + mu_star * rate_lo) / config.num_users
             if evaluations[-1][2] >= chord - IMPROVEMENT_TOL * max(1.0, abs(chord)):
                 break
             if rate_b >= gamma:
-                mu_lo, rate_lo, results_lo = mu_b, rate_b, results_b
+                mu_lo, rate_lo, results_lo = mu_star, rate_b, results_b
             else:
-                mu_hi, rate_hi, results_hi = mu_b, rate_b, results_b
+                mu_hi, rate_hi, results_hi = mu_star, rate_b, results_b
         mu_minus, mu_plus = mu_lo, mu_hi
-        mu_star = 0.5 * (mu_lo + mu_hi)
         lower_results = results_lo
-
-        if abs(rate_lo - gamma) <= RATE_TIE_TOL:
-            pure = results_lo
-        elif abs(rate_hi - gamma) <= RATE_TIE_TOL:
-            pure = results_hi
 
     if pure is not None:
         eta = 1.0
@@ -540,7 +529,7 @@ def solve_relaxed(config: NetworkConfig, epsilon: float = DEFAULT_EPSILON) -> Re
     )
     return RelaxedSolution(
         policies=tuple(class_policies[c] for c in class_of),
-        mu_star=float(mu_star),
+        mu_star=mu_star,
         eta=float(eta),
         avg_cost=avg_cost,
         command_rate=command_rate,

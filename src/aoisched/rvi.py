@@ -18,6 +18,10 @@ from .errors import ConvergenceError
 
 DEFAULT_THETA = 1e-7  # span tolerance of the stopping rule
 DEFAULT_MAX_ITER = 100_000
+# An action displaces another only when that lowers its Q-value by more than
+# this times max|h|, here and in policy iteration; 1e-9 flips true near-ties
+# of the paper instances and moves the bound.
+IMPROVEMENT_TOL = 1e-12
 
 # Aperiodicity transformation weight: value iteration runs on the lazy kernel
 # (1 - tau) I + tau P, which has the same average cost, the same optimal
@@ -43,9 +47,11 @@ def relative_value_iteration(
 
     Returns the values (their entry at ``ref`` is the optimal average cost,
     within the span tolerance), the relative values on the untransformed
-    optimality equation's scale, the greedy action index per state (the first
-    minimum wins) and the iteration count. Raises :class:`ConvergenceError`,
-    carrying the last span, after ``DEFAULT_MAX_ITER`` sweeps.
+    optimality equation's scale, the greedy action index per state (a later
+    action replaces the best so far only when its Q-value is lower by more
+    than ``IMPROVEMENT_TOL`` times max|h|, so ties go to the earlier action)
+    and the iteration count. Raises :class:`ConvergenceError`, carrying the
+    last span, after ``DEFAULT_MAX_ITER`` sweeps.
     """
     tau = APERIODICITY_TAU
     values = np.zeros(backups[0][0].shape)
@@ -68,12 +74,13 @@ def relative_value_iteration(
 
     best_q = None
     greedy = np.zeros(values.shape, dtype=np.int64)
+    tol = IMPROVEMENT_TOL * float(np.abs(rel).max())
     for a, (cost, expect) in enumerate(backups):
         q = cost + tau * expect(rel)
         if best_q is None:
             best_q = q
         else:
-            better = q < best_q
+            better = q < best_q - tol
             best_q = np.where(better, q, best_q)
             greedy[better] = a
     return values, tau * rel, greedy, it

@@ -199,7 +199,6 @@ def test_criterion_5_ordering_chain():
             horizon=100_000,
             episodes=10,
             seed=int(rng.integers(1 << 30)),
-            epsilon=1e-7,
         )
         holds += report.holds
         if not report.holds:
@@ -291,7 +290,7 @@ def test_criterion_10_byte_determinism(tmp_path):
     config_text = (
         "K = 10\nN = 1\ngamma = 0.1\ndelta_max = 2\nbattery = 1\n"
         "harvest = 0.5\nrequest_prob = 0.5\npolicies = rtt,greedy,relaxed\n"
-        "horizon = 3000\nepisodes = 2\nseed = 4\nepsilon = 1e-5\n"
+        "horizon = 3000\nepisodes = 2\nseed = 4\n"
     )
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(config_text)

@@ -45,7 +45,6 @@ policies = rtt,greedy,relaxed
 horizon = 3000
 episodes = 2
 seed = 4
-epsilon = 1e-5
 """
 
 
@@ -61,10 +60,10 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("fig2a.cfg", "421253131fbc"),
-        ("fig2b.cfg", "318206b2c475"),
-        ("sweep_gamma025.cfg", "7ec584cdd61e"),
-        ("tiny2.cfg", "c57eb2d38ed9"),
+        ("fig2a.cfg", "ba79c42979f7"),
+        ("fig2b.cfg", "7ea7930380ec"),
+        ("sweep_gamma025.cfg", "c8c4d29861b7"),
+        ("tiny2.cfg", "9fcb38de733f"),
     ],
 )
 def test_checked_in_config_hashes(name, digest):
@@ -106,8 +105,9 @@ def test_spec_requires_exactly_one_budget_form():
 
 
 def test_spec_rejects_unknown_keys():
-    # solver tolerances are fixed constants and the solve runs in one thread
-    for line in ("bogus = 1", "theta = 1e-7", "eta_tol = 1e-6", "threads = 2"):
+    # solver tolerances are fixed constants, the price search has no width
+    # to set, and the solve runs in one thread
+    for line in ("bogus = 1", "theta = 1e-7", "epsilon = 1e-4", "eta_tol = 1e-6", "threads = 2"):
         with pytest.raises(ValueError, match="unknown config keys"):
             parse_spec(TINY_CONFIG + f"\n{line}\n")
 
@@ -151,6 +151,19 @@ def test_solve_and_simulate_flow(tmp_path):
     results = (out / "results.csv").read_text().splitlines()
     assert results[0].startswith("config,build,policy,K,M,gamma")
     assert len(results) == 4  # header + rtt + greedy + relaxed
+
+
+def test_relaxed_flow_after_bracket_end_replaced(tmp_path):
+    # This solve moves the lower bracket end off price 0 to a breakpoint
+    # price, which the policy file must carry as a plain number.
+    cfg = _write_config(tmp_path, SMALL_FLEET.replace("delta_max = 2", "delta_max = 4"))
+    out = tmp_path / "run"
+    assert main(["solve-relaxed", "--config", str(cfg), "--out", str(out)]) == 0
+    policy_file = out / "relaxed_policy.csv"
+    meta = dict(t.split("=", 1) for t in policy_file.read_text().splitlines()[2][2:].split())
+    assert float(meta["mu_minus"]) > 0.0
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--policy", "relaxed", "--relaxed-policy", str(policy_file)]) == 0
 
 
 def test_simulate_greedy_needs_no_policy_file(tmp_path):

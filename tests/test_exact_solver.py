@@ -82,6 +82,18 @@ def test_k1_exact_equals_relaxed_at_zero_price():
         np.testing.assert_array_equal(policy.actions.ravel(), per_sensor.policy.actions)
 
 
+def test_ties_go_to_first_action_in_priority_order():
+    # Where both identical sensors share a state, commanding either one gives
+    # the same value: the tie goes to (1, 0), never to (0, 1).
+    sensor = SensorParams(0.3, 7, (0.6,) * 3)
+    net = NetworkConfig(2, 3, 1, 6, (sensor, sensor))
+    policy, _ = solve_exact(net)
+    n = policy.state_sizes[0]
+    shared = policy.actions[np.arange(n) * (n + 1)]
+    assert not ((shared[:, 0] == 0) & (shared[:, 1] == 1)).any()
+    assert (shared[:, 0] == 1).any()
+
+
 def test_bellman_residual_small():
     _, result = solve_exact(TINY2)
     assert bellman_residual(TINY2, result) <= 1e-6

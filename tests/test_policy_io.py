@@ -56,6 +56,36 @@ def test_mixed_policy_round_trip(tmp_path):
     assert float(meta["avg_cost"]) == pytest.approx(solution.avg_cost)
 
 
+def test_mixed_policy_round_trip_after_breakpoint_step(tmp_path):
+    # Its solve replaces a bracket end by a breakpoint price, which must be
+    # written as a plain number, not as numpy's repr.
+    net = NetworkConfig(3, 1, 1, 4, (
+        SensorParams(0.5, 1, (0.5,)),
+        SensorParams(0.875, 1, (0.75,)),
+        SensorParams(0.875, 3, (0.875,)),
+    ))
+    solution = solve_relaxed(net)
+    path = tmp_path / "mixed.csv"
+    save_mixed_policies(path, net, solution)
+    loaded, meta = load_mixed_policies(path, net)
+    for original, restored in zip(solution.policies, loaded):
+        np.testing.assert_array_equal(original.lower.actions, restored.lower.actions)
+        np.testing.assert_array_equal(original.upper.actions, restored.upper.actions)
+        assert restored.eta == original.eta
+        assert restored.lower.mu == solution.lagrange.mu_minus
+        assert restored.upper.mu == solution.lagrange.mu_plus
+    assert float(meta["mu_star"]) == solution.mu_star
+
+
+def test_mixed_policy_rejects_non_numeric_metadata(tmp_path):
+    net, path = _saved_mixed(tmp_path)
+    text = path.read_text()
+    path.write_text(text.replace(" mu_plus=", " mu_plus=np.float64(", 1).replace(
+        " active=", ") active=", 1))
+    with pytest.raises(PolicyFileError, match=r"mixed\.csv: metadata mu_plus="):
+        load_mixed_policies(path, net)
+
+
 def test_mixed_policy_rejects_wrong_network(tmp_path):
     net = NetworkConfig(2, 1, 1, 2, (TINY1, TINY1))
     other = NetworkConfig(2, 1, 1, 2, (TINY1, OTHER))

@@ -30,7 +30,7 @@ from aoisched import (
     solve_relaxed,
 )
 from aoisched import relaxed_solver
-from aoisched.rvi import DEFAULT_THETA, relative_value_iteration
+from aoisched.rvi import DEFAULT_THETA, IMPROVEMENT_TOL, relative_value_iteration
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 
@@ -200,7 +200,7 @@ def test_lower_bound_below_exact_on_replicas():
 
     for replicas in (1, 2):
         net = NetworkConfig(replicas, 1, 1, 2, (TINY1,) * replicas)
-        relaxed = solve_relaxed(net, epsilon=1e-7)
+        relaxed = solve_relaxed(net)
         _, exact = solve_exact(net)
         assert relaxed.avg_cost <= exact.avg_cost + 1e-6
 
@@ -305,10 +305,34 @@ def test_lower_bound_matches_relaxed_lp(net):
     assert solution.lagrange.dual_bound <= optimum + DEFAULT_THETA
 
 
+@settings(max_examples=30, deadline=None)
+@given(small_networks())
+def test_both_tables_optimal_at_critical_price(net):
+    solution = solve_relaxed(net)
+    lagrange = solution.lagrange
+    assert all(type(mu) is float for mu in (solution.mu_star, lagrange.mu_minus, lagrange.mu_plus))
+    assert lagrange.mu_minus <= solution.mu_star <= lagrange.mu_plus
+    # An inactive solve returns the zero-price tables at mu_star = 0.
+    mu = solution.mu_star
+    classes, counts, class_of = sensor_classes(net)
+    first = [int(np.flatnonzero(class_of == c)[0]) for c in range(len(classes))]
+
+    def fleet(lagrangians):
+        return float(counts @ np.array(lagrangians)) / (net.num_sensors * net.num_users)
+
+    optimum = fleet([solve_per_sensor(s, net.delta_max, mu).avg_lagrangian for s in classes])
+    for side in ("lower", "upper"):
+        ends = fleet([
+            evaluate_per_sensor(s, net.delta_max, getattr(solution.policies[k], side)).lagrangian(mu)
+            for s, k in zip(classes, first)
+        ])
+        assert abs(ends - optimum) <= IMPROVEMENT_TOL * max(1.0, abs(optimum)), side
+
+
 def test_breakpoints_inside_final_bracket_reach_relaxed_lp():
-    # Two breakpoints of the dual lie within epsilon of each other near
-    # mu = 2.875: the bisection's ends skip the table that flips only one of
-    # the last class's states 25 and 29, and mixing them sat 4e-9 above the LP.
+    # Two breakpoints of the dual lie about 3e-5 apart near mu = 2.875: a
+    # bracket of width 1e-4 there skipped the table that flips only one of the
+    # last class's states 25 and 29, and mixing its ends sat 4e-9 above the LP.
     net = NetworkConfig(3, 1, 1, 4, (
         SensorParams(0.5, 1, (0.5,)),
         SensorParams(0.875, 1, (0.75,)),
@@ -384,8 +408,8 @@ def test_fig2a_solve_matches_fixture():
         np.testing.assert_array_equal(
             [getattr(solution.policies[k], name).actions for k in first], expected[name])
     assert solution.eta == expected["eta"]
-    assert solution.lagrange.mu_minus == expected["mu_minus"]
-    assert solution.lagrange.mu_plus == expected["mu_plus"]
+    # The fixture's prices are the ends of the old bisection's final bracket.
+    assert expected["mu_minus"] < solution.mu_star < expected["mu_plus"]
     assert abs(solution.avg_cost - expected["lower_bound"]) <= 1e-9
 
 
