@@ -8,8 +8,8 @@ class AoischedError(Exception):
 class ConvergenceError(AoischedError):
     """Relative value iteration did not reach the span tolerance within the sweep cap.
 
-    Only the exact joint solver and the relaxed solver's multichain fallback
-    run value iteration; the relaxed solver's policy iteration does not raise it.
+    Only the exact joint solver (``solve_exact``) raises it; the relaxed
+    solver's policy iteration terminates finitely.
     """
 
     def __init__(self, message: str, iterations: int, span: float):
@@ -23,11 +23,11 @@ class StateSpaceError(AoischedError):
 
 
 class MultichainError(AoischedError):
-    """A policy-induced chain has more than one recurrent class reachable from the reference state."""
+    """A policy evaluation's Poisson system was singular or its solve missed the residual bound."""
 
 
 class BracketError(AoischedError):
-    """Bisection bracket is inconsistent (command rate not monotone beyond numerical noise)."""
+    """A price or mixing bracket is inconsistent (command rate not monotone beyond numerical noise)."""
 
 
 class PolicyFileError(AoischedError):

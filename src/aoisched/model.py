@@ -6,15 +6,17 @@ over (requests, battery, age) with age fastest, so policy tables serialize
 deterministically. The request count redraws independently every slot, so
 the dynamics are kept factorised: a request pmf and one (battery, age)
 kernel per action, never the full kernel over (requests, battery, age).
-:func:`expected_next` is the one expectation both value iterations use. All
-objects are immutable after construction and safe to share across
-concurrent workers.
+:func:`expected_next` is the expectation of the exact solver's value
+iteration; the relaxed solver averages the request count out of each
+policy's chain itself. All objects are immutable after construction and safe
+to share across concurrent workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -191,16 +193,18 @@ class SensorModel:
         return self._cost[action]
 
 
-def expected_next(models, bits, values: np.ndarray) -> np.ndarray:
-    """Expected next-slot value of independent sensors under one joint action.
+def expected_next(models, actions, values: np.ndarray) -> Iterator[np.ndarray]:
+    """Expected next-slot values of independent sensors, one per joint action.
 
     ``values`` lies on the axes (requests_1, x_1, ..., requests_K, x_K), with
     x_k sensor k's (battery, age) index: the (S_1, ..., S_K) state layout,
     reshaped. Sensor k's next request count is drawn from its request pmf
-    whatever its state, and its (battery, age) moves by
-    ``battery_age_kernel(bits[k])``; so each request axis is averaged out,
-    then each kernel is applied along its x axis. Returns the result with
-    length-one request axes, which broadcasts against ``values``.
+    whatever its state and action, and its (battery, age) moves by
+    ``battery_age_kernel(bits[k])``; so each request axis is averaged out
+    once, then for each action bit-tuple in ``actions`` in turn each
+    sensor's kernel is applied along its x axis. Yields the results with
+    length-one request axes, which broadcast against ``values``, one at a
+    time.
     """
 
     def along(axis, apply, arr):
@@ -210,9 +214,11 @@ def expected_next(models, bits, values: np.ndarray) -> np.ndarray:
 
     for k, model in enumerate(models):
         values = along(2 * k, lambda m: model.request_dist @ m, values)
-    for k, (model, bit) in enumerate(zip(models, bits)):
-        values = along(2 * k + 1, lambda m: model.battery_age_kernel(bit) @ m, values)
-    return values
+    for bits in actions:
+        out = values
+        for k, (model, bit) in enumerate(zip(models, bits)):
+            out = along(2 * k + 1, lambda m: model.battery_age_kernel(bit) @ m, out)
+        yield out
 
 
 @lru_cache(maxsize=None)

@@ -15,11 +15,12 @@ and the action, so a table over (requests, battery, age) acts on the
 (battery, age) states only through its request-averaged command probability.
 Every policy evaluation therefore runs on that (battery, age) chain, a factor
 num_users + 1 smaller than the full one: :func:`_poisson`, one sparse LU
-factorisation, yields its cost rate, its command rate and its relative values
-at once. Howard policy iteration solves each priced per-sensor problem on it,
-and the Q-values of the full states follow from one kernel product per
-action; a price at which policy iteration meets a multichain table is solved
-by relative value iteration, with the same request-averaged expectations.
+factorisation, yields its per-state cost and command rates and its relative
+values at once, whatever the number of closed classes. Multichain Howard
+policy iteration solves each priced per-sensor problem on it at every price,
+and the gain and bias Q-values of the full states follow from one kernel
+product per action; :func:`evaluate_per_sensor` reads the rates of any pure
+or mixed table at the reference state from the same solve.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import BracketError, MultichainError
-from .model import NetworkConfig, SensorModel, SensorParams, expected_next, sensor_classes, sensor_model
 # DEFAULT_THETA stays importable here: bench/run.py reads the span tolerance from this module.
-from .rvi import DEFAULT_THETA, IMPROVEMENT_TOL, relative_value_iteration  # noqa: F401
+from .exact_solver import DEFAULT_THETA, IMPROVEMENT_TOL  # noqa: F401
+from .model import NetworkConfig, SensorModel, SensorParams, sensor_classes, sensor_model
 
 __all__ = [
     "PolicyTable",
@@ -123,9 +124,8 @@ class ChainEvaluation:
 class PerSensorSolve:
     """Optimal per-sensor table at a fixed command price, with its exact averages.
 
-    ``iterations`` counts the policy evaluations of policy iteration (one LU
-    factorisation each), or value-iteration sweeps when the price took the
-    multichain fallback.
+    ``iterations`` counts the policy evaluations of policy iteration (one
+    Poisson solve each).
     """
 
     policy: PolicyTable
@@ -135,34 +135,51 @@ class PerSensorSolve:
     evaluation: ChainEvaluation
 
 
-def _poisson(chain: sp.csr_matrix, rhs: np.ndarray, ref: int) -> np.ndarray:
-    """Gains and relative values of a unichain chain, one column per reward in ``rhs``.
+def _poisson(chain: sp.csr_matrix, rhs: np.ndarray, ref: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state gains and relative values of any chain, one column per reward in ``rhs``.
 
-    Solves (I - P) h + g 1 = r with h[ref] = 0: the system matrix is I - P
-    with column ``ref`` replaced by ones, factorised once for every column.
-    Entry ``ref`` of a solution column is the gain g, the other entries are h.
-    The solvers pass the request-averaged (battery, age) chain, so the system
-    has (battery_capacity + 1) * delta_max unknowns. Raises
-    :class:`MultichainError` when the chain has more than one closed class,
-    when SuperLU finds the system singular, or when the solve misses
-    ``POISSON_RESIDUAL``.
+    Solves the multichain Poisson equations (I - P) g = 0, (I - P) h + g = r
+    (Puterman, *Markov Decision Processes*, 1994, section 9.2). Each closed
+    class has one gain unknown, in the column of a pivot state whose h is
+    fixed at 0; that column holds the probabilities of absorption into the
+    class, from one sparse solve on the transient block. With one closed class
+    the pivot is ``ref`` and the column is all ones. The solvers pass the
+    request-averaged (battery, age) chain, so the system has
+    (battery_capacity + 1) * delta_max unknowns. Raises
+    :class:`MultichainError` when SuperLU finds the system singular or the
+    solve misses ``POISSON_RESIDUAL``.
     """
     n = chain.shape[0]
     index = np.arange(n)
     rows, cols = np.repeat(index, np.diff(chain.indptr)), chain.indices
     n_comp, labels = connected_components(chain, directed=True, connection="strong")
     leaving = labels[rows] != labels[cols]
-    closed = n_comp - np.unique(labels[rows[leaving]]).size
-    if closed != 1:
-        raise MultichainError(f"{closed} recurrent classes in the policy-induced chain")
-    # I - P with column ref zeroed, plus a column of ones at ref; duplicates sum.
-    keep = cols != ref
+    leaky = np.zeros(n_comp, dtype=bool)
+    leaky[labels[rows[leaving]]] = True
+    closed = np.flatnonzero(~leaky)
+    if closed.size == 1:
+        pivots, absorb = np.array([ref]), np.ones((n, 1))
+    else:
+        pivots = np.unique(labels, return_index=True)[1][closed]
+        absorb = (labels[:, None] == closed).astype(np.float64)
+        transient = np.flatnonzero(leaky[labels])
+        if transient.size:
+            # (I - P_TT) A_T = P_TC A_C; the transient rows of ``absorb`` are still 0.
+            block = chain[transient]
+            inner = (sp.identity(transient.size) - block[:, transient]).tocsc()
+            absorb[transient] = splu(inner).solve(block @ absorb)
+    # I - P with the pivot columns zeroed, plus the absorption columns at the
+    # pivots; duplicates sum.
+    pivot = np.zeros(n, dtype=bool)
+    pivot[pivots] = True
+    keep = ~pivot[cols]
+    gain_rows, gain_cols = np.nonzero(absorb)
     system = sp.csc_matrix(
         (
-            np.concatenate([-chain.data[keep], index != ref, np.ones(n)]),
+            np.concatenate([-chain.data[keep], ~pivot, absorb[gain_rows, gain_cols]]),
             (
-                np.concatenate([rows[keep], index, index]),
-                np.concatenate([cols[keep], index, np.full(n, ref)]),
+                np.concatenate([rows[keep], index, gain_rows]),
+                np.concatenate([cols[keep], index, pivots[gain_cols]]),
             ),
         ),
         shape=(n, n),
@@ -180,7 +197,9 @@ def _poisson(chain: sp.csr_matrix, rhs: np.ndarray, ref: int) -> np.ndarray:
         raise MultichainError(
             f"policy evaluation residual {residual:.3e} exceeds {POISSON_RESIDUAL:.0e}"
         )
-    return x
+    gains = absorb @ x[pivots]
+    x[pivots] = 0.0
+    return gains, x
 
 
 def _mean_chain(
@@ -203,58 +222,36 @@ def _mean_chain(
         data = mat.data * np.repeat(weight, np.diff(mat.indptr))
         return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
 
-    # The sum drops the entries that a zero weight left behind.
-    chain = scaled_rows(model.battery_age_kernel(0), 1.0 - w_bar) + scaled_rows(
+    # Where every possible request count commands, 1 - w̄ can round to 1e-16
+    # instead of 0, and that edge would open a closed class; pmf @ (1 - w) is
+    # exactly 0 there. The sum drops the entries that a zero weight left behind.
+    idle = np.where(pmf @ (1.0 - w) > 0.0, 1.0 - w_bar, 0.0)
+    chain = scaled_rows(model.battery_age_kernel(0), idle) + scaled_rows(
         model.battery_age_kernel(1), w_bar
     )
     return chain, cost, w_bar
 
 
-def _value_iteration_solve(model: SensorModel, mu: float) -> PerSensorSolve:
-    """The multichain fallback: relative value iteration, then an exact evaluation.
-
-    Values are shaped (requests, battery-age), the one-sensor joint layout of
-    :func:`expected_next`.
-    """
-    backups = [
-        (model.cost_vector(a).reshape(model.request_dist.size, -1) + a * mu,
-         lambda values, bits=(a,): expected_next((model,), bits, values))
-        for a in (0, 1)
-    ]
-    values, rel, greedy, iterations = relative_value_iteration(
-        backups, (0, model.ref_index), f"per-sensor value iteration at mu={mu}"
-    )
-    policy = PolicyTable(actions=greedy.ravel(), mu=float(mu))
-    rel = rel.ravel()
-    rel.setflags(write=False)
-    return PerSensorSolve(
-        policy=policy,
-        rel_values=rel,
-        avg_lagrangian=float(values[0, model.ref_index]),
-        iterations=iterations,
-        evaluation=evaluate_per_sensor(model.sensor, model.delta_max, policy),
-    )
-
-
 def solve_per_sensor(
     sensor: SensorParams, delta_max: int, mu: float, start: np.ndarray | None = None
 ) -> PerSensorSolve:
-    """Howard policy iteration for one sensor with commands priced at mu.
+    """Multichain Howard policy iteration for one sensor with commands priced at mu.
 
     Starts from the action bits ``start`` (by default the myopic table that
     commands where the price undercuts the slot-cost saving). Each step
     evaluates the table exactly with :func:`_poisson` on its request-averaged
-    (battery, age) chain, whose relative values h̄ give the Q-values
-    q_a(r, x) = c_a(r, x) + (Q_a h̄)(x) of every full state, and switches the
-    states whose Q-value drops by more than ``IMPROVEMENT_TOL`` times max|h|.
-    The returned table is the first minimum of the converged Q-values, so ties
-    resolve to no-command and the table does not depend on ``start``; its
-    exact cost and command rates, average Lagrangian and relative values come
-    from its own evaluation. ``rel_values`` covers the full (requests,
-    battery, age) states: h(s) = q_π(s)(s) - q_π(ref)(ref), zero at the
-    reference state. A price at which policy iteration meets a multichain
-    table is solved by relative value iteration instead, whose average
-    Lagrangian is within ``DEFAULT_THETA`` of the optimum.
+    (battery, age) chain. Its gains ḡ and relative values h̄ give each full
+    state (r, x) the gain Q-values (Q_a ḡ)(x) and the Q-values
+    q_a(r, x) = c_a(r, x) + (Q_a h̄)(x). A step switches the states whose gain
+    Q-value drops by more than ``IMPROVEMENT_TOL`` times max|ḡ| or, where none
+    does, the states whose gain Q-values tie within that and whose Q-value
+    drops by more than ``IMPROVEMENT_TOL`` times max|h|; with one closed class
+    every step is of the second kind. The returned table is the first minimum
+    of the converged gain Q-values, then of the Q-values, so ties resolve to
+    no-command and the table does not depend on ``start``; its exact rates
+    from the reference state, average Lagrangian and relative values come from
+    its own evaluation. ``rel_values`` covers the full (requests, battery,
+    age) states: h(s) = q_π(s)(s) - q_π(ref)(ref), zero at the reference state.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -267,34 +264,41 @@ def solve_per_sensor(
     actions = c1 < c0 if start is None else np.asarray(start).reshape(shape) == 1
 
     def evaluate(actions):
+        """Exact rates of a table, its (idle, command) gain Q-values and gain
+        tolerance, its (idle, command) Q-values, and its relative values."""
         chain, cost, rate = _mean_chain(model, actions.astype(np.float64))
-        x = _poisson(chain, np.column_stack([cost, rate]), model.ref_index)
-        gains = x[model.ref_index].copy()
-        x[model.ref_index] = 0.0
+        gains, x = _poisson(chain, np.column_stack([cost, rate]), model.ref_index)
+        g_bar = gains[:, 0] + mu * gains[:, 1]
         h_bar = x[:, 0] + mu * x[:, 1]
         q0, q1 = c0 + k0 @ h_bar, c1 + k1 @ h_bar
         q_pi = np.where(actions, q1, q0)
-        rel = q_pi - q_pi[0, model.ref_index]
-        return ChainEvaluation(float(gains[0]), float(gains[1])), q0, q1, rel
+        evaluation = ChainEvaluation(float(gains[model.ref_index, 0]),
+                                     float(gains[model.ref_index, 1]))
+        return (evaluation, (k0 @ g_bar, k1 @ g_bar),
+                IMPROVEMENT_TOL * float(np.abs(g_bar).max()), (q0, q1),
+                q_pi - q_pi[0, model.ref_index])
+
+    def improves(pair, tol):
+        """Where the action the table does not take is lower by more than tol."""
+        idle, command = pair
+        return np.where(actions, idle < command - tol, command < idle - tol)
 
     iterations = 0
-    try:
-        while True:
-            iterations += 1
-            evaluation, q0, q1, rel = evaluate(actions)
-            tol = IMPROVEMENT_TOL * float(np.abs(rel).max())
-            switch = np.where(actions, q0 < q1 - tol, q1 < q0 - tol)
+    while True:
+        iterations += 1
+        evaluation, gain_q, gain_tol, q, rel = evaluate(actions)
+        switch = improves(gain_q, gain_tol)
+        if not switch.any():
+            tied = np.abs(gain_q[1] - gain_q[0]) <= gain_tol
+            switch = tied & improves(q, IMPROVEMENT_TOL * float(np.abs(rel).max()))
             if not switch.any():
                 break
-            actions = actions ^ switch
-        final = q1 < q0
-        if not np.array_equal(final, actions):
-            iterations += 1
-            actions = final
-            evaluation, _, _, rel = evaluate(actions)
-    except MultichainError as exc:
-        log.debug("mu=%.6g: %s; solving by value iteration", mu, exc)
-        return _value_iteration_solve(model, mu)
+        actions = actions ^ switch
+    final = np.where(tied, q[1] < q[0], gain_q[1] < gain_q[0])
+    if not np.array_equal(final, actions):
+        iterations += 1
+        actions = final
+        evaluation, _, _, _, rel = evaluate(actions)
     rel = rel.ravel()
     rel.setflags(write=False)
     return PerSensorSolve(
@@ -311,14 +315,13 @@ def evaluate_per_sensor(
     delta_max: int,
     policy: PolicyTable | MixedPolicy,
 ) -> ChainEvaluation:
-    """Exact long-run cost and command rates of a per-sensor policy.
+    """Exact long-run cost and command rates of a per-sensor policy from the
+    reference state (requests 0, battery 0, age 1).
 
     Pure and mixed tables alike act through their request-averaged (battery,
-    age) chain. It is restricted to the states reachable from the reference
-    state (battery 0, age 1; its successors do not depend on the request
-    count or the action) and evaluated there by :func:`_poisson`, which
-    raises :class:`MultichainError` unless exactly one recurrent class is
-    reachable.
+    age) chain, whose per-state gains :func:`_poisson` returns for any number
+    of closed classes; the reference state's successors do not depend on the
+    request count or the action, so its gains are those of the full chain.
     """
     model = sensor_model(sensor, delta_max)
     if isinstance(policy, MixedPolicy):
@@ -328,16 +331,9 @@ def evaluate_per_sensor(
     if w_cmd.size != model.num_states:
         raise ValueError("policy does not cover the sensor state space")
     chain, cost, rate = _mean_chain(model, w_cmd)
-    reachable = np.sort(
-        breadth_first_order(chain, model.ref_index, directed=True, return_predecessors=False)
-    )
-    ref = int(np.searchsorted(reachable, model.ref_index))
-    x = _poisson(
-        chain[reachable][:, reachable].tocsr(),
-        np.column_stack([cost[reachable], rate[reachable]]),
-        ref,
-    )
-    return ChainEvaluation(cost_rate=float(x[ref, 0]), command_rate=float(x[ref, 1]))
+    gains, _ = _poisson(chain, np.column_stack([cost, rate]), model.ref_index)
+    return ChainEvaluation(cost_rate=float(gains[model.ref_index, 0]),
+                           command_rate=float(gains[model.ref_index, 1]))
 
 
 @lru_cache(maxsize=64)

@@ -102,42 +102,6 @@ def pure_chains(sensor: SensorParams, delta_max: int) -> list[tuple[np.ndarray, 
     return [full_chain(sensor, delta_max, np.full(n, float(a))) for a in (0, 1)]
 
 
-def full_chain_rates(
-    sensor: SensorParams, delta_max: int, w_cmd: np.ndarray
-) -> tuple[float, float] | None:
-    """Long-run (cost, command) rates of a per-sensor table from the reference
-    state (requests=0, battery=0, age=1), by a dense stationary solve over
-    the full (requests, battery, age) chain of :func:`full_chain`.
-
-    Returns None when more than one closed class is reachable from the
-    reference state, where the rates depend on the start.
-    """
-    chain, cost = full_chain(sensor, delta_max, w_cmd)
-    edges = chain > 0
-    reach = np.zeros(len(cost), dtype=bool)
-    reach[0] = True
-    while True:
-        grown = reach | edges[reach].any(axis=0)
-        if (grown == reach).all():
-            break
-        reach = grown
-    members = np.flatnonzero(reach)
-    _, labels = connected_components(
-        sp.csr_matrix(edges[np.ix_(members, members)]), directed=True, connection="strong"
-    )
-    closed = [
-        members[labels == comp] for comp in np.unique(labels)
-        if not edges[np.ix_(members[labels == comp], members[labels != comp])].any()
-    ]
-    if len(closed) != 1:
-        return None
-    recurrent = closed[0]
-    m = recurrent.size
-    system = np.vstack([(chain[np.ix_(recurrent, recurrent)].T - np.eye(m))[:-1], np.ones(m)])
-    dist = np.linalg.solve(system, np.eye(m)[-1])
-    return float(dist @ cost[recurrent]), float(dist @ np.asarray(w_cmd)[recurrent])
-
-
 def chain_average_cost(transition: np.ndarray, cost: np.ndarray, start: int) -> float:
     """Exact long-run average cost of a finite Markov chain from a start state.
 

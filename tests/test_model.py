@@ -174,11 +174,13 @@ def test_kernel_lifts_battery_age_kernel():
         chains = [pure_chains(s, delta_max) for s in sensors]
         shape = [n for m in models for n in (m.request_dist.size, m.num_states // m.request_dist.size)]
         values = rng.normal(size=[m.num_states for m in models])
-        for bits in product((0, 1), repeat=len(sensors)):
+        actions = list(product((0, 1), repeat=len(sensors)))
+        for bits, got in zip(actions, expected_next(models, actions, values.reshape(shape)),
+                             strict=True):
             expected = values
             for k, (chain, bit) in enumerate(zip(chains, bits)):
                 expected = np.moveaxis(np.tensordot(chain[bit][0], expected, axes=(1, k)), 0, k)
-            got = np.broadcast_to(expected_next(models, bits, values.reshape(shape)), shape)
+            got = np.broadcast_to(got, shape)
             np.testing.assert_allclose(got.ravel(), expected.ravel(), rtol=0, atol=1e-12)
 
 

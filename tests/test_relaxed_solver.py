@@ -1,17 +1,15 @@
 """Per-sensor solver, exact evaluator, price bisection, and mixing tests."""
 
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     best_deterministic_policy,
+    chain_average_cost,
     full_chain,
-    full_chain_rates,
     pure_chains,
     random_sensor,
     relaxed_lp,
@@ -30,7 +28,7 @@ from aoisched import (
     solve_relaxed,
 )
 from aoisched import relaxed_solver
-from aoisched.rvi import DEFAULT_THETA, IMPROVEMENT_TOL, relative_value_iteration
+from aoisched.exact_solver import DEFAULT_THETA, IMPROVEMENT_TOL, relative_value_iteration
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 
@@ -87,9 +85,14 @@ def test_evaluate_matches_lagrangian_of_solver():
     assert ev.lagrangian(mu) == pytest.approx(solve.avg_lagrangian, abs=1e-6)
 
 
+def _full_chain_rates(sensor, delta_max, w_cmd):
+    """Long-run (cost, command) rates from the reference state on the full chain."""
+    chain, cost = full_chain(sensor, delta_max, w_cmd)
+    return chain_average_cost(chain, cost, 0), chain_average_cost(chain, w_cmd, 0)
+
+
 def test_evaluate_detects_multichain():
-    # Unreachable classes are legal: evaluation is restricted to the states
-    # reachable from the reference state.
+    # Classes the reference state does not reach leave its rates alone.
     sensor = SensorParams(0.0, 1, (1.0,))
     model = sensor_model(sensor, 2)
     always = PolicyTable(actions=np.ones(model.num_states, dtype=np.int8), mu=0.0)
@@ -106,8 +109,25 @@ def test_evaluate_detects_multichain():
     model = sensor_model(sensor, 3)
     battery, age, requests = model.battery_of, model.age_of, model.requests_of
     split = (battery == 2) | ((battery == 1) & ((age == 1) | ((age == 2) & (requests >= 1))))
-    with pytest.raises(MultichainError, match="2 recurrent classes"):
-        evaluate_per_sensor(sensor, 3, PolicyTable(actions=split, mu=0.0))
+    ev = evaluate_per_sensor(sensor, 3, PolicyTable(actions=split, mu=0.0))
+    cost, rate = _full_chain_rates(sensor, 3, split.astype(np.float64))
+    assert abs(ev.cost_rate - cost) <= 1e-12
+    assert abs(ev.command_rate - rate) <= 1e-12
+
+
+def test_evaluate_always_commanding_request_counts_leave_no_idle_edge():
+    # Every possible request count commands at battery 2, age 6; the
+    # request-averaged idle weight there is 0, not the 1.1e-16 of 1 minus the
+    # averaged command probability, which opened a closed class.
+    sensor = SensorParams(1.0, 2, (0.0, 0.25, 0.05))
+    model = sensor_model(sensor, 8)
+    actions = np.zeros(model.num_states, dtype=np.int8)
+    actions[[21, 45, 69]] = 1
+    ev = evaluate_per_sensor(sensor, 8, PolicyTable(actions=actions, mu=0.0))
+    cost, rate = _full_chain_rates(sensor, 8, actions.astype(np.float64))
+    assert cost == pytest.approx(1.05, abs=1e-12) and rate == pytest.approx(1 / 6, abs=1e-12)
+    assert abs(ev.cost_rate - cost) <= 1e-12
+    assert abs(ev.command_rate - rate) <= 1e-12
 
 
 def test_evaluate_rejects_nan_stationary_solve(monkeypatch):
@@ -365,11 +385,7 @@ def test_evaluation_matches_full_chain_oracle(sensor, delta_max, data):
     if data.draw(st.booleans()):
         policy = MixedPolicy(policy, data.draw(table), data.draw(PROBABILITY))
     w_cmd = policy.command_prob() if isinstance(policy, MixedPolicy) else policy.actions
-    expected = full_chain_rates(sensor, delta_max, w_cmd.astype(np.float64))
-    if expected is None:
-        with pytest.raises(MultichainError):
-            evaluate_per_sensor(sensor, delta_max, policy)
-        return
+    expected = _full_chain_rates(sensor, delta_max, w_cmd.astype(np.float64))
     ev = evaluate_per_sensor(sensor, delta_max, policy)
     assert abs(ev.cost_rate - expected[0]) <= 1e-10
     assert abs(ev.command_rate - expected[1]) <= 1e-10
@@ -378,12 +394,7 @@ def test_evaluation_matches_full_chain_oracle(sensor, delta_max, data):
 @settings(max_examples=60, deadline=None)
 @given(boundary_sensors(), st.integers(2, 8), st.floats(0.0, 6.0))
 def test_relative_values_solve_full_chain_poisson_equation(sensor, delta_max, mu):
-    # Only policy iteration's relative values are exact; those of the
-    # multichain fallback are value-iteration estimates.
-    with mock.patch.object(relaxed_solver, "relative_value_iteration",
-                           wraps=relative_value_iteration) as fallback:
-        solve = solve_per_sensor(sensor, delta_max, mu)
-    assume(not fallback.called)
+    solve = solve_per_sensor(sensor, delta_max, mu)
     actions = solve.policy.actions.astype(np.float64)
     chain, cost = full_chain(sensor, delta_max, actions)
     rel = solve.rel_values
@@ -415,11 +426,13 @@ def test_fig2a_solve_matches_fixture():
 
 def _value_iteration(sensor, delta_max, mu):
     # On the reference chains, so the check shares no kernel with the solver.
-    backups = [
-        (cost + a * mu, sp.csr_matrix(mat).dot)
-        for a, (mat, cost) in enumerate(pure_chains(sensor, delta_max))
-    ]
-    values, _, greedy, _ = relative_value_iteration(backups, 0, "reference")
+    chains = pure_chains(sensor, delta_max)
+    values, _, greedy, _ = relative_value_iteration(
+        [cost + a * mu for a, (_, cost) in enumerate(chains)],
+        lambda rel: (mat @ rel for mat, _ in chains),
+        0,
+        "reference",
+    )
     return float(values[0]), greedy
 
 
@@ -452,19 +465,31 @@ def test_policy_iteration_matches_value_iteration(sensor, delta_max, mu):
     assert (gaps <= 1e-9).all(), f"states {differ.tolist()} differ with gaps {gaps.tolist()}"
 
 
-def test_multichain_price_falls_back_to_value_iteration(monkeypatch):
+def test_multichain_price_solved_by_policy_iteration():
     # Sure energy and sure requests: a table that commands at every charged
-    # level keeps each battery level closed, so policy iteration cannot run.
+    # level keeps each battery level closed. A start whose battery-1 and
+    # (battery 2, age 1) classes cost 1 a slot and whose battery-3 class
+    # costs 8 gives states different gains; the solve ends at the same table.
     sensor = SensorParams(1.0, 3, (1.0,))
-    calls = []
-
-    def counted(*args):
-        calls.append(args[-1])
-        return relative_value_iteration(*args)
-
-    monkeypatch.setattr(relaxed_solver, "relative_value_iteration", counted)
-    solve = solve_per_sensor(sensor, 8, 0.0)
-    assert len(calls) == 1
+    model = sensor_model(sensor, 8)
+    battery, age = model.battery_of, model.age_of
     _, greedy = _value_iteration(sensor, 8, 0.0)
-    np.testing.assert_array_equal(solve.policy.actions, greedy)
-    assert solve.evaluation.cost_rate == pytest.approx(1.0, abs=1e-10)
+    for start in (None, (battery == 1) | ((battery == 2) & (age == 1))):
+        solve = solve_per_sensor(sensor, 8, 0.0, start)
+        assert abs(solve.evaluation.cost_rate - 1.0) <= 1e-12
+        np.testing.assert_array_equal(solve.policy.actions, greedy)
+
+
+TINY_BOUNDARY = st.builds(
+    lambda harvest, prob: SensorParams(harvest, 1, (prob,)), PROBABILITY, PROBABILITY)
+
+
+@settings(max_examples=60, deadline=None)
+@given(TINY_BOUNDARY, st.floats(0.0, 6.0),
+       st.none() | st.lists(st.integers(0, 1), min_size=8, max_size=8))
+def test_boundary_solves_match_policy_enumeration(sensor, mu, start):
+    # Eight states, multichain tables included: the optimal gain is exact
+    # from any start.
+    oracle_value, _ = best_deterministic_policy(sensor, 2, mu)
+    solve = solve_per_sensor(sensor, 2, mu, None if start is None else np.array(start))
+    assert abs(solve.avg_lagrangian - oracle_value) <= 1e-9
