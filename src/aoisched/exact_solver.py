@@ -3,7 +3,7 @@ budget built into the action set, solved by synchronous relative value iteration
 
 Each sweep takes its expectations from :func:`model.expected_next`, which
 averages out every sensor's request count once and then applies each joint
-action's sparse (battery, age) kernels, so memory and per-sweep work are
+action's (battery, age) successor tables, so memory and per-sweep work are
 linear in the joint state count. The joint state count is capped and larger
 instances are directed to the relaxed solver.
 """

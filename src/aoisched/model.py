@@ -1,15 +1,17 @@
-"""Problem instances, state spaces, per-sensor transition kernels, and the slot cost.
+"""Problem instances, state spaces, per-sensor dynamics, and the slot cost.
 
 Every solver and the simulator consume the objects defined here. A per-sensor
 state is the triple (requests, battery, age); states are indexed row-major
 over (requests, battery, age) with age fastest, so policy tables serialize
 deterministically. The request count redraws independently every slot, so
-the dynamics are kept factorised: a request pmf and one (battery, age)
-kernel per action, never the full kernel over (requests, battery, age).
-:func:`expected_next` is the expectation of the exact solver's value
-iteration; the relaxed solver averages the request count out of each
-policy's chain itself. All objects are immutable after construction and safe
-to share across concurrent workers.
+the dynamics are kept factorised: a request pmf and one integer successor
+table over the (battery, age) states, built from :func:`slot_step`, never
+the full kernel over (requests, battery, age). The simulator steps sensors
+through that table; :func:`expected_next` is the expectation of the exact
+solver's value iteration, and the relaxed solver builds each policy's
+request-averaged chain from the same table. This module needs numpy only.
+All objects are immutable after construction and safe to share across
+concurrent workers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "SensorParams",
@@ -127,15 +128,20 @@ def request_pmf(sensor: SensorParams) -> np.ndarray:
 
 
 class SensorModel:
-    """Precomputed per-sensor MDP pieces: state coordinates, transition kernels, costs.
+    """Precomputed per-sensor MDP pieces: state coordinates, successor table, costs.
 
     States are laid out as :func:`state_index` numbers them. The request count
     redraws independently of the state and the action every slot, so each
-    action's dynamics live on the (battery, age) states: a kernel Q_a whose
-    rows have at most two successors (harvest or not) and a deterministic
-    next age. The transition over (requests, battery, age) is
-    pmf(r') Q_a(x, x'), with x the (battery, age) index; it is applied in that
-    factorised form by :func:`expected_next` and never built.
+    action's dynamics live on the (battery, age) states, indexed by
+    x = battery * delta_max + age - 1: ``succ[x, a, e]`` is the successor of x
+    under action bit a when e units are harvested, built once from
+    :func:`slot_step`, and ``succ_prob[x, a, e]`` the probability of that
+    branch. Where both branches reach one state, the harvest slot holds the
+    merged probability ``rate + (1 - rate)`` and the other slot 0. Q_a, the
+    kernel over x, has at most two successors per row; the transition over
+    (requests, battery, age) is pmf(r') Q_a(x, x'), applied in that factorised
+    form by :func:`expected_next` and never built. The simulator steps each
+    sensor's index through the same table.
     """
 
     def __init__(self, sensor: SensorParams, delta_max: int):
@@ -143,7 +149,8 @@ class SensorModel:
             raise ValueError("delta_max must be >= 2")
         self.sensor = sensor
         self.delta_max = int(delta_max)
-        shape = (sensor.num_users + 1, sensor.battery_capacity + 1, self.delta_max)
+        capacity, rate = sensor.battery_capacity, sensor.harvest_rate
+        shape = (sensor.num_users + 1, capacity + 1, self.delta_max)
         self.num_states = int(np.prod(shape))
         self.requests_of, self.battery_of, age0 = np.unravel_index(
             np.arange(self.num_states), shape
@@ -153,40 +160,40 @@ class SensorModel:
         # State (requests=0, battery=0, age=1); also its (battery, age) index.
         self.ref_index = 0
 
-        self._kernel, next_ages = zip(*(self._build(a) for a in (0, 1)))
+        n = shape[1] * shape[2]
+        battery, age = self.battery_of[:n], self.age_of[:n]  # the requests=0 block
+        self.succ = np.empty((n, 2, 2), dtype=np.intp)
+        next_ages = []
+        for a in (0, 1):
+            for e in (0, 1):
+                _, next_battery, next_age = slot_step(battery, age, a, e, capacity, self.delta_max)
+                self.succ[:, a, e] = state_index(0, next_battery, next_age, capacity,
+                                                 self.delta_max)
+            next_ages.append(next_age)  # the age does not depend on the branch
+        merged = self.succ[:, :, 1] == self.succ[:, :, 0]
+        self.succ_prob = np.stack(
+            [np.where(merged, 0.0, 1.0 - rate), np.where(merged, rate + (1.0 - rate), rate)],
+            axis=2,
+        )
         self._cost = tuple(
             (self.requests_of * np.tile(age, shape[0])).astype(np.float64) for age in next_ages
         )
         for arr in (self.age_of, self.battery_of, self.requests_of, self.request_dist,
-                    *self._cost):
+                    self.succ, self.succ_prob, *self._cost):
             arr.setflags(write=False)
 
-    def _build(self, action: int) -> tuple[sp.csr_matrix, np.ndarray]:
-        """Kernel Q_a and the next age per (battery, age) state."""
-        capacity = self.sensor.battery_capacity
-        rate = self.sensor.harvest_rate
-        n = (capacity + 1) * self.delta_max
-        battery, age = self.battery_of[:n], self.age_of[:n]  # the requests=0 block
-        # Harvest branch first, then the no-harvest branch; the age does not
-        # depend on the branch.
-        branches = [
-            slot_step(battery, age, action, harvested, capacity, self.delta_max)
-            for harvested in (1, 0)
-        ]
-        next_age = branches[0][2]
-        cols = state_index(0, np.stack([b for _, b, _ in branches], axis=1), next_age[:, None],
-                           capacity, self.delta_max)
-        mat = sp.coo_matrix(
-            (np.tile([rate, 1.0 - rate], n), (np.repeat(np.arange(n), 2), cols.ravel())),
-            shape=(n, n),
-        ).tocsr()
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
-        return mat, next_age
+    def expect(self, action: int, values: np.ndarray, axis: int = 0) -> np.ndarray:
+        """(Q_a values)(x) = E[values(x') | x, a] for every (battery, age) index x,
+        along ``axis`` of ``values``.
 
-    def battery_age_kernel(self, action: int) -> sp.csr_matrix:
-        """Row-stochastic kernel Q_a over the (battery, age) states under one action bit."""
-        return self._kernel[action]
+        A two-term gather over the branches; two terms sum the same in either
+        order, so the result equals a sparse matrix product with Q_a.
+        """
+        succ, prob = self.succ[:, action], self.succ_prob[:, action]
+        shape = [1] * values.ndim
+        shape[axis] = -1
+        return (prob[:, 1].reshape(shape) * values.take(succ[:, 1], axis=axis)
+                + prob[:, 0].reshape(shape) * values.take(succ[:, 0], axis=axis))
 
     def cost_vector(self, action: int) -> np.ndarray:
         """Slot cost per state under a fixed action bit (requests times next age)."""
@@ -200,30 +207,26 @@ def expected_next(models, actions, values: np.ndarray) -> Iterator[np.ndarray]:
     x_k sensor k's (battery, age) index: the (S_1, ..., S_K) state layout,
     reshaped. Sensor k's next request count is drawn from its request pmf
     whatever its state and action, and its (battery, age) moves by
-    ``battery_age_kernel(bits[k])``; so each request axis is averaged out
+    ``SensorModel.expect(bits[k], ...)``; so each request axis is averaged out
     once, then for each action bit-tuple in ``actions`` in turn each
-    sensor's kernel is applied along its x axis. Yields the results with
-    length-one request axes, which broadcast against ``values``, one at a
-    time.
+    sensor's successor table is applied along its x axis. Yields the results
+    with length-one request axes, which broadcast against ``values``, one at
+    a time.
     """
-
-    def along(axis, apply, arr):
-        moved = np.moveaxis(arr, axis, 0)
-        out = apply(moved.reshape(moved.shape[0], -1))
-        return np.moveaxis(out.reshape(-1, *moved.shape[1:]), 0, axis)
-
     for k, model in enumerate(models):
-        values = along(2 * k, lambda m: model.request_dist @ m, values)
+        moved = np.moveaxis(values, 2 * k, 0)
+        averaged = model.request_dist @ moved.reshape(moved.shape[0], -1)
+        values = np.moveaxis(averaged.reshape(1, *moved.shape[1:]), 0, 2 * k)
     for bits in actions:
         out = values
         for k, (model, bit) in enumerate(zip(models, bits)):
-            out = along(2 * k + 1, lambda m: model.battery_age_kernel(bit) @ m, out)
+            out = model.expect(bit, out, axis=2 * k + 1)
         yield out
 
 
 @lru_cache(maxsize=None)
 def sensor_model(sensor: SensorParams, delta_max: int) -> SensorModel:
-    """Cached per-(sensor, age cap) model; kernels are built once and shared."""
+    """Cached per-(sensor, age cap) model; tables are built once and shared."""
     return SensorModel(sensor, delta_max)
 
 

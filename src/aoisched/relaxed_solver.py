@@ -14,13 +14,15 @@ The request count is redrawn independently every slot, whatever the state
 and the action, so a table over (requests, battery, age) acts on the
 (battery, age) states only through its request-averaged command probability.
 Every policy evaluation therefore runs on that (battery, age) chain, a factor
-num_users + 1 smaller than the full one: :func:`_poisson`, one sparse LU
-factorisation, yields its per-state cost and command rates and its relative
-values at once, whatever the number of closed classes. Multichain Howard
-policy iteration solves each priced per-sensor problem on it at every price,
-and the gain and bias Q-values of the full states follow from one kernel
-product per action; :func:`evaluate_per_sensor` reads the rates of any pure
-or mixed table at the reference state from the same solve.
+num_users + 1 smaller than the full one, assembled straight from the model's
+successor table: :func:`_poisson`, one sparse LU factorisation, yields its
+per-state cost and command rates and its relative values at once, whatever
+the number of closed classes. It is the only place that needs scipy.
+Multichain Howard policy iteration solves each priced per-sensor problem on
+it at every price, and the gain and bias Q-values of the full states follow
+from one ``SensorModel.expect`` per action; :func:`evaluate_per_sensor`
+reads the rates of any pure or mixed table at the reference state from the
+same solve.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .errors import BracketError, MultichainError
 # DEFAULT_THETA stays importable here: bench/run.py reads the span tolerance from this module.
@@ -135,24 +134,34 @@ class PerSensorSolve:
     evaluation: ChainEvaluation
 
 
-def _poisson(chain: sp.csr_matrix, rhs: np.ndarray, ref: int) -> tuple[np.ndarray, np.ndarray]:
+def _poisson(chain: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray,
+             ref: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-state gains and relative values of any chain, one column per reward in ``rhs``.
 
-    Solves the multichain Poisson equations (I - P) g = 0, (I - P) h + g = r
-    (Puterman, *Markov Decision Processes*, 1994, section 9.2). Each closed
-    class has one gain unknown, in the column of a pivot state whose h is
-    fixed at 0; that column holds the probabilities of absorption into the
-    class, from one sparse solve on the transient block. With one closed class
-    the pivot is ``ref`` and the column is all ones. The solvers pass the
-    request-averaged (battery, age) chain, so the system has
+    ``chain`` holds the (rows, cols, data) of the transition matrix in
+    canonical CSR order: sorted by row, then column, with no duplicates and no
+    zeros. Solves the multichain Poisson equations (I - P) g = 0,
+    (I - P) h + g = r (Puterman, *Markov Decision Processes*, 1994, section
+    9.2). Each closed class has one gain unknown, in the column of a pivot
+    state whose h is fixed at 0; that column holds the probabilities of
+    absorption into the class, from one sparse solve on the transient block.
+    With one closed class the pivot is ``ref`` and the column is all ones. The
+    solvers pass the request-averaged (battery, age) chain, so the system has
     (battery_capacity + 1) * delta_max unknowns. Raises
     :class:`MultichainError` when SuperLU finds the system singular or the
     solve misses ``POISSON_RESIDUAL``.
     """
-    n = chain.shape[0]
+    # scipy is imported here, not at module level, so that importing the
+    # package to simulate saved tables does not pay for scipy.sparse.
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import splu
+
+    rows, cols, data = chain
+    n = rhs.shape[0]
     index = np.arange(n)
-    rows, cols = np.repeat(index, np.diff(chain.indptr)), chain.indices
-    n_comp, labels = connected_components(chain, directed=True, connection="strong")
+    matrix = sp.csr_matrix((data, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    n_comp, labels = connected_components(matrix, directed=True, connection="strong")
     leaving = labels[rows] != labels[cols]
     leaky = np.zeros(n_comp, dtype=bool)
     leaky[labels[rows[leaving]]] = True
@@ -165,7 +174,7 @@ def _poisson(chain: sp.csr_matrix, rhs: np.ndarray, ref: int) -> tuple[np.ndarra
         transient = np.flatnonzero(leaky[labels])
         if transient.size:
             # (I - P_TT) A_T = P_TC A_C; the transient rows of ``absorb`` are still 0.
-            block = chain[transient]
+            block = matrix[transient]
             inner = (sp.identity(transient.size) - block[:, transient]).tocsc()
             absorb[transient] = splu(inner).solve(block @ absorb)
     # I - P with the pivot columns zeroed, plus the absorption columns at the
@@ -176,7 +185,7 @@ def _poisson(chain: sp.csr_matrix, rhs: np.ndarray, ref: int) -> tuple[np.ndarra
     gain_rows, gain_cols = np.nonzero(absorb)
     system = sp.csc_matrix(
         (
-            np.concatenate([-chain.data[keep], ~pivot, absorb[gain_rows, gain_cols]]),
+            np.concatenate([-data[keep], ~pivot, absorb[gain_rows, gain_cols]]),
             (
                 np.concatenate([rows[keep], index, gain_rows]),
                 np.concatenate([cols[keep], index, pivots[gain_cols]]),
@@ -204,13 +213,14 @@ def _poisson(chain: sp.csr_matrix, rhs: np.ndarray, ref: int) -> tuple[np.ndarra
 
 def _mean_chain(
     model: SensorModel, w_cmd: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
     """The (battery, age) chain of a table with the request count averaged out.
 
     ``w_cmd`` is the command probability per full state. With w̄(x) its
     request-averaged value at (battery, age) index x, the chain is
-    diag(1 - w̄) Q_0 + diag(w̄) Q_1; also returns the request-averaged slot
-    cost and w̄, the per-state command rate.
+    diag(1 - w̄) Q_0 + diag(w̄) Q_1, returned as the (rows, cols, data) that
+    :func:`_poisson` takes, straight from the model's successor table; also
+    returns the request-averaged slot cost and w̄, the per-state command rate.
     """
     pmf = model.request_dist
     w = w_cmd.reshape(pmf.size, -1)
@@ -218,18 +228,19 @@ def _mean_chain(
     cost = pmf @ (w * model.cost_vector(1).reshape(w.shape)
                   + (1.0 - w) * model.cost_vector(0).reshape(w.shape))
 
-    def scaled_rows(mat: sp.csr_matrix, weight: np.ndarray) -> sp.csr_matrix:
-        data = mat.data * np.repeat(weight, np.diff(mat.indptr))
-        return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
-
     # Where every possible request count commands, 1 - w̄ can round to 1e-16
     # instead of 0, and that edge would open a closed class; pmf @ (1 - w) is
-    # exactly 0 there. The sum drops the entries that a zero weight left behind.
+    # exactly 0 there. Zero entries are dropped before the branches that
+    # reach one state are summed.
     idle = np.where(pmf @ (1.0 - w) > 0.0, 1.0 - w_bar, 0.0)
-    chain = scaled_rows(model.battery_age_kernel(0), idle) + scaled_rows(
-        model.battery_age_kernel(1), w_bar
-    )
-    return chain, cost, w_bar
+    n = w_bar.size
+    data = model.succ_prob * np.stack([idle, w_bar], axis=1)[:, :, None]
+    keys = np.arange(n)[:, None, None] * n + model.succ
+    nonzero = data != 0.0
+    keys, inverse = np.unique(keys[nonzero], return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+    # int32 columns, as scipy stores them, spare _poisson's sparse constructors a cast.
+    return (rows, cols.astype(np.int32), np.bincount(inverse, weights=data[nonzero])), cost, w_bar
 
 
 def solve_per_sensor(
@@ -260,7 +271,6 @@ def solve_per_sensor(
         raise ValueError("start table does not cover the sensor state space")
     shape = (model.request_dist.size, -1)  # (requests, battery-age)
     c0, c1 = model.cost_vector(0).reshape(shape), model.cost_vector(1).reshape(shape) + mu
-    k0, k1 = model.battery_age_kernel(0), model.battery_age_kernel(1)
     actions = c1 < c0 if start is None else np.asarray(start).reshape(shape) == 1
 
     def evaluate(actions):
@@ -270,11 +280,11 @@ def solve_per_sensor(
         gains, x = _poisson(chain, np.column_stack([cost, rate]), model.ref_index)
         g_bar = gains[:, 0] + mu * gains[:, 1]
         h_bar = x[:, 0] + mu * x[:, 1]
-        q0, q1 = c0 + k0 @ h_bar, c1 + k1 @ h_bar
+        q0, q1 = c0 + model.expect(0, h_bar), c1 + model.expect(1, h_bar)
         q_pi = np.where(actions, q1, q0)
         evaluation = ChainEvaluation(float(gains[model.ref_index, 0]),
                                      float(gains[model.ref_index, 1]))
-        return (evaluation, (k0 @ g_bar, k1 @ g_bar),
+        return (evaluation, (model.expect(0, g_bar), model.expect(1, g_bar)),
                 IMPROVEMENT_TOL * float(np.abs(g_bar).max()), (q0, q1),
                 q_pi - q_pi[0, model.ref_index])
 

@@ -4,10 +4,12 @@ Fleet policy objects with a batched ``decide`` used by the simulation engine:
 the request-aware greedy rule, the mixed-table relaxed policy (optionally
 truncated to the per-slot budget), and lookup into a solved joint table. Each
 call decides one slot for every episode and sensor at once:
-``decide(requests, battery, age, mix_rngs, trunc_rngs)`` takes (episodes, K)
-state arrays and one mixture and one truncation stream per episode, and
-returns the (episodes, K) action bits and each episode's proposal count
-before truncation.
+``decide(requests, x, age, mix_streams, trunc_streams)`` takes (episodes, K)
+arrays of request counts, (battery, age) indices x = battery * delta_max +
+age - 1 as :class:`model.SensorModel` numbers them, and ages, plus the
+mixture and the truncation streams of the episodes
+(:class:`simulator.UniformStreams`), and returns the (episodes, K) action
+bits and each episode's proposal count before truncation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact_solver import JointPolicy
-from .model import NetworkConfig, sensor_classes, sensor_model, state_index
+from .model import NetworkConfig, sensor_classes, sensor_model
 from .relaxed_solver import MixedPolicy
 
 __all__ = [
@@ -40,7 +42,7 @@ class GreedyFleetPolicy:
         # Combined sort key: age dominates, lower index wins ties.
         self._tiebreak = self.num_sensors - 1 - np.arange(self.num_sensors)
 
-    def decide(self, requests, battery, age, mix_rngs, trunc_rngs):
+    def decide(self, requests, x, age, mix_streams, trunc_streams):
         n = requests.shape[1]
         eligible = requests >= 1
         if self.budget >= n:
@@ -56,14 +58,7 @@ class GreedyFleetPolicy:
         return actions, actions.sum(axis=1, dtype=np.int64)
 
 
-def _uniforms(rngs, rows: np.ndarray) -> np.ndarray:
-    """One uniform per entry of the sorted episode indices ``rows``, drawn from
-    that episode's stream: one call per episode, in episode order."""
-    counts = np.bincount(rows).tolist()
-    return np.concatenate([rngs[e].random(c) for e, c in enumerate(counts) if c])
-
-
-def _truncate(actions, proposals, budget: int, trunc_rngs) -> None:
+def _truncate(actions, proposals, budget: int, trunc_streams) -> None:
     """Keep a uniformly random ``budget``-subset of the proposals in each
     overflowing row of ``actions``, in place.
 
@@ -75,7 +70,7 @@ def _truncate(actions, proposals, budget: int, trunc_rngs) -> None:
         return
     keys = np.full((over.size, actions.shape[1]), np.inf)
     rows, cols = np.nonzero(actions[over])
-    keys[rows, cols] = _uniforms(trunc_rngs, over[rows])
+    keys[rows, cols] = trunc_streams.draw(over[rows])
     keep = np.argpartition(keys, budget - 1, axis=1)[:, :budget]
     actions[over] = 0
     actions[over[:, None], keep] = 1
@@ -97,8 +92,7 @@ class RelaxedFleetPolicy:
         lower_flat: np.ndarray,
         upper_flat: np.ndarray,
         offsets: np.ndarray,
-        capacities: np.ndarray,
-        delta_max: int,
+        strides: np.ndarray,
         eta: float,
         budget: int | None,
         name: str,
@@ -111,45 +105,43 @@ class RelaxedFleetPolicy:
         self._mixed = bool(self._differs.any())
         self._eta = float(eta)
         self._offsets = offsets
-        self._capacities = capacities
-        self._delta_max = delta_max
+        self._strides = strides
 
-    def decide(self, requests, battery, age, mix_rngs, trunc_rngs):
-        flat = self._offsets + state_index(
-            requests, battery, age, self._capacities, self._delta_max
-        )
-        actions = self._lower[flat]
+    def decide(self, requests, x, age, mix_streams, trunc_streams):
+        flat = self._offsets + requests * self._strides + x
+        actions = self._lower.take(flat)
         if self._mixed:
-            rows, cols = np.nonzero(self._differs[flat])
+            rows, cols = np.nonzero(self._differs.take(flat))
             if rows.size:
-                upper = _uniforms(mix_rngs, rows) >= self._eta
+                upper = mix_streams.draw(rows) >= self._eta
                 rows, cols = rows[upper], cols[upper]
-                actions[rows, cols] = self._upper[flat[rows, cols]]
+                actions[rows, cols] = self._upper.take(flat[rows, cols])
         proposals = actions.sum(axis=1, dtype=np.int64)
         if self.budget is not None:
-            _truncate(actions, proposals, self.budget, trunc_rngs)
+            _truncate(actions, proposals, self.budget, trunc_streams)
         return actions, proposals
 
 
 class ExactFleetPolicy:
     """Batched lookup into a solved joint policy table."""
 
-    def __init__(self, policy: JointPolicy, capacities: np.ndarray, delta_max: int):
+    def __init__(self, policy: JointPolicy, strides: np.ndarray):
         self.name = "exact"
         self.budget = policy.budget
         self._policy = policy
-        self._capacities = capacities
-        self._delta_max = delta_max
+        self._strides = strides
 
-    def decide(self, requests, battery, age, mix_rngs, trunc_rngs):
-        per_sensor = state_index(requests, battery, age, self._capacities, self._delta_max)
+    def decide(self, requests, x, age, mix_streams, trunc_streams):
+        per_sensor = requests * self._strides + x
         joint = np.ravel_multi_index(tuple(per_sensor.T), self._policy.state_sizes)
         actions = self._policy.actions[joint]
         return actions, actions.sum(axis=1, dtype=np.int64)
 
 
-def _capacities(network: NetworkConfig) -> np.ndarray:
-    return np.array([s.battery_capacity for s in network.sensors], dtype=np.int64)
+def _strides(network: NetworkConfig) -> np.ndarray:
+    """Per sensor, the (battery, age) states per request count: a table's row stride."""
+    return np.array([(s.battery_capacity + 1) * network.delta_max for s in network.sensors],
+                    dtype=np.intp)
 
 
 def class_policies(
@@ -197,8 +189,7 @@ def build_relaxed_fleet_policy(
         lower_flat=np.concatenate([p.lower.actions for p in per_class]),
         upper_flat=np.concatenate([p.upper.actions for p in per_class]),
         offsets=class_offset[class_of],
-        capacities=_capacities(network),
-        delta_max=network.delta_max,
+        strides=_strides(network),
         eta=per_class[0].eta,
         budget=network.budget if truncate_to_budget else None,
         name="rtt" if truncate_to_budget else "relaxed",
@@ -209,4 +200,4 @@ def build_exact_fleet_policy(network: NetworkConfig, policy: JointPolicy) -> Exa
     sizes = [sensor_model(s, network.delta_max).num_states for s in network.sensors]
     if tuple(policy.state_sizes) != tuple(sizes) or policy.budget != network.budget:
         raise ValueError("joint policy table does not match the network")
-    return ExactFleetPolicy(policy, _capacities(network), network.delta_max)
+    return ExactFleetPolicy(policy, _strides(network))

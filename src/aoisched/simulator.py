@@ -12,7 +12,14 @@ request count by inverse transform over :func:`model.request_pmf`, and the
 energy stream gives one uniform. The policy's ``decide`` consumes the other
 two: the mixture stream one uniform per sensor whose state is one where the
 two mixed tables differ, the truncation stream one uniform per proposing
-sensor in a slot whose proposals exceed the budget.
+sensor in a slot whose proposals exceed the budget. Those two are served
+from per-episode buffers (:class:`UniformStreams`), which hand out the same
+uniforms in the same order as one draw per request would.
+
+Each sensor's (battery, age) state is one index x = battery * delta_max +
+age - 1, stepped every slot through its class's successor table
+``SensorModel.succ``; the slot cost is the request count times the age
+after the step.
 
 Episodes start pessimistically at empty batteries and capped ages with fresh
 requests; no burn-in is discarded, long horizons wash out the transient.
@@ -25,12 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .model import NetworkConfig, request_pmf, sensor_classes, slot_step
+from .model import NetworkConfig, request_pmf, sensor_classes, sensor_model
 
 __all__ = [
     "SimConfig",
     "EpisodeMetrics",
     "SimReport",
+    "UniformStreams",
     "run_experiment",
     "run_episode",
     "mean_abs_deviation",
@@ -113,6 +121,40 @@ def _episode_streams(config: SimConfig):
     return streams
 
 
+class UniformStreams:
+    """Uniforms in [0, 1) from one generator per episode, served from buffers.
+
+    ``draw(rows)`` returns one uniform per entry of the sorted episode indices
+    ``rows``: those of each episode are the next ones of its generator, in
+    order. A generator's doubles drawn in chunks equal the same draws made one
+    at a time, so the values do not depend on the buffer size. A buffer is
+    refilled when a draw would run past its end; ``size`` must be at least
+    the most uniforms one call asks of an episode.
+    """
+
+    def __init__(self, rngs, size: int):
+        self._rngs = rngs
+        self._size = int(size)
+        self._buffer = np.empty((len(rngs), self._size))
+        self._cursor = np.full(len(rngs), self._size, dtype=np.intp)  # all used up
+        self._row_start = np.arange(len(rngs)) * self._size  # in the flat buffer
+
+    def draw(self, rows: np.ndarray) -> np.ndarray:
+        counts = np.bincount(rows, minlength=len(self._rngs))
+        end = self._cursor + counts
+        for e in np.flatnonzero(end > self._size).tolist():
+            start, row = self._cursor[e], self._buffer[e]
+            kept = self._size - start
+            row[:kept] = row[start:].copy()
+            row[kept:] = self._rngs[e].random(start)
+            self._cursor[e], end[e] = 0, counts[e]
+        # Flat position of each episode's next uniform, less the position of
+        # its first entry in ``rows``.
+        shift = self._row_start + self._cursor - (np.cumsum(counts) - counts)
+        self._cursor = end
+        return self._buffer.take(shift.take(rows) + np.arange(rows.size))
+
+
 def _request_thresholds(network: NetworkConfig) -> np.ndarray:
     """Inverse-transform thresholds of each sensor's request count, shape (N, K).
 
@@ -134,18 +176,28 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
     net = config.network
     n_sensors, n_users, delta_max = net.num_sensors, net.num_users, net.delta_max
     episodes, horizon = config.episodes, config.horizon
-    capacities = np.array([s.battery_capacity for s in net.sensors], dtype=np.int64)
     thresholds = _request_thresholds(net)
     rates = np.array([s.harvest_rate for s in net.sensors])
+    # Every class's successor table, flat, and each sensor's offset into it:
+    # the successor of x under action a and harvest e is succ[base + 4x + 2a + e].
+    classes, _, class_of = sensor_classes(net)
+    tables = [sensor_model(c, delta_max).succ.ravel() for c in classes]
+    starts = np.cumsum([0] + [t.size for t in tables[:-1]])
+    succ = np.concatenate(tables)
+    base = starts[class_of]
+    # The age of index x is the same in every class; sensor k's x stays below limit[k].
+    age_of = np.tile(np.arange(1, delta_max + 1), max(c.battery_capacity for c in classes) + 1)
+    limit = np.array([t.size // 4 for t in tables])[class_of]
 
     streams = _episode_streams(config)
     req_rngs = [s[0] for s in streams]
     energy_rngs = [s[1] for s in streams]
-    mix_rngs = [s[2] for s in streams]
-    trunc_rngs = [s[3] for s in streams]
+    buffer_size = max(_BLOCK, n_sensors)
+    mix_streams = UniformStreams([s[2] for s in streams], buffer_size)
+    trunc_streams = UniformStreams([s[3] for s in streams], buffer_size)
 
-    battery = np.zeros((episodes, n_sensors), dtype=np.int64)
-    age = np.full((episodes, n_sensors), delta_max, dtype=np.int64)
+    x = np.full((episodes, n_sensors), delta_max - 1, dtype=np.intp)  # battery 0, age capped
+    age = age_of.take(x)
     cost_sum = np.zeros(episodes, dtype=np.int64)
     command_sum = np.zeros(episodes, dtype=np.int64)
     proposal_hist = np.zeros((episodes, n_sensors + 1), dtype=np.int64)
@@ -175,14 +227,15 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
         proposals = np.empty((block, episodes), dtype=np.int64)
         for i in range(block):
             r = requests[i]
-            actions, proposals[i] = policy.decide(r, battery, age, mix_rngs, trunc_rngs)
-            _, battery, age = slot_step(battery, age, actions, energy[i], capacities, delta_max)
+            actions, proposals[i] = policy.decide(r, x, age, mix_streams, trunc_streams)
+            x = succ.take(base + 4 * x + 2 * actions + energy[i])
+            age = age_of.take(x)
             costs[i] = (r * age).sum(axis=1)
             commands[i] = actions.sum(axis=1)
         if policy.budget is not None and (commands > policy.budget).any():
             raise SimulationError("per-slot budget violated")
-        if (battery < 0).any() or (battery > capacities).any():
-            raise SimulationError("battery left its feasible range")
+        if (x >= limit).any():
+            raise SimulationError("(battery, age) index left its feasible range")
         proposal_hist += np.bincount(
             (proposals + hist_offset).ravel(), minlength=proposal_hist.size
         ).reshape(proposal_hist.shape)

@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
-Nothing here touches the iterative solvers or the model's kernels: every
+Nothing here touches the iterative solvers or the model's dynamics (only
+:func:`model_kernel` reads them, to hand them to a test): every
 chain is written out from a per-sensor reference of the slot rule, as dense
 full-state chains over (requests, battery, age). Policies are evaluated on
 them by direct chain analysis (strongly connected components, stationary
@@ -96,6 +97,32 @@ def full_chain(
     return chain, cost
 
 
+def reference_battery_age_kernel(
+    sensor: SensorParams, delta_max: int, command: int
+) -> np.ndarray:
+    """Dense Q_a over the (battery, age) states, x = battery * delta_max + age - 1,
+    from the slot-rule reference: each state's successors, summed over the next
+    request count."""
+    n = (sensor.battery_capacity + 1) * delta_max
+    kernel = np.zeros((n, n))
+    for i, state in enumerate(all_states(sensor, delta_max)[:n]):  # the requests=0 block
+        for successor, p in reference_successors(sensor, state, command, delta_max).items():
+            kernel[i, successor.battery * delta_max + successor.age - 1] += p
+    return kernel
+
+
+def model_kernel(model, command: int) -> np.ndarray:
+    """The model's own Q_a, densified from its successor table.
+
+    Not an oracle: this is the object under test, for the tests that compare
+    it against the references above."""
+    n = model.succ.shape[0]
+    kernel = np.zeros((n, n))
+    np.add.at(kernel, (np.arange(n)[:, None], model.succ[:, command]),
+              model.succ_prob[:, command])
+    return kernel
+
+
 def pure_chains(sensor: SensorParams, delta_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The :func:`full_chain` and slot cost of each action bit held in every state."""
     n = len(all_states(sensor, delta_max))
@@ -139,12 +166,16 @@ def chain_average_cost(transition: np.ndarray, cost: np.ndarray, start: int) -> 
     closed_states = np.concatenate(closed)
     transient = np.setdiff1d(np.arange(n), closed_states)
     inner = np.eye(len(transient)) - transition[np.ix_(transient, transient)]
-    total = 0.0
-    for members in closed:
-        reach = np.linalg.solve(inner, transition[np.ix_(transient, members)].sum(axis=1))
-        pos = np.searchsorted(transient, start)
-        total += reach[pos] * gains[labels[members[0]]]
-    return total
+    pos = np.searchsorted(transient, start)
+    reach = np.array([
+        np.linalg.solve(inner, transition[np.ix_(transient, members)].sum(axis=1))[pos]
+        for members in closed
+    ])
+    # The absorption probabilities of a transient start sum to one. Dividing by
+    # their computed sum removes the round-off they share when I - P_TT is
+    # nearly singular, as for a transient cycle left with probability 3e-7 per
+    # pass, where it reached 1.6e-10.
+    return float(reach @ [gains[labels[members[0]]] for members in closed] / reach.sum())
 
 
 def best_deterministic_policy(

@@ -14,6 +14,7 @@ from oracles import (
     PerSensorState,
     best_deterministic_policy,
     finite_horizon_joint_cost,
+    model_kernel,
     random_tiny_network,
 )
 
@@ -105,7 +106,7 @@ def test_criterion_1_kernel_sanity():
         pmf = model.request_dist
         for action in (0, 1):
             # The kernel over (requests, battery, age) is pmf(r') Q_a(x, x').
-            full = np.kron(np.tile(pmf, (pmf.size, 1)), model.battery_age_kernel(action).toarray())
+            full = np.kron(np.tile(pmf, (pmf.size, 1)), model_kernel(model, action))
             rows = full.sum(axis=1)
             worst = max(worst, float(np.abs(rows - 1.0).max()))
             np.testing.assert_array_equal(

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     PerSensorState,
+    model_kernel,
     pure_chains,
     random_sensor,
+    reference_battery_age_kernel,
     reference_successors,
 )
 
@@ -139,7 +141,7 @@ def test_state_index_round_trip():
 def _model_kernel(model, action):
     """The model's kernel over (requests, battery, age), densified: pmf(r') Q_a(x, x')."""
     pmf = model.request_dist
-    return np.kron(np.tile(pmf, (pmf.size, 1)), model.battery_age_kernel(action).toarray())
+    return np.kron(np.tile(pmf, (pmf.size, 1)), model_kernel(model, action))
 
 
 def test_kernel_matches_slot_rule_reference():
@@ -168,9 +170,9 @@ def test_kernel_lifts_battery_age_kernel():
         models = [sensor_model(s, delta_max) for s in sensors]
         for m in models:
             for action in (0, 1):
-                kernel = m.battery_age_kernel(action)
+                kernel = model_kernel(m, action)
                 np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
-                assert (np.diff(kernel.indptr) <= 2).all()
+                assert ((kernel != 0).sum(axis=1) <= 2).all()
         chains = [pure_chains(s, delta_max) for s in sensors]
         shape = [n for m in models for n in (m.request_dist.size, m.num_states // m.request_dist.size)]
         values = rng.normal(size=[m.num_states for m in models])
@@ -225,6 +227,31 @@ def test_kernel_rows_stochastic_property(rate, capacity, probs, delta_max):
             np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
             assert (mat >= 0).all()
             assert ((mat != 0).sum(axis=1) <= 2 * (len(probs) + 1)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_subnormal=False)),
+    capacity=st.integers(1, 4),
+    probs=st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=3),
+    delta_max=st.integers(2, 8),
+)
+def test_successor_table_matches_slot_rule_property(rate, capacity, probs, delta_max):
+    # Every entry of succ[x, a, e] is slot_step's successor of x, and the merged
+    # branch probabilities give the reference kernel Q_a.
+    sensor = SensorParams(rate, capacity, tuple(probs))
+    model = sensor_model(sensor, delta_max)
+    n = (capacity + 1) * delta_max
+    assert model.succ.shape == model.succ_prob.shape == (n, 2, 2)
+    for x, a, e in product(range(n), (0, 1), (0, 1)):
+        battery, age = divmod(x, delta_max)
+        _, next_battery, next_age = slot_step(battery, age + 1, a, e, capacity, delta_max)
+        assert model.succ[x, a, e] == next_battery * delta_max + next_age - 1
+    for action in (0, 1):
+        got, want = model_kernel(model, action), reference_battery_age_kernel(
+            sensor, delta_max, action)
+        np.testing.assert_array_equal(got != 0, want != 0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

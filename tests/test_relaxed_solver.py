@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -135,7 +136,8 @@ def test_evaluate_rejects_nan_stationary_solve(monkeypatch):
         def solve(self, rhs):
             return np.full(rhs.shape, np.nan)
 
-    monkeypatch.setattr(relaxed_solver, "splu", lambda system: NanFactor())
+    # The solver imports splu from scipy when it factorises, so patch it there.
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda system: NanFactor())
     always = PolicyTable(actions=np.ones(sensor_model(TINY1, 2).num_states, dtype=np.int8), mu=0.0)
     with pytest.raises(MultichainError, match="residual nan"):
         evaluate_per_sensor(TINY1, 2, always)

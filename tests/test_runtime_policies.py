@@ -19,6 +19,7 @@ from aoisched import (
     solve_per_sensor,
     solve_relaxed,
 )
+from aoisched.simulator import UniformStreams
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 
@@ -31,11 +32,18 @@ def _requested_rtt(num_sensors: int, budget: int):
     return build_relaxed_fleet_policy(net, (mixed,) * num_sensors, truncate_to_budget=True)
 
 
+def _streams(rng, episodes):
+    """Per-episode uniform streams that all draw from ``rng``; 64 covers every fleet here."""
+    return UniformStreams([rng] * episodes, 64)
+
+
 def _decide(policy, requests, rng):
-    """One slot of ``policy`` for each row of ``requests``, at battery 1 and age 2."""
+    """One slot of ``policy`` for each row of ``requests``, at battery 1 and age 2
+    (index x = 1 * delta_max + 2 - 1 = 3 at delta_max 2)."""
     requests = np.asarray(requests, dtype=np.int64)
     ones = np.ones_like(requests)
-    return policy.decide(requests, ones, 2 * ones, None, [rng] * requests.shape[0])
+    return policy.decide(requests, 3 * ones, 2 * ones, None,
+                         _streams(rng, requests.shape[0]))
 
 
 def test_truncate_identity_within_budget():
@@ -78,7 +86,8 @@ def _batched_greedy(states, budget):
     policy = GreedyFleetPolicy(budget, len(states))
     requests, battery, age = (np.array([[getattr(s, f) for s in states]])
                               for f in ("requests", "battery", "age"))
-    actions, _ = policy.decide(requests, battery, age, None, [])
+    # Greedy reads only the requests and the ages; delta_max 7 covers every age here.
+    actions, _ = policy.decide(requests, battery * 7 + age - 1, age, None, None)
     return set(np.flatnonzero(actions[0]).tolist())
 
 
@@ -99,7 +108,7 @@ def test_greedy_batched_matches_scalar():
         requests = rng.integers(0, 3, size=(8, 6))
         ages = rng.integers(1, 9, size=(8, 6))
         battery = rng.integers(0, 3, size=(8, 6))
-        actions, proposals = policy.decide(requests, battery, ages, None, None)
+        actions, proposals = policy.decide(requests, battery * 8 + ages - 1, ages, None, None)
         for e in range(8):
             states = tuple(
                 PerSensorState(int(requests[e, k]), int(battery[e, k]), int(ages[e, k]))
@@ -164,11 +173,11 @@ def test_relaxed_propose_skips_unrequested():
     net = NetworkConfig(2, 1, 1, 2, (TINY1,) * 2)
     policy = build_relaxed_fleet_policy(net, (MixedPolicy(table, table, 1.0),) * 2, False)
     unrequested = np.flatnonzero(model.requests_of == 0)
-    battery = np.repeat(model.battery_of[unrequested, None], 2, axis=1)
+    x = np.repeat(unrequested[:, None], 2, axis=1)  # the requests=0 block is the (battery, age) index
     age = np.repeat(model.age_of[unrequested, None], 2, axis=1)
     requests = np.tile([0, 1], (unrequested.size, 1))
     rng = np.random.default_rng(5)
-    actions, proposals = policy.decide(requests, battery, age, None, [rng] * unrequested.size)
+    actions, proposals = policy.decide(requests, x, age, None, _streams(rng, unrequested.size))
     assert not actions[:, 0].any()
     requested = unrequested + model.num_states // 2  # same battery and age, one request
     np.testing.assert_array_equal(actions[:, 1], table.actions[requested])
