@@ -28,6 +28,8 @@ __all__ = [
     "SensorModel",
     "sensor_model",
     "sensor_classes",
+    "FleetLayout",
+    "fleet_layout",
     "request_pmf",
     "slot_step",
     "state_index",
@@ -237,14 +239,42 @@ def sensor_classes(
 
     Returns (unique sensor parameters, multiplicity per class, class index per sensor).
     """
-    classes: list[SensorParams] = []
-    lookup: dict[SensorParams, int] = {}
-    class_of = np.empty(config.num_sensors, dtype=np.int64)
-    for k, s in enumerate(config.sensors):
-        if s not in lookup:
-            lookup[s] = len(classes)
-            classes.append(s)
-        class_of[k] = lookup[s]
-    counts = np.bincount(class_of, minlength=len(classes)).astype(np.int64)
-    return tuple(classes), counts, class_of
+    lookup: dict[SensorParams, int] = {}  # in order of first appearance
+    class_of = np.array([lookup.setdefault(s, len(lookup)) for s in config.sensors],
+                        dtype=np.int64)
+    counts = np.bincount(class_of, minlength=len(lookup)).astype(np.int64)
+    return tuple(lookup), counts, class_of
 
+
+@dataclass(frozen=True, eq=False)
+class FleetLayout:
+    """The fleet's state index and the layout of the flat tables it reads.
+
+    The (battery, age) states of the sensor classes, in the order of
+    :func:`sensor_classes`, are numbered one after another: state
+    s = start[c] + x for index x of class c, so class c holds the block
+    [start[c], start[c + 1]). A sensor in state s keeps the index
+    i = width * s, and a flat table of the layout holds its entry j for s at
+    i + j: j = 2a + e in the simulator's successor table, the request count
+    r in a runtime policy's tables. ``width`` = max(4, N + 1) fits both.
+    """
+
+    width: int
+    class_of: np.ndarray  # class per sensor
+    models: tuple[SensorModel, ...]  # per class
+    start: np.ndarray  # per class its first state; the last entry is the state count
+
+    def index(self, x):
+        """The fleet index of (battery, age) indices x, one per sensor along the last axis."""
+        return self.width * (self.start[self.class_of] + x)
+
+
+def fleet_layout(network: NetworkConfig) -> FleetLayout:
+    """The :class:`FleetLayout` of ``network``; it depends on the network alone."""
+    classes, _, class_of = sensor_classes(network)
+    models = tuple(sensor_model(c, network.delta_max) for c in classes)
+    sizes = [m.succ.shape[0] for m in models]
+    start = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
+    for arr in (class_of, start):
+        arr.setflags(write=False)
+    return FleetLayout(max(4, network.num_users + 1), class_of, models, start)

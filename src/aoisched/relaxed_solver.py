@@ -211,6 +211,20 @@ def _poisson(chain: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray,
     return gains, x
 
 
+@lru_cache(maxsize=None)
+def _chain_pattern(model: SensorModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the successor table's branches land in a chain over the
+    (battery, age) states: the distinct (row, column) pairs in row, then
+    column order, and the pair of each branch ``succ[x, a, e]``, flat. It
+    depends on the table alone, so each model merges its branches once."""
+    n = model.succ.shape[0]
+    keys, inverse = np.unique(np.arange(n)[:, None, None] * n + model.succ,
+                              return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+    # int32 columns, as scipy stores them, spare _poisson's sparse constructors a cast.
+    return rows, cols.astype(np.int32), inverse.ravel()
+
+
 def _mean_chain(
     model: SensorModel, w_cmd: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
@@ -230,17 +244,15 @@ def _mean_chain(
 
     # Where every possible request count commands, 1 - w̄ can round to 1e-16
     # instead of 0, and that edge would open a closed class; pmf @ (1 - w) is
-    # exactly 0 there. Zero entries are dropped before the branches that
-    # reach one state are summed.
+    # exactly 0 there. The branches that reach one state are summed in branch
+    # order; a zero branch adds exactly nothing, and a pair whose branches
+    # are all zero is no entry.
     idle = np.where(pmf @ (1.0 - w) > 0.0, 1.0 - w_bar, 0.0)
-    n = w_bar.size
-    data = model.succ_prob * np.stack([idle, w_bar], axis=1)[:, :, None]
-    keys = np.arange(n)[:, None, None] * n + model.succ
-    nonzero = data != 0.0
-    keys, inverse = np.unique(keys[nonzero], return_inverse=True)
-    rows, cols = np.divmod(keys, n)
-    # int32 columns, as scipy stores them, spare _poisson's sparse constructors a cast.
-    return (rows, cols.astype(np.int32), np.bincount(inverse, weights=data[nonzero])), cost, w_bar
+    rows, cols, inverse = _chain_pattern(model)
+    branches = model.succ_prob * np.stack([idle, w_bar], axis=1)[:, :, None]
+    data = np.bincount(inverse, weights=branches.ravel(), minlength=rows.size)
+    kept = data != 0.0
+    return (rows[kept], cols[kept], data[kept]), cost, w_bar
 
 
 def solve_per_sensor(

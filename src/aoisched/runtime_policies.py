@@ -4,12 +4,13 @@ Fleet policy objects with a batched ``decide`` used by the simulation engine:
 the request-aware greedy rule, the mixed-table relaxed policy (optionally
 truncated to the per-slot budget), and lookup into a solved joint table. Each
 call decides one slot for every episode and sensor at once:
-``decide(requests, x, age, mix_streams, trunc_streams)`` takes (episodes, K)
-arrays of request counts, (battery, age) indices x = battery * delta_max +
-age - 1 as :class:`model.SensorModel` numbers them, and ages, plus the
-mixture and the truncation streams of the episodes
-(:class:`simulator.UniformStreams`), and returns the (episodes, K) action
-bits and each episode's proposal count before truncation.
+``decide(requests, index, age, mix_streams, trunc_streams)`` takes (episodes,
+K) arrays of request counts, fleet indices and ages, plus the mixture and the
+truncation streams of the episodes (:class:`simulator.UniformStreams`), and
+returns the (episodes, K) action bits and each episode's proposal count
+before truncation. A sensor's fleet index is width * s for its state s in
+the network's :func:`model.fleet_layout`; the relaxed policy's tables share
+that layout, so a sensor's entry for r requests sits at index + r.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact_solver import JointPolicy
-from .model import NetworkConfig, sensor_classes, sensor_model
+from .model import FleetLayout, NetworkConfig, fleet_layout, sensor_classes, sensor_model
 from .relaxed_solver import MixedPolicy
 
 __all__ = [
@@ -42,7 +43,7 @@ class GreedyFleetPolicy:
         # Combined sort key: age dominates, lower index wins ties.
         self._tiebreak = self.num_sensors - 1 - np.arange(self.num_sensors)
 
-    def decide(self, requests, x, age, mix_streams, trunc_streams):
+    def decide(self, requests, index, age, mix_streams, trunc_streams):
         n = requests.shape[1]
         eligible = requests >= 1
         if self.budget >= n:
@@ -63,17 +64,22 @@ def _truncate(actions, proposals, budget: int, trunc_streams) -> None:
     overflowing row of ``actions``, in place.
 
     Each overflowing episode draws one uniform key per proposing sensor from
-    its own truncation stream; the ``budget`` smallest keys of a row win.
+    its own truncation stream, in sensor order; the ``budget`` smallest keys
+    of a row win and the other proposers are dropped.
     """
-    over = np.flatnonzero(proposals > budget)
-    if over.size == 0:
+    over = proposals > budget
+    if not over.any():
         return
-    keys = np.full((over.size, actions.shape[1]), np.inf)
-    rows, cols = np.nonzero(actions[over])
-    keys[rows, cols] = trunc_streams.draw(over[rows])
-    keep = np.argpartition(keys, budget - 1, axis=1)[:, :budget]
-    actions[over] = 0
-    actions[over[:, None], keep] = 1
+    n = actions.shape[1]
+    pos = actions.view(bool).ravel().nonzero()[0]
+    rows = pos // n
+    kept = over.take(rows)
+    pos, rows = pos[kept], rows[kept]
+    order = np.lexsort((trunc_streams.draw(rows), rows))
+    # Sorting keeps each row's proposers together, so rows[j] is also the row
+    # of sorted position j, and j less the row's first position is its rank.
+    rank = np.arange(rows.size) - rows.searchsorted(rows)
+    actions.ravel()[pos.take(order[rank >= budget])] = 0
 
 
 class RelaxedFleetPolicy:
@@ -87,35 +93,24 @@ class RelaxedFleetPolicy:
     down-selected uniformly using the episode's truncation stream.
     """
 
-    def __init__(
-        self,
-        lower_flat: np.ndarray,
-        upper_flat: np.ndarray,
-        offsets: np.ndarray,
-        strides: np.ndarray,
-        eta: float,
-        budget: int | None,
-        name: str,
-    ):
+    def __init__(self, lower: np.ndarray, upper: np.ndarray, eta: float, budget: int | None,
+                 name: str):
         self.name = name
         self.budget = budget
-        self._lower = lower_flat
-        self._upper = upper_flat
-        self._differs = lower_flat != upper_flat
+        self._lower = lower
+        self._upper = upper
+        self._differs = lower != upper
         self._mixed = bool(self._differs.any())
         self._eta = float(eta)
-        self._offsets = offsets
-        self._strides = strides
 
-    def decide(self, requests, x, age, mix_streams, trunc_streams):
-        flat = self._offsets + requests * self._strides + x
+    def decide(self, requests, index, age, mix_streams, trunc_streams):
+        flat = index + requests
         actions = self._lower.take(flat)
         if self._mixed:
-            rows, cols = np.nonzero(self._differs.take(flat))
-            if rows.size:
-                upper = mix_streams.draw(rows) >= self._eta
-                rows, cols = rows[upper], cols[upper]
-                actions[rows, cols] = self._upper.take(flat[rows, cols])
+            pos = self._differs.take(flat).ravel().nonzero()[0]
+            if pos.size:
+                pos = pos[mix_streams.draw(pos // flat.shape[1]) >= self._eta]
+                actions.ravel()[pos] = self._upper.take(flat.ravel().take(pos))
         proposals = actions.sum(axis=1, dtype=np.int64)
         if self.budget is not None:
             _truncate(actions, proposals, self.budget, trunc_streams)
@@ -125,23 +120,20 @@ class RelaxedFleetPolicy:
 class ExactFleetPolicy:
     """Batched lookup into a solved joint policy table."""
 
-    def __init__(self, policy: JointPolicy, strides: np.ndarray):
+    def __init__(self, policy: JointPolicy, layout: FleetLayout):
         self.name = "exact"
         self.budget = policy.budget
         self._policy = policy
-        self._strides = strides
+        self._width = layout.width
+        self._start = layout.start[layout.class_of]
+        self._strides = np.diff(layout.start)[layout.class_of]  # (battery, age) states per sensor
 
-    def decide(self, requests, x, age, mix_streams, trunc_streams):
-        per_sensor = requests * self._strides + x
-        joint = np.ravel_multi_index(tuple(per_sensor.T), self._policy.state_sizes)
+    def decide(self, requests, index, age, mix_streams, trunc_streams):
+        x = index // self._width - self._start
+        joint = np.ravel_multi_index(tuple((requests * self._strides + x).T),
+                                     self._policy.state_sizes)
         actions = self._policy.actions[joint]
         return actions, actions.sum(axis=1, dtype=np.int64)
-
-
-def _strides(network: NetworkConfig) -> np.ndarray:
-    """Per sensor, the (battery, age) states per request count: a table's row stride."""
-    return np.array([(s.battery_capacity + 1) * network.delta_max for s in network.sensors],
-                    dtype=np.intp)
 
 
 def class_policies(
@@ -176,20 +168,28 @@ def class_policies(
     return class_of, per_class
 
 
+def _fleet_table(layout: FleetLayout, tables) -> np.ndarray:
+    """Per-class tables over (requests, x), relaid so that the entry of state s
+    for r requests sits at ``layout.width * s + r``."""
+    rows = np.concatenate([t.reshape(-1, m.succ.shape[0]).T
+                           for t, m in zip(tables, layout.models)])
+    out = np.zeros((rows.shape[0], layout.width), dtype=rows.dtype)
+    out[:, :rows.shape[1]] = rows
+    return out.ravel()
+
+
 def build_relaxed_fleet_policy(
     network: NetworkConfig,
     policies: Sequence[MixedPolicy],
     truncate_to_budget: bool,
 ) -> RelaxedFleetPolicy:
-    """Flatten the per-class mixed tables into one runtime policy object."""
-    class_of, per_class = class_policies(network, policies)
-    sizes = [p.num_states for p in per_class]
-    class_offset = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    """Lay the per-class mixed tables out as :func:`model.fleet_layout` says, in
+    one runtime policy object."""
+    _, per_class = class_policies(network, policies)
+    layout = fleet_layout(network)
     return RelaxedFleetPolicy(
-        lower_flat=np.concatenate([p.lower.actions for p in per_class]),
-        upper_flat=np.concatenate([p.upper.actions for p in per_class]),
-        offsets=class_offset[class_of],
-        strides=_strides(network),
+        lower=_fleet_table(layout, [p.lower.actions for p in per_class]),
+        upper=_fleet_table(layout, [p.upper.actions for p in per_class]),
         eta=per_class[0].eta,
         budget=network.budget if truncate_to_budget else None,
         name="rtt" if truncate_to_budget else "relaxed",
@@ -197,7 +197,8 @@ def build_relaxed_fleet_policy(
 
 
 def build_exact_fleet_policy(network: NetworkConfig, policy: JointPolicy) -> ExactFleetPolicy:
-    sizes = [sensor_model(s, network.delta_max).num_states for s in network.sensors]
+    layout = fleet_layout(network)
+    sizes = [layout.models[c].num_states for c in layout.class_of]
     if tuple(policy.state_sizes) != tuple(sizes) or policy.budget != network.budget:
         raise ValueError("joint policy table does not match the network")
-    return ExactFleetPolicy(policy, _strides(network))
+    return ExactFleetPolicy(policy, layout)

@@ -16,10 +16,13 @@ sensor in a slot whose proposals exceed the budget. Those two are served
 from per-episode buffers (:class:`UniformStreams`), which hand out the same
 uniforms in the same order as one draw per request would.
 
-Each sensor's (battery, age) state is one index x = battery * delta_max +
-age - 1, stepped every slot through its class's successor table
-``SensorModel.succ``; the slot cost is the request count times the age
-after the step.
+Each (episode, sensor) keeps one fleet index i = width * s, its (battery,
+age) state s in the network's :func:`model.fleet_layout`. Three flat tables
+share that layout: the successor table, built from every class's
+``SensorModel.succ``, holds width * s' for action a and harvest e at
+i + 2a + e; the age table holds the age of s at i; and the relaxed policy's
+tables hold its action for r requests at i + r. The slot cost is the
+request count times the age after the step.
 
 Episodes start pessimistically at empty batteries and capped ages with fresh
 requests; no burn-in is discarded, long horizons wash out the transient.
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .model import NetworkConfig, request_pmf, sensor_classes, sensor_model
+from .model import NetworkConfig, fleet_layout, request_pmf, sensor_classes
 
 __all__ = [
     "SimConfig",
@@ -135,24 +138,30 @@ class UniformStreams:
     def __init__(self, rngs, size: int):
         self._rngs = rngs
         self._size = int(size)
-        self._buffer = np.empty((len(rngs), self._size))
-        self._cursor = np.full(len(rngs), self._size, dtype=np.intp)  # all used up
-        self._row_start = np.arange(len(rngs)) * self._size  # in the flat buffer
+        self._buffer = np.empty(len(rngs) * self._size)
+        self._end = (np.arange(len(rngs)) + 1) * self._size  # each row's end, flat
+        self._next = self._end.copy()  # flat position of each row's next uniform: all used up
 
     def draw(self, rows: np.ndarray) -> np.ndarray:
         counts = np.bincount(rows, minlength=len(self._rngs))
-        end = self._cursor + counts
-        for e in np.flatnonzero(end > self._size).tolist():
-            start, row = self._cursor[e], self._buffer[e]
-            kept = self._size - start
-            row[:kept] = row[start:].copy()
-            row[kept:] = self._rngs[e].random(start)
-            self._cursor[e], end[e] = 0, counts[e]
-        # Flat position of each episode's next uniform, less the position of
-        # its first entry in ``rows``.
-        shift = self._row_start + self._cursor - (np.cumsum(counts) - counts)
-        self._cursor = end
-        return self._buffer.take(shift.take(rows) + np.arange(rows.size))
+        end = self._next + counts
+        short = end > self._end
+        if short.any():
+            for e in short.nonzero()[0].tolist():
+                stop = self._end[e]
+                kept = stop - self._next[e]  # uniforms not yet handed out
+                row = self._buffer[stop - self._size:stop]
+                row[:kept] = row[self._size - kept:].copy()
+                row[kept:] = self._rngs[e].random(self._size - kept)
+                self._next[e] = stop - self._size
+                end[e] = self._next[e] + counts[e]
+        # Entry j of ``rows``, of episode e, reads position next[e] + j - f[e],
+        # with f[e] = cumsum(counts)[e] - counts[e] the first entry of e in ``rows``.
+        shift = end - counts.cumsum()
+        self._next = end
+        index = shift.take(rows)
+        index += np.arange(rows.size)
+        return self._buffer.take(index)
 
 
 def _request_thresholds(network: NetworkConfig) -> np.ndarray:
@@ -178,16 +187,17 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
     episodes, horizon = config.episodes, config.horizon
     thresholds = _request_thresholds(net)
     rates = np.array([s.harvest_rate for s in net.sensors])
-    # Every class's successor table, flat, and each sensor's offset into it:
-    # the successor of x under action a and harvest e is succ[base + 4x + 2a + e].
-    classes, _, class_of = sensor_classes(net)
-    tables = [sensor_model(c, delta_max).succ.ravel() for c in classes]
-    starts = np.cumsum([0] + [t.size for t in tables[:-1]])
-    succ = np.concatenate(tables)
-    base = starts[class_of]
-    # The age of index x is the same in every class; sensor k's x stays below limit[k].
-    age_of = np.tile(np.arange(1, delta_max + 1), max(c.battery_capacity for c in classes) + 1)
-    limit = np.array([t.size // 4 for t in tables])[class_of]
+    # The successor of index i under action a and harvest e is succ[i + 2a + e],
+    # the age at i is age_of[i]; sensor k's index stays in [low[k], high[k]).
+    layout = fleet_layout(net)
+    width, start = layout.width, layout.start
+    succ = np.zeros((start[-1], width), dtype=np.intp)
+    succ[:, :4] = width * np.concatenate(
+        [m.succ.reshape(-1, 4) + s for m, s in zip(layout.models, start)])
+    succ = succ.ravel()
+    age_of = np.repeat(np.concatenate([m.age_of[:m.succ.shape[0]] for m in layout.models]),
+                       width)
+    low, high = width * start[layout.class_of], width * start[layout.class_of + 1]
 
     streams = _episode_streams(config)
     req_rngs = [s[0] for s in streams]
@@ -196,8 +206,9 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
     mix_streams = UniformStreams([s[2] for s in streams], buffer_size)
     trunc_streams = UniformStreams([s[3] for s in streams], buffer_size)
 
-    x = np.full((episodes, n_sensors), delta_max - 1, dtype=np.intp)  # battery 0, age capped
-    age = age_of.take(x)
+    # Battery 0 and the age capped: x = delta_max - 1.
+    index = np.broadcast_to(layout.index(delta_max - 1), (episodes, n_sensors)).copy()
+    age = age_of.take(index)
     cost_sum = np.zeros(episodes, dtype=np.int64)
     command_sum = np.zeros(episodes, dtype=np.int64)
     proposal_hist = np.zeros((episodes, n_sensors + 1), dtype=np.int64)
@@ -225,17 +236,17 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
         costs = np.empty((block, episodes), dtype=np.int64)
         commands = np.empty((block, episodes), dtype=np.int64)
         proposals = np.empty((block, episodes), dtype=np.int64)
-        for i in range(block):
-            r = requests[i]
-            actions, proposals[i] = policy.decide(r, x, age, mix_streams, trunc_streams)
-            x = succ.take(base + 4 * x + 2 * actions + energy[i])
-            age = age_of.take(x)
-            costs[i] = (r * age).sum(axis=1)
-            commands[i] = actions.sum(axis=1)
+        for t in range(block):
+            r = requests[t]
+            actions, proposals[t] = policy.decide(r, index, age, mix_streams, trunc_streams)
+            index = succ.take(index + (2 * actions + energy[t]))
+            age = age_of.take(index)
+            costs[t] = (r * age).sum(axis=1)
+            commands[t] = actions.sum(axis=1)
         if policy.budget is not None and (commands > policy.budget).any():
             raise SimulationError("per-slot budget violated")
-        if (x >= limit).any():
-            raise SimulationError("(battery, age) index left its feasible range")
+        if ((index < low) | (index >= high)).any():
+            raise SimulationError("fleet index left its sensor's class block")
         proposal_hist += np.bincount(
             (proposals + hist_offset).ravel(), minlength=proposal_hist.size
         ).reshape(proposal_hist.shape)

@@ -293,6 +293,27 @@ def greedy_decide(states: tuple[PerSensorState, ...], budget: int) -> set[int]:
     return {k for _, _, k in eligible[:budget]}
 
 
+def truncate_reference(actions, proposals, budget: int, trunc_streams) -> None:
+    """Keep a uniformly random ``budget``-subset of the proposals in each
+    overflowing row of ``actions``, in place: the reference for the batched
+    truncation.
+
+    Each overflowing episode draws one uniform key per proposing sensor, in
+    sensor order, from its truncation stream. The keys fill an (overflowing
+    rows, K) matrix padded with inf, and a partition across all K columns
+    keeps the ``budget`` smallest of each row.
+    """
+    over = np.flatnonzero(proposals > budget)
+    if over.size == 0:
+        return
+    keys = np.full((over.size, actions.shape[1]), np.inf)
+    rows, cols = np.nonzero(actions[over])
+    keys[rows, cols] = trunc_streams.draw(over[rows])
+    keep = np.argpartition(keys, budget - 1, axis=1)[:, :budget]
+    actions[over] = 0
+    actions[over[:, None], keep] = 1
+
+
 def random_sensor(rng: np.random.Generator, max_users: int = 3,
                   max_battery: int = 4, degenerate_ok: bool = False) -> SensorParams:
     """Generic random sensor; boundary probabilities only when asked for."""

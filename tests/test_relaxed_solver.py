@@ -13,6 +13,7 @@ from oracles import (
     full_chain,
     pure_chains,
     random_sensor,
+    reference_battery_age_kernel,
     relaxed_lp,
 )
 
@@ -32,6 +33,41 @@ from aoisched import relaxed_solver
 from aoisched.exact_solver import DEFAULT_THETA, IMPROVEMENT_TOL, relative_value_iteration
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_subnormal=False)),
+    capacity=st.integers(1, 4),
+    probs=st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=3),
+    delta_max=st.integers(2, 8),
+    data=st.data(),
+)
+def test_mean_chain_is_canonical_reference_chain(rate, capacity, probs, delta_max, data):
+    # The request-averaged chain comes back canonical, its (row, column)
+    # pairs strictly increasing and no entry zero, and it equals
+    # diag(1 - w̄) Q_0 + diag(w̄) Q_1 of the slot-rule reference kernels.
+    sensor = SensorParams(rate, capacity, tuple(probs))
+    model = sensor_model(sensor, delta_max)
+    kind = data.draw(st.sampled_from(["zeros", "ones", "bits", "probabilities"]))
+    size = model.num_states
+    w_cmd = {
+        "zeros": np.zeros(size),
+        "ones": np.ones(size),
+        "bits": np.array(data.draw(st.lists(st.integers(0, 1), min_size=size,
+                                            max_size=size)), dtype=np.float64),
+        "probabilities": np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=size,
+                                                     max_size=size))),
+    }[kind]
+    (rows, cols, values), _, w_bar = relaxed_solver._mean_chain(model, w_cmd)
+    n = model.succ.shape[0]
+    assert (np.diff(rows * n + cols) > 0).all()
+    assert (values != 0.0).all()
+    chain = np.zeros((n, n))
+    chain[rows, cols] = values
+    expected = ((1.0 - w_bar)[:, None] * reference_battery_age_kernel(sensor, delta_max, 0)
+                + w_bar[:, None] * reference_battery_age_kernel(sensor, delta_max, 1))
+    np.testing.assert_allclose(chain, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 2.0])

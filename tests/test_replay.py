@@ -10,7 +10,10 @@ Three fleets are pinned: ``configs/tiny2.cfg`` under all four policies; the
 ``bench/data/fig2a_tables.npz`` under rtt, greedy and relaxed; and 100
 TINY1 sensors, whose solved tables differ in states visited most slots, so
 nearly every slot draws mixing uniforms, under rtt and relaxed. The horizon
-crosses a 1024-slot block boundary.
+crosses a 1024-slot block boundary. A fourth, shorter pin drives the
+``configs/fig2b.cfg`` fleet (K=800, M=20) with the same paper tables under
+rtt: about 25 sensors propose per slot, so most slots overflow and
+truncation keeps several of many proposers.
 """
 
 from pathlib import Path
@@ -78,9 +81,9 @@ def _fleets():
     }
 
 
-def _replay(network, policy):
+def _replay(network, policy, horizon=HORIZON, episodes=EPISODES):
     report = run_experiment(
-        SimConfig(network=network, horizon=HORIZON, episodes=EPISODES, seed=2022,
+        SimConfig(network=network, horizon=horizon, episodes=episodes, seed=2022,
                   trace_points=TRACE_POINTS),
         policy,
     )
@@ -167,6 +170,16 @@ PINNED = {
 }
 
 
+# The fig2b fleet under rtt, over a shorter run: 300 slots, 2 episodes.
+PINNED_FIG2B_RTT = (
+    (
+        (15.720327777777777, 0.023179166666666667, 26.05, 9.404333333333332),
+        (15.72363611111111, 0.023145833333333334, 25.263333333333332, 8.319888888888887),
+    ),
+    ((1, 38.17333333333333), (100, 19.110433333333333), (200, 16.696454166666665), (300, 15.721981944444444),),
+)
+
+
 @pytest.fixture(scope="module")
 def replays():
     return {key: _replay(*fleet) for key, fleet in _fleets().items()}
@@ -177,3 +190,9 @@ def test_replay_pinned(replays, key):
     episodes, trace = replays[key]
     assert episodes == PINNED[key][0]
     assert trace == PINNED[key][1]
+
+
+def test_replay_pinned_fig2b_rtt():
+    network = _network("fig2b.cfg")
+    rtt = build_relaxed_fleet_policy(network, _fixture_policies(network), True)
+    assert _replay(network, rtt, horizon=300, episodes=2) == PINNED_FIG2B_RTT

@@ -3,7 +3,9 @@ included, as the simulation engine calls them."""
 
 import numpy as np
 import pytest
-from oracles import PerSensorState, greedy_decide
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import PerSensorState, greedy_decide, truncate_reference
 
 from aoisched import (
     GreedyFleetPolicy,
@@ -19,6 +21,8 @@ from aoisched import (
     solve_per_sensor,
     solve_relaxed,
 )
+from aoisched.model import fleet_layout
+from aoisched.runtime_policies import _truncate
 from aoisched.simulator import UniformStreams
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
@@ -39,10 +43,12 @@ def _streams(rng, episodes):
 
 def _decide(policy, requests, rng):
     """One slot of ``policy`` for each row of ``requests``, at battery 1 and age 2
-    (index x = 1 * delta_max + 2 - 1 = 3 at delta_max 2)."""
+    (index x = 1 * delta_max + 2 - 1 = 3 at delta_max 2) of every TINY1 sensor."""
     requests = np.asarray(requests, dtype=np.int64)
+    n = requests.shape[1]
+    index = fleet_layout(NetworkConfig(n, 1, 1, 2, (TINY1,) * n)).index(3)
     ones = np.ones_like(requests)
-    return policy.decide(requests, 3 * ones, 2 * ones, None,
+    return policy.decide(requests, index * ones, 2 * ones, None,
                          _streams(rng, requests.shape[0]))
 
 
@@ -82,12 +88,50 @@ def test_truncate_always_subset():
         np.testing.assert_array_equal(actions.sum(axis=1), np.minimum(proposals, 4))
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_truncation_matches_reference(data):
+    # Rows at exactly the budget, with no proposer and with every sensor
+    # proposing ride along with random rows; three slots in a row on small
+    # buffers also exercise refills. Actions and the streams' positions after
+    # each slot must equal the argpartition reference's.
+    episodes = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(2, 30))
+    budget = data.draw(st.integers(1, n - 1))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=episodes,
+                               max_size=episodes))
+    size = data.draw(st.integers(n, 2 * n))
+    streams = [UniformStreams([np.random.default_rng(s) for s in seeds], size)
+               for _ in range(2)]
+    for _ in range(3):
+        rows = []
+        for _ in range(episodes):
+            kind = data.draw(st.sampled_from(["random", "none", "all", "budget"]))
+            if kind == "random":
+                rows.append(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+            elif kind == "budget":
+                chosen = data.draw(st.sets(st.integers(0, n - 1), min_size=budget,
+                                           max_size=budget))
+                rows.append([int(k in chosen) for k in range(n)])
+            else:
+                rows.append([int(kind == "all")] * n)
+        actions = np.array(rows, dtype=np.int8)
+        proposals = actions.sum(axis=1, dtype=np.int64)
+        expected = actions.copy()
+        truncate_reference(expected, proposals, budget, streams[0])
+        _truncate(actions, proposals, budget, streams[1])
+        np.testing.assert_array_equal(actions, expected)
+        every = np.arange(episodes)
+        assert streams[0].draw(every).tolist() == streams[1].draw(every).tolist()
+
+
 def _batched_greedy(states, budget):
     policy = GreedyFleetPolicy(budget, len(states))
     requests, battery, age = (np.array([[getattr(s, f) for s in states]])
                               for f in ("requests", "battery", "age"))
     # Greedy reads only the requests and the ages; delta_max 7 covers every age here.
-    actions, _ = policy.decide(requests, battery * 7 + age - 1, age, None, None)
+    layout = fleet_layout(NetworkConfig(len(states), 1, budget, 7, (TINY1,) * len(states)))
+    actions, _ = policy.decide(requests, layout.index(battery * 7 + age - 1), age, None, None)
     return set(np.flatnonzero(actions[0]).tolist())
 
 
@@ -104,11 +148,14 @@ def test_greedy_batched_matches_scalar():
     # one-slot reference rule.
     rng = np.random.default_rng(3)
     policy = GreedyFleetPolicy(budget=2, num_sensors=6)
+    sensor = SensorParams(harvest_rate=0.5, battery_capacity=2, request_probs=(0.5, 0.5))
+    layout = fleet_layout(NetworkConfig(6, 2, 2, 8, (sensor,) * 6))
     for _ in range(100):
         requests = rng.integers(0, 3, size=(8, 6))
         ages = rng.integers(1, 9, size=(8, 6))
         battery = rng.integers(0, 3, size=(8, 6))
-        actions, proposals = policy.decide(requests, battery * 8 + ages - 1, ages, None, None)
+        actions, proposals = policy.decide(requests, layout.index(battery * 8 + ages - 1), ages,
+                                           None, None)
         for e in range(8):
             states = tuple(
                 PerSensorState(int(requests[e, k]), int(battery[e, k]), int(ages[e, k]))
@@ -177,7 +224,8 @@ def test_relaxed_propose_skips_unrequested():
     age = np.repeat(model.age_of[unrequested, None], 2, axis=1)
     requests = np.tile([0, 1], (unrequested.size, 1))
     rng = np.random.default_rng(5)
-    actions, proposals = policy.decide(requests, x, age, None, _streams(rng, unrequested.size))
+    actions, proposals = policy.decide(requests, fleet_layout(net).index(x), age, None,
+                                       _streams(rng, unrequested.size))
     assert not actions[:, 0].any()
     requested = unrequested + model.num_states // 2  # same battery and age, one request
     np.testing.assert_array_equal(actions[:, 1], table.actions[requested])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoisched import (
     MixedPolicy,
@@ -19,6 +21,7 @@ from aoisched import (
     solve_per_sensor,
     solve_relaxed,
 )
+from aoisched.simulator import UniformStreams
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 
@@ -99,6 +102,28 @@ def test_truncation_vacuous_when_budget_is_fleet():
     assert a.per_episode == b.per_episode
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_uniform_streams_replay_one_draw_at_a_time(data):
+    # Sorted rows with repeats, on buffers small enough to refill often:
+    # every episode gets exactly the uniforms of its own generator drawn one
+    # at a time, also when a call asks ``size`` uniforms of one episode.
+    episodes = data.draw(st.integers(1, 6))
+    size = data.draw(st.integers(1, 8))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=episodes,
+                               max_size=episodes))
+    streams = UniformStreams([np.random.default_rng(s) for s in seeds], size)
+    singles = [np.random.default_rng(s) for s in seeds]
+    for _ in range(data.draw(st.integers(1, 12))):
+        if data.draw(st.booleans()):
+            rows = np.full(size, data.draw(st.integers(0, episodes - 1)))
+        else:
+            counts = data.draw(st.lists(st.integers(0, size), min_size=episodes,
+                                        max_size=episodes))
+            rows = np.repeat(np.arange(episodes), counts)
+        assert streams.draw(rows).tolist() == [singles[e].random() for e in rows]
+
+
 def test_request_counts_match_request_pmf():
     # One uniform per sensor-slot, inverted through the CDF of the request
     # count. Every count frequency over 10^5 draws lies within five binomial
@@ -116,9 +141,9 @@ def test_request_counts_match_request_pmf():
         def __init__(self):
             self.counts = np.zeros((len(sensors), 4), dtype=np.int64)
 
-        def decide(self, requests, battery, age, mix_rngs, trunc_rngs):
+        def decide(self, requests, index, age, mix_streams, trunc_streams):
             np.add.at(self.counts, (np.arange(len(sensors)), requests), 1)
-            return np.zeros_like(battery), np.zeros(len(battery), dtype=np.int64)
+            return np.zeros_like(index), np.zeros(len(index), dtype=np.int64)
 
     recorder = Recorder()
     run_experiment(SimConfig(network=net, horizon=25_000, episodes=4, seed=31), recorder)
@@ -195,8 +220,8 @@ def test_budget_violation_raises():
         name = "over"
         budget = 1
 
-        def decide(self, requests, battery, age, mix_rngs, trunc_rngs):
-            actions = np.zeros_like(battery)
+        def decide(self, requests, index, age, mix_streams, trunc_streams):
+            actions = np.zeros_like(index)
             actions[:, : self.budget + 1] = 1
             return actions, actions.sum(axis=1)
 
