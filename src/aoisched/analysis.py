@@ -4,6 +4,11 @@ Proved results are hard checks: value monotonicity in age, the age-threshold
 policy structure, the policy-cost ordering chain, and the truncation gap
 bound. Structure along the request and battery axes is only observed in
 simulations, so it is reported, never asserted.
+
+Every check is a pure function of results already computed: solved tables
+and relative values, the relaxed bound and the exact optimum, and simulation
+reports. Nothing here solves or simulates, so one solve and one simulation
+per policy can feed every check that reads them.
 """
 
 from __future__ import annotations
@@ -12,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact_solver import solve_exact
-from .model import NetworkConfig, SensorParams
-from .relaxed_solver import PolicyTable, RelaxedSolution, solve_relaxed
-from .runtime_policies import build_relaxed_fleet_policy
-from .simulator import SimConfig, SimReport, run_experiment
+from .model import SensorParams
+from .relaxed_solver import PolicyTable
+from .simulator import SimReport
 
 __all__ = [
     "StructureReport",
@@ -31,6 +34,7 @@ __all__ = [
 ]
 
 VALUE_MONOTONE_TOL = 1e-9
+EXACT_TOL = 1e-6  # relaxed bound <= exact optimum, within the solvers' tolerances
 
 
 @dataclass(frozen=True)
@@ -63,14 +67,17 @@ def policy_structure_report(
     delta_max: int,
     policy: PolicyTable,
     values: np.ndarray | None = None,
-    value_tol: float = VALUE_MONOTONE_TOL,
 ) -> StructureReport:
-    """Exhaustive structural checks over the (requests, battery, age) grid."""
+    """Exhaustive structural checks over the (requests, battery, age) grid.
+
+    Relative ``values``, if given, must not fall with age by more than
+    ``VALUE_MONOTONE_TOL``.
+    """
     acts = _grids(sensor, delta_max, policy.actions)
     monotone = True
     if values is not None:
         vals = _grids(sensor, delta_max, values)
-        monotone = bool((np.diff(vals, axis=2) >= -value_tol).all())
+        monotone = bool((np.diff(vals, axis=2) >= -VALUE_MONOTONE_TOL).all())
     return StructureReport(
         value_monotone_in_age=monotone,
         age_threshold=_upward_closed(acts, axis=2),
@@ -108,7 +115,6 @@ class OrderingReport:
     exact_cost: float
     truncated_mean: float
     truncated_se: float
-    exact_tol: float
     holds: bool
 
     def describe(self) -> str:
@@ -119,36 +125,24 @@ class OrderingReport:
 
 
 def check_ordering(
-    config: NetworkConfig,
-    horizon: int,
-    episodes: int,
-    seed: int,
-    exact_tol: float = 1e-6,
-    relaxed: RelaxedSolution | None = None,
+    lower_bound: float, exact_cost: float, truncated: SimReport
 ) -> OrderingReport:
-    """Verify lower bound <= exact optimum <= truncated cost on a small instance.
+    """Verify lower bound <= exact optimum <= truncated cost on one instance.
 
-    The left pair is exact (solver tolerances); the right side is Monte Carlo
-    with a three-standard-error allowance, none with a single episode, whose
-    standard error is NaN.
+    ``lower_bound`` is the relaxed solve's ``avg_cost``, ``exact_cost`` the
+    joint solve's, and ``truncated`` the report of a relax-then-truncate run.
+    The left pair is exact (within ``EXACT_TOL``); the right side is Monte
+    Carlo with a three-standard-error allowance, none with a single episode,
+    whose standard error is NaN.
     """
-    if relaxed is None:
-        relaxed = solve_relaxed(config)
-    _, rvia = solve_exact(config)
-    policy = build_relaxed_fleet_policy(config, relaxed.policies, truncate_to_budget=True)
-    report = run_experiment(
-        SimConfig(network=config, horizon=horizon, episodes=episodes, seed=seed),
-        policy,
-    )
-    left = relaxed.avg_cost <= rvia.avg_cost + exact_tol
-    se = 0.0 if np.isnan(report.cost_se) else report.cost_se
-    right = rvia.avg_cost <= report.cost_mean + 3.0 * se + 1e-9
+    left = lower_bound <= exact_cost + EXACT_TOL
+    se = 0.0 if np.isnan(truncated.cost_se) else truncated.cost_se
+    right = exact_cost <= truncated.cost_mean + 3.0 * se + 1e-9
     return OrderingReport(
-        lower_bound=relaxed.avg_cost,
-        exact_cost=rvia.avg_cost,
-        truncated_mean=report.cost_mean,
-        truncated_se=report.cost_se,
-        exact_tol=exact_tol,
+        lower_bound=lower_bound,
+        exact_cost=exact_cost,
+        truncated_mean=truncated.cost_mean,
+        truncated_se=truncated.cost_se,
         holds=bool(left and right),
     )
 
@@ -171,21 +165,20 @@ def check_gap_bound(
     budget: int,
     lower_bound_cost: float,
     truncated: SimReport,
-    proposal_mad: float,
-    proposal_mad_se: float = 0.0,
+    relaxed: SimReport,
 ) -> GapBoundReport:
     """Check truncated cost minus the relaxed bound against (cap/budget) * MAD.
 
     Uses the relaxed lower bound in place of the unknown optimum, which only
     strengthens the check, and allows three standard errors on both measured
-    quantities. ``proposal_mad`` should come from a pure relaxed run, matching
-    the distribution the bound is stated under.
+    quantities. The proposal MAD comes from ``relaxed``, the report of a pure
+    relaxed run, matching the distribution the bound is stated under.
     """
     gap = truncated.cost_mean - lower_bound_cost
     se_cost = 0.0 if np.isnan(truncated.cost_se) else truncated.cost_se
-    se_mad = 0.0 if np.isnan(proposal_mad_se) else proposal_mad_se
+    se_mad = 0.0 if np.isnan(relaxed.proposal_mad_se) else relaxed.proposal_mad_se
     scale = delta_max / budget
-    bound = scale * proposal_mad + 3.0 * se_cost + 3.0 * scale * se_mad
+    bound = scale * relaxed.proposal_mad + 3.0 * se_cost + 3.0 * scale * se_mad
     return GapBoundReport(
         gap=float(gap),
         bound=float(bound),

@@ -272,9 +272,13 @@ def solve_per_sensor(
     every step is of the second kind. The returned table is the first minimum
     of the converged gain Q-values, then of the Q-values, so ties resolve to
     no-command and the table does not depend on ``start``; its exact rates
-    from the reference state, average Lagrangian and relative values come from
-    its own evaluation. ``rel_values`` covers the full (requests, battery,
-    age) states: h(s) = q_π(s)(s) - q_π(ref)(ref), zero at the reference state.
+    from the reference state and average Lagrangian come from its own
+    evaluation. ``rel_values`` covers the full (requests, battery, age)
+    states: h(s) = q_π(s)(s) - q_π(ref)(ref), zero at the reference state,
+    with the Q-values of the converged evaluation. Where the final tie-break
+    changes the table's closed classes, the table's own relative values
+    (normalised per class) would solve its Poisson equation but not the
+    optimality equation.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -317,11 +321,12 @@ def solve_per_sensor(
                 break
         actions = actions ^ switch
     final = np.where(tied, q[1] < q[0], gain_q[1] < gain_q[0])
+    q_final = np.where(final, q[1], q[0])
+    rel = (q_final - q_final[0, model.ref_index]).ravel()
     if not np.array_equal(final, actions):
         iterations += 1
         actions = final
-        evaluation, _, _, _, rel = evaluate(actions)
-    rel = rel.ravel()
+        evaluation = evaluate(actions)[0]
     rel.setflags(write=False)
     return PerSensorSolve(
         policy=PolicyTable(actions=actions.ravel(), mu=float(mu)),

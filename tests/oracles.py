@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 Nothing here touches the iterative solvers or the model's dynamics (only
-:func:`model_kernel` reads them, to hand them to a test): every
+:func:`model_kernel` reads them, to hand them to a test, and
+:func:`ordering_inputs` runs them, to feed ``check_ordering``): every
 chain is written out from a per-sensor reference of the slot rule, as dense
 full-state chains over (requests, battery, age). Policies are evaluated on
 them by direct chain analysis (strongly connected components, stationary
@@ -21,7 +22,17 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
-from aoisched import NetworkConfig, SensorParams, sensor_classes
+from aoisched import (
+    NetworkConfig,
+    SensorParams,
+    SimConfig,
+    SimReport,
+    build_relaxed_fleet_policy,
+    run_experiment,
+    sensor_classes,
+    solve_exact,
+    solve_relaxed,
+)
 
 
 @dataclass(frozen=True)
@@ -386,3 +397,20 @@ def relaxed_lp(network: NetworkConfig) -> float:
     assert (a_ub @ x)[0] <= network.gamma + 1e-9, "LP budget residual"
     assert x.min() >= -1e-9, "LP sign residual"
     return float(cost @ x)
+
+
+def ordering_inputs(
+    network: NetworkConfig, horizon: int, episodes: int, seed: int
+) -> tuple[float, float, SimReport]:
+    """The relaxed bound, the exact optimum and the relax-then-truncate report
+    of one instance, in the order ``check_ordering`` takes them.
+
+    Not an oracle: these are the package's own solvers and simulator.
+    """
+    relaxed = solve_relaxed(network)
+    _, exact = solve_exact(network)
+    policy = build_relaxed_fleet_policy(network, relaxed.policies, truncate_to_budget=True)
+    report = run_experiment(
+        SimConfig(network=network, horizon=horizon, episodes=episodes, seed=seed), policy
+    )
+    return relaxed.avg_cost, exact.avg_cost, report

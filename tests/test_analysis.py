@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import random_tiny_network
+from oracles import ordering_inputs, random_tiny_network
 
 from aoisched import (
     NetworkConfig,
@@ -25,7 +25,7 @@ TINY2 = NetworkConfig(2, 1, 1, 3, (TINY2_SENSOR, TINY2_SENSOR))
 
 
 def test_ordering_chain_tiny2():
-    report = check_ordering(TINY2, horizon=20_000, episodes=4, seed=17)
+    report = check_ordering(*ordering_inputs(TINY2, horizon=20_000, episodes=4, seed=17))
     assert report.holds, report.describe()
     assert report.lower_bound <= 1.5 + 1e-6
     assert report.exact_cost == pytest.approx(1.5, abs=1e-6)
@@ -34,7 +34,7 @@ def test_ordering_chain_tiny2():
 
 def test_ordering_chain_single_episode():
     # One episode has no spread: its NaN standard error gets no allowance.
-    report = check_ordering(TINY2, horizon=20_000, episodes=1, seed=17)
+    report = check_ordering(*ordering_inputs(TINY2, horizon=20_000, episodes=1, seed=17))
     assert np.isnan(report.truncated_se)
     assert report.truncated_mean >= report.exact_cost
     assert report.holds, report.describe()
@@ -43,7 +43,7 @@ def test_ordering_chain_single_episode():
 def test_ordering_chain_vacuous_budget():
     # gamma = 1: relaxation, optimum, and truncation all coincide.
     net = NetworkConfig(2, 1, 2, 3, (TINY1, TINY1))
-    report = check_ordering(net, horizon=30_000, episodes=32, seed=23)
+    report = check_ordering(*ordering_inputs(net, horizon=30_000, episodes=32, seed=23))
     assert report.holds, report.describe()
     assert report.lower_bound == pytest.approx(report.exact_cost, abs=1e-6)
     assert report.truncated_mean == pytest.approx(
@@ -55,7 +55,8 @@ def test_ordering_chain_random_instances():
     rng = np.random.default_rng(2024)
     for _ in range(3):
         net = random_tiny_network(rng)
-        report = check_ordering(net, horizon=30_000, episodes=4, seed=int(rng.integers(1 << 30)))
+        seed = int(rng.integers(1 << 30))
+        report = check_ordering(*ordering_inputs(net, horizon=30_000, episodes=4, seed=seed))
         assert report.holds, report.describe()
 
 
@@ -101,10 +102,7 @@ def test_gap_bound_vacuous_when_budget_full():
     sim = SimConfig(network=net, horizon=10_000, episodes=3, seed=5)
     rtt = run_experiment(sim, build_relaxed_fleet_policy(net, solution.policies, True))
     relaxed = run_experiment(sim, build_relaxed_fleet_policy(net, solution.policies, False))
-    report = check_gap_bound(
-        net.delta_max, net.budget, solution.avg_cost, rtt,
-        relaxed.proposal_mad, relaxed.proposal_mad_se,
-    )
+    report = check_gap_bound(net.delta_max, net.budget, solution.avg_cost, rtt, relaxed)
     assert report.holds, report.describe()
     # no truncation ever happens, so the measured gap is pure Monte Carlo noise
     assert abs(report.gap) <= 0.01
@@ -118,10 +116,7 @@ def test_gap_bound_active_budget():
     sim = SimConfig(network=net, horizon=20_000, episodes=4, seed=6)
     rtt = run_experiment(sim, build_relaxed_fleet_policy(net, solution.policies, True))
     relaxed = run_experiment(sim, build_relaxed_fleet_policy(net, solution.policies, False))
-    report = check_gap_bound(
-        net.delta_max, net.budget, solution.avg_cost, rtt,
-        relaxed.proposal_mad, relaxed.proposal_mad_se,
-    )
+    report = check_gap_bound(net.delta_max, net.budget, solution.avg_cost, rtt, relaxed)
     assert report.holds, report.describe()
 
 

@@ -249,6 +249,28 @@ def test_analyze_small_instance(tmp_path, capsys):
     assert "PASS truncation-gap-bound" in printed
 
 
+@pytest.mark.parametrize("text", [TINY_CONFIG, SMALL_FLEET], ids=["tiny", "small-fleet"])
+def test_analyze_simulates_each_policy_once(tmp_path, monkeypatch, capsys, text):
+    # The ordering chain (run on TINY_CONFIG, skipped on SMALL_FLEET's 8^10
+    # joint states) and the gap bound read the same rtt run.
+    calls = []
+    simulate = aoisched.cli.run_experiment
+
+    def counting(config, policy):
+        calls.append(policy)
+        return simulate(config, policy)
+
+    monkeypatch.setattr("aoisched.cli.run_experiment", counting)
+    # A simulation run inside the checks themselves would count too.
+    monkeypatch.setattr("aoisched.analysis.run_experiment", counting, raising=False)
+    cfg = _write_config(tmp_path, text)
+    code = main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "a")])
+    printed = capsys.readouterr().out
+    assert code == 0, printed
+    assert len(calls) == 2, [type(p).__name__ for p in calls]
+    assert "truncation-gap-bound" in printed
+
+
 def test_region_map(tmp_path, capsys):
     cfg = _write_config(tmp_path, SMALL_FLEET)
     out = tmp_path / "run"
