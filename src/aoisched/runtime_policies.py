@@ -49,13 +49,12 @@ class GreedyFleetPolicy:
         if self.budget >= n:
             actions = eligible.astype(np.int8)
             return actions, actions.sum(axis=1, dtype=np.int64)
-        # Keys of eligible sensors are unique per row, so the top ``budget``
-        # set is unique; ineligible entries (-1) that land in it are dropped.
+        # Keys of eligible sensors are unique per row, so exactly ``budget`` of
+        # them reach a row's ``budget``-th largest key; with fewer eligible that
+        # cut is an ineligible entry's -1, and every eligible sensor passes.
         key = np.where(eligible, age * n + self._tiebreak, -1)
-        top = np.argpartition(key, n - self.budget, axis=1)[:, n - self.budget:]
-        rows = np.arange(requests.shape[0])[:, None]
-        actions = np.zeros(requests.shape, dtype=np.int8)
-        actions[rows, top] = key[rows, top] >= 0
+        cut = np.partition(key, n - self.budget, axis=1)[:, n - self.budget, None]
+        actions = ((key >= cut) & eligible).view(np.int8)
         return actions, actions.sum(axis=1, dtype=np.int64)
 
 

@@ -10,7 +10,7 @@ Three fleets are pinned: ``configs/tiny2.cfg`` under all four policies; the
 ``bench/data/fig2a_tables.npz`` under rtt, greedy and relaxed; and 100
 TINY1 sensors, whose solved tables differ in states visited most slots, so
 nearly every slot draws mixing uniforms, under rtt and relaxed. The horizon
-crosses a 1024-slot block boundary. A fourth, shorter pin drives the
+crosses several 128-slot block boundaries. A fourth, shorter pin drives the
 ``configs/fig2b.cfg`` fleet (K=800, M=20) with the same paper tables under
 rtt: about 25 sensors propose per slot, so most slots overflow and
 truncation keeps several of many proposers.

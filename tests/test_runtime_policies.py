@@ -165,6 +165,38 @@ def test_greedy_batched_matches_scalar():
         np.testing.assert_array_equal(proposals, actions.sum(axis=1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_greedy_matches_scalar_on_random_fleets(data):
+    # Any fleet size and budget, the budget at or above the fleet included;
+    # rows with fewer eligible sensors than the budget, rows with none, and
+    # rows of equal ages, where the sensor index alone breaks the ties.
+    n = data.draw(st.integers(1, 64))
+    budget = data.draw(st.integers(1, n + 2))
+    requests, ages = [], []
+    for _ in range(data.draw(st.integers(1, 8))):
+        kind = data.draw(st.sampled_from(["random", "few", "none", "equal"]))
+        if kind == "few":
+            chosen = data.draw(st.sets(st.integers(0, n - 1), max_size=min(budget, n) - 1))
+            row = [int(k in chosen) for k in range(n)]
+        else:
+            row = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            row = [0] * n if kind == "none" else row
+        age = data.draw(st.lists(st.integers(1, 64), min_size=n, max_size=n))
+        requests.append(row)
+        ages.append([age[0]] * n if kind == "equal" else age)
+    requests, ages = np.array(requests), np.array(ages)
+    policy = GreedyFleetPolicy(budget, n)
+    # Greedy reads only the requests and the ages.
+    actions, proposals = policy.decide(requests, None, ages, None, None)
+    assert actions.dtype == np.int8
+    np.testing.assert_array_equal(proposals, actions.sum(axis=1))
+    for e in range(requests.shape[0]):
+        states = tuple(PerSensorState(int(r), 0, int(a)) for r, a in zip(requests[e], ages[e]))
+        assert set(np.flatnonzero(actions[e]).tolist()) == greedy_decide(states, budget)
+        assert set(np.unique(actions[e])) <= {0, 1}
+
+
 def test_relaxed_propose_eta_one_uses_lower_table():
     # With eta = 1 every mixing draw at a state where the tables differ picks
     # the lower table: the run replays the pure lower-table policy exactly.

@@ -1,5 +1,7 @@
 """Engine tests: determinism, trivial trajectories, spread statistics, traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,9 @@ from aoisched import (
     solve_per_sensor,
     solve_relaxed,
 )
+from aoisched import simulator
 from aoisched.simulator import UniformStreams
+from test_replay import _fixture_policies, _network
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 
@@ -236,3 +240,39 @@ def test_invalid_sim_config():
         SimConfig(network=net, horizon=0, episodes=1, seed=0)
     with pytest.raises(ValueError):
         SimConfig(network=net, horizon=10, episodes=2, seed=0, episode_seeds=(1,))
+
+
+def test_reports_do_not_depend_on_block_size(monkeypatch):
+    # The block size sets only how many slots of request and energy draws are
+    # made at once and the stream buffers' size; every report, with a trace
+    # point at every slot and so on both sides of every block edge, is equal.
+    # tiny2 runs rtt; 100 TINY1 sensors draw mixing uniforms in most slots.
+    tiny2 = _network("tiny2.cfg")
+    mixing = NetworkConfig(100, 1, 5, 2, (TINY1,) * 100)
+    horizon = 300
+    for network, truncate in ((tiny2, True), (mixing, False)):
+        policy = build_relaxed_fleet_policy(network, solve_relaxed(network).policies, truncate)
+        sim = SimConfig(network=network, horizon=horizon, episodes=3, seed=2022,
+                        trace_points=horizon)
+        reports = []
+        for block in (1, 7, 128, 1024):
+            monkeypatch.setattr(simulator, "_BLOCK", block)
+            reports.append(run_experiment(sim, policy))
+        assert len(reports[0].trace) == horizon
+        assert all(report == reports[0] for report in reports[1:])
+
+
+def test_block_buffers_bound_peak_memory():
+    # The fig2b fleet (K=800) under rtt over 256 slots: the reused 128-slot
+    # buffers peak at 2.8 MB under tracemalloc; one 256-slot block of fresh
+    # request and energy arrays peaks at 6.5 MB.
+    network = _network("fig2b.cfg")
+    rtt = build_relaxed_fleet_policy(network, _fixture_policies(network), True)
+    run_experiment(SimConfig(network=network, horizon=1, episodes=1, seed=0), rtt)  # warm caches
+    tracemalloc.start()
+    try:
+        run_experiment(SimConfig(network=network, horizon=256, episodes=4, seed=2022), rtt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6
