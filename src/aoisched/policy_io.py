@@ -3,13 +3,15 @@
 Both formats start with four header lines: a version tag, a network
 fingerprint (so a policy cannot silently be replayed on a different
 instance), solve metadata, and the column names. The body is integers only:
-row-index columns followed by 0/1 action columns. Floats in the metadata
-round-trip through repr.
+row-index columns followed by 0/1 action columns, written in chunks of
+``_CHUNK_ROWS`` rows with the bytes ``np.savetxt(fmt="%d", delimiter=",")``
+would give. Floats in the metadata round-trip through repr.
 """
 
 from __future__ import annotations
 
 import hashlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ __all__ = [
 MIXED_TAG = "# aoisched-mixed-policy v2"
 JOINT_TAG = "# aoisched-joint-policy v2"
 MIXED_COLUMNS = "class,state_index,action_lower,action_upper"
+_CHUNK_ROWS = 1024  # body rows formatted by one % each
 
 
 def network_fingerprint(config: NetworkConfig) -> str:
@@ -41,9 +44,19 @@ def network_fingerprint(config: NetworkConfig) -> str:
         f"M={config.budget}",
         f"delta_max={config.delta_max}",
     ]
+    # Equal sensors share one text, formatted once. A zero's sign is ignored
+    # by == but shows in repr, so sensors with a zero parameter are formatted
+    # one by one.
+    texts: dict[tuple, str] = {}
     for s in config.sensors:
-        probs = ",".join(repr(p) for p in s.request_probs)
-        parts.append(f"({s.harvest_rate!r},{s.battery_capacity},[{probs}])")
+        key = (s.harvest_rate, s.battery_capacity, s.request_probs)
+        text = texts.get(key)
+        if text is None:
+            probs = ",".join(repr(p) for p in s.request_probs)
+            text = f"({s.harvest_rate!r},{s.battery_capacity},[{probs}])"
+            if 0.0 not in (s.harvest_rate, *s.request_probs):
+                texts[key] = text
+        parts.append(text)
     return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
 
 
@@ -62,8 +75,12 @@ def _write(
     path: str | Path, tag: str, config: NetworkConfig, meta: str, columns: str,
     rows: np.ndarray,
 ) -> None:
-    header = f"{tag}\n# network={network_fingerprint(config)}\n# {meta}\n{columns}"
-    np.savetxt(path, rows, fmt="%d", delimiter=",", header=header, comments="")
+    line = ",".join(["%d"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(f"{tag}\n# network={network_fingerprint(config)}\n# {meta}\n{columns}\n")
+        for start in range(0, rows.shape[0], _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
 def _read(
@@ -78,21 +95,27 @@ def _read(
     path = Path(path)
     if not path.exists():
         raise PolicyFileError(f"policy file not found: {path}")
-    with path.open() as fh:
-        head = [fh.readline().rstrip("\n") for _ in range(4)]
-        if head[0] != tag:
-            raise PolicyFileError(f"{path}: expected header '{tag}'")
-        if head[3] != columns:
-            raise PolicyFileError(f"{path}: expected columns '{columns}'")
-        meta = dict(
-            token.split("=", 1) for token in " ".join(head[1:3]).split() if "=" in token
-        )
-        if meta.get("network") != network_fingerprint(config):
-            raise PolicyFileError(f"{path}: policy was solved for a different network")
-        try:
-            body = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-        except ValueError as exc:
-            raise PolicyFileError(f"{path}: malformed policy row: {exc}") from exc
+    try:
+        with path.open() as fh, warnings.catch_warnings():
+            head = [fh.readline().rstrip("\n") for _ in range(4)]
+            if head[0] != tag:
+                raise PolicyFileError(f"{path}: expected header '{tag}'")
+            if head[3] != columns:
+                raise PolicyFileError(f"{path}: expected columns '{columns}'")
+            meta = dict(
+                token.split("=", 1) for token in " ".join(head[1:3]).split() if "=" in token
+            )
+            if meta.get("network") != network_fingerprint(config):
+                raise PolicyFileError(f"{path}: policy was solved for a different network")
+            warnings.filterwarnings("error", ".*input contained no data", UserWarning)
+            try:
+                body = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+            except UserWarning:
+                raise PolicyFileError(f"{path}: no policy rows") from None
+            except ValueError as exc:
+                raise PolicyFileError(f"{path}: malformed policy row: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PolicyFileError(f"{path}: not a text file: {exc}") from None
     shape = (index.shape[0], columns.count(",") + 1)
     if body.shape != shape or not np.array_equal(body[:, : index.shape[1]], index):
         raise PolicyFileError(f"{path}: incomplete or misordered policy table")
@@ -142,14 +165,17 @@ def load_mixed_policies(
             raise PolicyFileError(f"{path}: metadata {key}={meta[key]!r} is not a number") from None
     eta, mu_minus, mu_plus = numbers
     splits = np.cumsum(sizes)[:-1]
-    per_class = [
-        MixedPolicy(
-            lower=PolicyTable(actions=lo, mu=mu_minus),
-            upper=PolicyTable(actions=up, mu=mu_plus),
-            eta=eta,
-        )
-        for lo, up in zip(np.split(actions[:, 0], splits), np.split(actions[:, 1], splits))
-    ]
+    try:
+        per_class = [
+            MixedPolicy(
+                lower=PolicyTable(actions=lo, mu=mu_minus),
+                upper=PolicyTable(actions=up, mu=mu_plus),
+                eta=eta,
+            )
+            for lo, up in zip(np.split(actions[:, 0], splits), np.split(actions[:, 1], splits))
+        ]
+    except ValueError as exc:
+        raise PolicyFileError(f"{path}: {exc}") from exc
     return tuple(per_class[c] for c in class_of), meta
 
 

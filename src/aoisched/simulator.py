@@ -19,7 +19,10 @@ uniforms in the same order as one draw per request would.
 The request and energy uniforms are drawn per episode in blocks of 128 slots
 into buffers that every block reuses (a 0.8 MB uniform buffer at K=800). A
 generator's doubles drawn in chunks equal the same doubles drawn at once, so
-the block size changes no value, only the memory and the time.
+the block size changes no value, only the memory and the time. Once a slot
+has used its energy bits, its row of the (128, episodes, K) int8 energy
+buffer is overwritten by the actions taken, so one sum per block gives the
+command counts for the budget check and the command rate.
 
 Each (episode, sensor) keeps one fleet index i = width * s, its (battery,
 age) state s in the network's :func:`model.fleet_layout`. Three flat tables
@@ -254,7 +257,8 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
             index = succ.take(index + (2 * actions + energy[t]))
             age = age_of.take(index)
             costs[t] = np.vecdot(r, age)
-            commands[t] = actions.sum(axis=1)
+            energy[t] = actions  # the spent energy row keeps the actions taken
+        energy.sum(axis=2, out=commands)
         if policy.budget is not None and (commands > policy.budget).any():
             raise SimulationError("per-slot budget violated")
         if ((index < low) | (index >= high)).any():

@@ -9,11 +9,14 @@ them by direct chain analysis (strongly connected components, stationary
 distributions, and absorption probabilities), the relaxed bound is a linear
 program over their occupation measures, and the joint problem is
 cross-checked by a finite-horizon dynamic program and a Bellman residual on
-their product.
+their product. The policy-file references are the plain writers that
+``policy_io`` is held byte-equal to: ``np.savetxt`` for the body and one
+text per sensor for the network fingerprint.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import product
 
@@ -414,3 +417,22 @@ def ordering_inputs(
         SimConfig(network=network, horizon=horizon, episodes=episodes, seed=seed), policy
     )
     return relaxed.avg_cost, exact.avg_cost, report
+
+
+def savetxt_reference(path, header: str, rows: np.ndarray) -> None:
+    """A policy file as ``np.savetxt`` writes it: the header, then "%d" rows."""
+    np.savetxt(path, rows, fmt="%d", delimiter=",", header=header, comments="")
+
+
+def fingerprint_reference(config: NetworkConfig) -> str:
+    """The network fingerprint, formatted sensor by sensor."""
+    parts = [
+        f"K={config.num_sensors}",
+        f"N={config.num_users}",
+        f"M={config.budget}",
+        f"delta_max={config.delta_max}",
+    ]
+    for s in config.sensors:
+        probs = ",".join(repr(p) for p in s.request_probs)
+        parts.append(f"({s.harvest_rate!r},{s.battery_capacity},[{probs}])")
+    return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]

@@ -1,20 +1,28 @@
 """Round-trip and validation tests for the policy file formats."""
 
+import hashlib
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from aoisched import (
+    LagrangeSolve,
     MixedPolicy,
     NetworkConfig,
     PolicyFileError,
     PolicyTable,
+    RelaxedSolution,
     SensorParams,
     sensor_model,
     solve_exact,
     solve_relaxed,
 )
+from aoisched import policy_io
 from aoisched.policy_io import (
     load_joint_policy,
     load_mixed_policies,
@@ -22,6 +30,8 @@ from aoisched.policy_io import (
     save_joint_policy,
     save_mixed_policies,
 )
+from oracles import fingerprint_reference, savetxt_reference
+from test_replay import ROOT, _fixture_policies, _network
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 OTHER = SensorParams(harvest_rate=0.4, battery_capacity=2, request_probs=(0.5,))
@@ -199,3 +209,107 @@ def test_fingerprint_sensitivity():
     net3 = NetworkConfig(2, 1, 1, 2, (TINY1, OTHER))
     prints = {network_fingerprint(n) for n in (net1, net2, net3)}
     assert len(prints) == 3
+
+
+def test_mixed_policy_rejects_eta_outside_unit_interval(tmp_path):
+    net, path = _saved_mixed(tmp_path)
+    text = path.read_text()
+    for eta in ("1.5", "nan", "-0.2"):
+        path.write_text(re.sub(r" eta=\S+", f" eta={eta}", text, count=1))
+        with pytest.raises(PolicyFileError, match=r"eta must be in \[0, 1\]"):
+            load_mixed_policies(path, net)
+
+
+def test_mixed_policy_rejects_non_utf8_body(tmp_path):
+    net, path = _saved_mixed(tmp_path)
+    path.write_bytes(path.read_bytes() + b"0,\xff\xfe,1,1\n")
+    with pytest.raises(PolicyFileError, match="not a text file"):
+        load_mixed_policies(path, net)
+
+
+def test_mixed_policy_rejects_empty_body_without_warning(tmp_path):
+    net, path = _saved_mixed(tmp_path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:4]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PolicyFileError, match="no policy rows"):
+            load_mixed_policies(path, net)
+
+
+CHUNK = policy_io._CHUNK_ROWS
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    num_rows=st.integers(1, 3 * CHUNK),
+    num_cols=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(num_rows=1, num_cols=4, seed=0)
+@example(num_rows=7, num_cols=1, seed=1)
+@example(num_rows=CHUNK, num_cols=4, seed=2)
+@example(num_rows=2 * CHUNK, num_cols=3, seed=3)
+@example(num_rows=2 * CHUNK + 37, num_cols=4, seed=4)
+def test_write_matches_savetxt(tmp_path, num_rows, num_cols, seed):
+    net = NetworkConfig(2, 1, 1, 2, (TINY1, OTHER))
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-10**12, 10**12, size=(num_rows, num_cols))
+    tag, meta, columns = "# tag", "avg_cost=1.25 budget=1", ",".join(["c"] * num_cols)
+    policy_io._write(tmp_path / "new.csv", tag, net, meta, columns, rows)
+    header = f"{tag}\n# network={network_fingerprint(net)}\n# {meta}\n{columns}"
+    savetxt_reference(tmp_path / "reference.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_fig2b_mixed_file_bytes_are_pinned(tmp_path):
+    # The paper's K=800 fleet with the fixture tables (20,480 body rows); the
+    # digest was recorded from the np.savetxt writer.
+    net = _network("fig2b.cfg")
+    with np.load(ROOT / "bench" / "data" / "fig2a_tables.npz") as data:
+        fx = {key: float(data[key]) for key in
+              ("mu_star", "mu_minus", "mu_plus", "eta", "lower_bound", "command_rate")}
+    lagrange = LagrangeSolve(
+        mu_star=fx["mu_star"], mu_minus=fx["mu_minus"], mu_plus=fx["mu_plus"],
+        evaluations=(), per_sensor_rel_values=(), per_sensor_lagrangians=(),
+        per_sensor_rates=(), dual_bound=float("nan"),
+    )
+    solution = RelaxedSolution(
+        policies=_fixture_policies(net), mu_star=fx["mu_star"], eta=fx["eta"],
+        avg_cost=fx["lower_bound"], command_rate=fx["command_rate"], constraint_active=True,
+        lagrange=lagrange, per_sensor_cost_rates=(), per_sensor_command_rates=(),
+    )
+    path = tmp_path / "fig2b.csv"
+    save_mixed_policies(path, net, solution)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "e11a6c82cb684568c5549eeba2ad8431356ec74a5219309fc870138c4f037e2f"
+
+
+_ZEROISH = st.sampled_from([0.0, -0.0, 0.25, 0.6, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _fleets(draw):
+    """Networks whose sensors interleave a few classes, some with signed zeros."""
+    users = draw(st.integers(1, 3))
+    pool = draw(st.lists(
+        st.builds(SensorParams, _ZEROISH, st.integers(1, 4),
+                  st.lists(_ZEROISH, min_size=users, max_size=users).map(tuple)),
+        min_size=1, max_size=4,
+    ))
+    # Equal sensors whose zeros differ in sign, so equal keys with unequal repr.
+    pool += [replace(s, harvest_rate=-s.harvest_rate) for s in pool if s.harvest_rate == 0.0]
+    sensors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    k = len(sensors)
+    return NetworkConfig(k, users, draw(st.integers(1, k)), draw(st.integers(2, 9)),
+                         tuple(sensors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fleets())
+@example(NetworkConfig(4, 1, 1, 3, (
+    SensorParams(0.0, 1, (0.5,)), SensorParams(-0.0, 1, (0.5,)),
+    SensorParams(0.5, 1, (-0.0,)), SensorParams(0.5, 1, (0.0,)),
+)))
+def test_fingerprint_matches_per_sensor_formula(net):
+    assert network_fingerprint(net) == fingerprint_reference(net)

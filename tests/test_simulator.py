@@ -234,6 +234,31 @@ def test_budget_violation_raises():
         run_experiment(SimConfig(network=net, horizon=5, episodes=2, seed=0), OverBudget())
 
 
+def test_budget_violation_in_partial_block_raises():
+    # One slot of the second, partial block commands two sensors under a
+    # budget of one; the reported proposals hide it, the actions taken do not.
+    class OverBudgetOnce:
+        name = "over-once"
+        budget = 1
+
+        def __init__(self, slot):
+            self.slot, self.calls = slot, 0
+
+        def decide(self, requests, index, age, mix_streams, trunc_streams):
+            actions = np.zeros(index.shape, dtype=np.int8)
+            actions[:, 0] = 1
+            if self.calls == self.slot:
+                actions[-1, 1] = 1
+            self.calls += 1
+            return actions, np.ones(index.shape[0], dtype=np.int64)
+
+    net = NetworkConfig(3, 1, 1, 4, (TINY1,) * 3)
+    config = SimConfig(network=net, horizon=simulator._BLOCK + 5, episodes=2, seed=0)
+    run_experiment(config, OverBudgetOnce(slot=-1))
+    with pytest.raises(SimulationError, match="budget"):
+        run_experiment(config, OverBudgetOnce(slot=simulator._BLOCK + 3))
+
+
 def test_invalid_sim_config():
     net = NetworkConfig(1, 1, 1, 4, (TINY1,))
     with pytest.raises(ValueError):
