@@ -17,6 +17,7 @@ from .analysis import (
     check_sqrt_k_mad,
     command_region_map,
     policy_structure_report,
+    proposal_spread,
 )
 from .errors import (
     AoischedError,

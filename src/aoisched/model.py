@@ -46,10 +46,11 @@ class SensorParams:
     request_probs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "harvest_rate", float(self.harvest_rate))
+        # Adding 0.0 turns -0.0 into 0.0, so equal sensors print alike.
+        object.__setattr__(self, "harvest_rate", float(self.harvest_rate) + 0.0)
         object.__setattr__(self, "battery_capacity", int(self.battery_capacity))
         object.__setattr__(
-            self, "request_probs", tuple(float(p) for p in self.request_probs)
+            self, "request_probs", tuple(float(p) + 0.0 for p in self.request_probs)
         )
         # harvest_rate == 1 is allowed: it models a grid-powered sensor.
         if not 0.0 <= self.harvest_rate <= 1.0:
@@ -115,15 +116,17 @@ def state_index(requests, battery, age, capacity, delta_max):
     return (requests * (capacity + 1) + battery) * delta_max + age - 1
 
 
-def request_pmf(sensor: SensorParams) -> np.ndarray:
-    """PMF of the per-slot request count, a sum of independent non-identical Bernoullis.
+def request_pmf(probs) -> np.ndarray:
+    """Poisson-binomial PMF: the law of a sum of independent Bernoullis with
+    success probabilities ``probs``.
 
-    Computed by the exact O(N^2) convolution recurrence; entries sum to one to
-    within 1e-12.
+    A sensor's per-slot request count is one, over its ``request_probs``.
+    Computed by the exact O(n^2) convolution recurrence (Hong, *CSDA* 59,
+    2013); entries sum to one to within 1e-12.
     """
-    pmf = np.zeros(sensor.num_users + 1)
+    pmf = np.zeros(len(probs) + 1)
     pmf[0] = 1.0
-    for p in sensor.request_probs:
+    for p in probs:
         pmf[1:] = pmf[1:] * (1.0 - p) + pmf[:-1] * p
         pmf[0] *= 1.0 - p
     return pmf
@@ -158,7 +161,7 @@ class SensorModel:
             np.arange(self.num_states), shape
         )
         self.age_of = age0 + 1
-        self.request_dist = request_pmf(sensor)
+        self.request_dist = request_pmf(sensor.request_probs)
         # State (requests=0, battery=0, age=1); also its (battery, age) index.
         self.ref_index = 0
 

@@ -44,18 +44,15 @@ def network_fingerprint(config: NetworkConfig) -> str:
         f"M={config.budget}",
         f"delta_max={config.delta_max}",
     ]
-    # Equal sensors share one text, formatted once. A zero's sign is ignored
-    # by == but shows in repr, so sensors with a zero parameter are formatted
-    # one by one.
+    # Equal sensors share one text, formatted once; ``SensorParams`` stores no
+    # -0.0, so equal sensors have equal texts.
     texts: dict[tuple, str] = {}
     for s in config.sensors:
         key = (s.harvest_rate, s.battery_capacity, s.request_probs)
         text = texts.get(key)
         if text is None:
             probs = ",".join(repr(p) for p in s.request_probs)
-            text = f"({s.harvest_rate!r},{s.battery_capacity},[{probs}])"
-            if 0.0 not in (s.harvest_rate, *s.request_probs):
-                texts[key] = text
+            text = texts[key] = f"({s.harvest_rate!r},{s.battery_capacity},[{probs}])"
         parts.append(text)
     return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
 

@@ -182,7 +182,7 @@ def _request_thresholds(network: NetworkConfig) -> np.ndarray:
     classes, _, class_of = sensor_classes(network)
     rows = []
     for sensor in classes:
-        pmf = request_pmf(sensor)
+        pmf = request_pmf(sensor.request_probs)
         above = np.cumsum(pmf[::-1])[::-1][1:]  # P(count > j)
         rows.append(np.where(above > 0, np.cumsum(pmf)[:-1], 1.0))
     return np.array(rows)[class_of].T.copy()

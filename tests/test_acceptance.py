@@ -30,6 +30,7 @@ from aoisched import (
     check_sqrt_k_mad,
     mean_abs_deviation,
     policy_structure_report,
+    proposal_spread,
     run_experiment,
     sensor_model,
     slot_step,
@@ -84,9 +85,6 @@ def fig2_runs(paper_solutions):
             ),
             "greedy": run_experiment(
                 sim, GreedyFleetPolicy(net.budget, net.num_sensors)
-            ),
-            "relaxed": run_experiment(
-                sim, build_relaxed_fleet_policy(net, solution.policies, False)
             ),
         }
     return runs
@@ -244,12 +242,8 @@ def test_criterion_7_fig2_reproduction(fig2_runs):
     ok &= shrinking
     details.append(f"gap K=40 {gaps[40][0]:.3f} -> K=800 {gaps[800][0]:.3f}")
 
-    mad = fig2_runs[800]["relaxed"].proposal_mad
-    scaling = check_sqrt_k_mad(
-        [(800, mad, fig2_runs[800]["relaxed"].proposal_mad_se)],
-        gamma=0.025,
-        delta_max=64,
-    )
+    _, mad = proposal_spread(fig2_runs[800]["solution"])
+    scaling = check_sqrt_k_mad([(800, mad)], gamma=0.025, delta_max=64)
     ok &= scaling.holds
     details.append(f"MAD/sqrt(K) at K=800 = {scaling.largest_ratio:.3f}")
     _verdict(7, "fig2-reproduction", ok, "; ".join(details))
@@ -265,7 +259,7 @@ def test_criterion_8_gap_bound(fig2_runs):
             run["net"].budget,
             run["solution"].avg_cost,
             run["rtt"],
-            run["relaxed"],
+            proposal_spread(run["solution"])[1],
         )
         ok &= report.holds
         details.append(f"K={k}: {report.describe()}")

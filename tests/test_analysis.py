@@ -14,6 +14,7 @@ from aoisched import (
     check_sqrt_k_mad,
     command_region_map,
     policy_structure_report,
+    proposal_spread,
     run_experiment,
     solve_per_sensor,
     solve_relaxed,
@@ -101,8 +102,8 @@ def test_gap_bound_vacuous_when_budget_full():
     solution = solve_relaxed(net)
     sim = SimConfig(network=net, horizon=10_000, episodes=3, seed=5)
     rtt = run_experiment(sim, build_relaxed_fleet_policy(net, solution.policies, True))
-    relaxed = run_experiment(sim, build_relaxed_fleet_policy(net, solution.policies, False))
-    report = check_gap_bound(net.delta_max, net.budget, solution.avg_cost, rtt, relaxed)
+    _, mad = proposal_spread(solution)
+    report = check_gap_bound(net.delta_max, net.budget, solution.avg_cost, rtt, mad)
     assert report.holds, report.describe()
     # no truncation ever happens, so the measured gap is pure Monte Carlo noise
     assert abs(report.gap) <= 0.01
@@ -115,8 +116,8 @@ def test_gap_bound_active_budget():
     assert solution.constraint_active
     sim = SimConfig(network=net, horizon=20_000, episodes=4, seed=6)
     rtt = run_experiment(sim, build_relaxed_fleet_policy(net, solution.policies, True))
-    relaxed = run_experiment(sim, build_relaxed_fleet_policy(net, solution.policies, False))
-    report = check_gap_bound(net.delta_max, net.budget, solution.avg_cost, rtt, relaxed)
+    _, mad = proposal_spread(solution)
+    report = check_gap_bound(net.delta_max, net.budget, solution.avg_cost, rtt, mad)
     assert report.holds, report.describe()
 
 
@@ -129,13 +130,13 @@ def test_sqrt_k_mad_binomial():
     mad = float(np.abs(samples - samples.mean()).mean())
     expected = np.sqrt(2 / np.pi) * np.sqrt(fleet * rate * (1 - rate))
     assert mad == pytest.approx(expected, rel=0.02)
-    report = check_sqrt_k_mad([(fleet, mad, 0.0)], gamma=rate, delta_max=64)
+    report = check_sqrt_k_mad([(fleet, mad)], gamma=rate, delta_max=64)
     assert report.holds
     assert report.largest_ratio == pytest.approx(0.1246, abs=0.005)
 
 
 def test_sqrt_k_mad_constant_proposals():
-    report = check_sqrt_k_mad([(100, 0.0, 0.0)], gamma=0.5, delta_max=8)
+    report = check_sqrt_k_mad([(100, 0.0)], gamma=0.5, delta_max=8)
     assert report.holds
     assert report.largest_ratio == 0.0
 
@@ -153,7 +154,7 @@ def test_lower_bound_non_increasing_in_budget():
 
 def test_sqrt_k_mad_orders_entries():
     report = check_sqrt_k_mad(
-        [(400, 4.0, 0.0), (100, 3.0, 0.0)], gamma=0.1, delta_max=16
+        [(400, 4.0), (100, 3.0)], gamma=0.1, delta_max=16
     )
     assert [k for k, _, _ in report.entries] == [100, 400]
     assert report.largest_k == 400

@@ -82,17 +82,11 @@ def test_per_sensor_cost_examples():
 
 
 def test_request_pmf_examples():
+    np.testing.assert_allclose(request_pmf((0.5, 0.5)), [0.25, 0.5, 0.25])
     np.testing.assert_allclose(
-        request_pmf(SensorParams(0.5, 1, (0.5, 0.5))), [0.25, 0.5, 0.25]
+        request_pmf((0.6, 0.6, 0.6)), [0.064, 0.288, 0.432, 0.216], atol=1e-15
     )
-    np.testing.assert_allclose(
-        request_pmf(SensorParams(0.5, 1, (0.6, 0.6, 0.6))),
-        [0.064, 0.288, 0.432, 0.216],
-        atol=1e-15,
-    )
-    np.testing.assert_allclose(
-        request_pmf(SensorParams(0.5, 1, (1.0, 0.0))), [0.0, 1.0, 0.0]
-    )
+    np.testing.assert_allclose(request_pmf((1.0, 0.0)), [0.0, 1.0, 0.0])
 
 
 def test_kernel_battery_rows():

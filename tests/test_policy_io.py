@@ -211,6 +211,18 @@ def test_fingerprint_sensitivity():
     assert len(prints) == 3
 
 
+def test_equal_networks_share_fingerprint_across_zero_sign(tmp_path):
+    # 0.0 == -0.0, but repr tells them apart; SensorParams stores +0.0 only.
+    nets = [NetworkConfig(2, 1, 1, 3, (SensorParams(zero, 1, (0.5,)),) * 2)
+            for zero in (0.0, -0.0)]
+    assert nets[0] == nets[1]
+    assert [network_fingerprint(n) for n in nets] == ["a0e0dd6e432acd41"] * 2
+    path = tmp_path / "mixed.csv"
+    save_mixed_policies(path, nets[0], solve_relaxed(nets[0]))
+    loaded, _ = load_mixed_policies(path, nets[1])
+    assert len(loaded) == 2
+
+
 def test_mixed_policy_rejects_eta_outside_unit_interval(tmp_path):
     net, path = _saved_mixed(tmp_path)
     text = path.read_text()
@@ -290,14 +302,14 @@ _ZEROISH = st.sampled_from([0.0, -0.0, 0.25, 0.6, 1.0]) | st.floats(0.0, 1.0)
 
 @st.composite
 def _fleets(draw):
-    """Networks whose sensors interleave a few classes, some with signed zeros."""
+    """Networks whose sensors interleave a few classes, some built with signed zeros."""
     users = draw(st.integers(1, 3))
     pool = draw(st.lists(
         st.builds(SensorParams, _ZEROISH, st.integers(1, 4),
                   st.lists(_ZEROISH, min_size=users, max_size=users).map(tuple)),
         min_size=1, max_size=4,
     ))
-    # Equal sensors whose zeros differ in sign, so equal keys with unequal repr.
+    # Equal sensors built from zeros of either sign.
     pool += [replace(s, harvest_rate=-s.harvest_rate) for s in pool if s.harvest_rate == 0.0]
     sensors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
     k = len(sensors)

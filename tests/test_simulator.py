@@ -17,6 +17,7 @@ from aoisched import (
     build_relaxed_fleet_policy,
     evaluate_per_sensor,
     mean_abs_deviation,
+    proposal_spread,
     request_pmf,
     run_episode,
     run_experiment,
@@ -154,7 +155,7 @@ def test_request_counts_match_request_pmf():
     draws = 100_000
     assert (recorder.counts.sum(axis=1) == draws).all()
     for sensor, counts in zip(sensors, recorder.counts):
-        pmf = request_pmf(sensor)
+        pmf = request_pmf(sensor.request_probs)
         tolerance = 5 * np.sqrt(pmf * (1 - pmf) / draws)
         assert (np.abs(counts / draws - pmf) <= tolerance).all(), (sensor, counts)
 
@@ -190,6 +191,24 @@ def test_heterogeneous_fleet_matches_per_sensor_rates():
     assert report.rate_mean == pytest.approx(
         solution.command_rate, abs=3 * report.rate_se
     )
+
+
+def test_proposal_statistics_match_exact_law():
+    # Under the pure relaxed policy the proposal count is Poisson-binomial
+    # over the per-sensor command rates. The simulated per-episode proposal
+    # mean and MAD must land within four standard errors of that law's.
+    sensors = tuple(SensorParams((0.2, 0.5, 0.8)[k % 3], 3, (0.6, 0.3)) for k in range(20))
+    net = NetworkConfig(20, 2, 2, 8, sensors)
+    solution = solve_relaxed(net)
+    policy = build_relaxed_fleet_policy(net, solution.policies, truncate_to_budget=False)
+    report = run_experiment(SimConfig(network=net, horizon=20_000, episodes=8, seed=7), policy)
+    mean, mad = proposal_spread(solution)
+    for exact, simulated in (
+        (mean, [m.proposal_mean for m in report.per_episode]),
+        (mad, [m.proposal_mad for m in report.per_episode]),
+    ):
+        se = np.std(simulated, ddof=1) / np.sqrt(len(simulated))
+        assert abs(np.mean(simulated) - exact) <= 4 * se, (exact, np.mean(simulated), se)
 
 
 def test_mean_abs_deviation():
