@@ -215,41 +215,18 @@ def check_gap_bound(
 
 @dataclass(frozen=True)
 class SqrtKReport:
-    """Proposal MAD scaling across fleet sizes at a fixed normalized budget."""
+    """Normalized proposal spread MAD / sqrt(K) of one fleet."""
 
-    entries: tuple[tuple[int, float, float], ...]  # (K, MAD/sqrt(K), envelope)
-    largest_k: int
-    largest_ratio: float
+    ratio: float
     holds: bool
 
-    def describe(self) -> str:
-        rows = ", ".join(f"K={k}: {r:.4f}" for k, r, _ in self.entries)
-        return f"MAD/sqrt(K) [{rows}]; largest K={self.largest_k} ratio={self.largest_ratio:.4f}"
 
+def check_sqrt_k_mad(num_sensors: int, mad: float) -> SqrtKReport:
+    """Assert the normalized proposal spread MAD / sqrt(K) stays below one.
 
-def check_sqrt_k_mad(
-    measurements: list[tuple[int, float]],
-    gamma: float,
-    delta_max: int,
-) -> SqrtKReport:
-    """Assert the normalized proposal spread stays below one at the largest fleet.
-
-    ``measurements`` holds (K, proposal MAD) pairs of the pure relaxed
-    policy, as :func:`proposal_spread` gives them. Smaller fleets are
-    report-only since the scaling claim is asymptotic. The envelope column
-    delta_max / (gamma * sqrt(K)) tracks the vanishing-gap trend.
+    ``mad`` is the pure relaxed policy's proposal MAD on a fleet of
+    ``num_sensors`` sensors, as :func:`proposal_spread` gives it. The claim
+    is asymptotic, so check it on a large fleet.
     """
-    if not measurements:
-        raise ValueError("need at least one measurement")
-    entries = []
-    for k, mad in sorted(measurements):
-        entries.append((k, mad / np.sqrt(k), delta_max / (gamma * np.sqrt(k))))
-    k_max, mad_max = max(measurements)
-    ratio = mad_max / np.sqrt(k_max)
-    holds = ratio <= 1.0
-    return SqrtKReport(
-        entries=tuple(entries),
-        largest_k=int(k_max),
-        largest_ratio=float(ratio),
-        holds=bool(holds),
-    )
+    ratio = float(mad / np.sqrt(num_sensors))
+    return SqrtKReport(ratio=ratio, holds=ratio <= 1.0)

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, StateSpaceError
-from .model import NetworkConfig, expected_next, sensor_model
+from .model import NetworkConfig, expected_next, joint_state_sizes, sensor_model
 
 __all__ = [
     "JOINT_STATE_CAP",
@@ -59,8 +59,7 @@ class JointPolicy:
 
     def __post_init__(self):
         acts = np.asarray(self.actions, dtype=np.int8)
-        expected = int(np.prod(self.state_sizes))
-        if acts.shape != (expected, len(self.state_sizes)):
+        if acts.shape != (math.prod(self.state_sizes), len(self.state_sizes)):
             raise ValueError("joint policy table shape does not match the state space")
         if (acts.sum(axis=1) > self.budget).any():
             raise ValueError("joint policy violates the per-slot budget")
@@ -171,14 +170,12 @@ def solve_exact(config: NetworkConfig) -> tuple[JointPolicy, RviaResult]:
     the joint-state cap and :class:`ConvergenceError` if the span tolerance is
     not met.
     """
-    models = [sensor_model(s, config.delta_max) for s in config.sensors]
-    sizes = tuple(m.num_states for m in models)
-    total = int(np.prod(sizes))
-    if total > JOINT_STATE_CAP:
+    sizes = joint_state_sizes(config)
+    if math.prod(sizes) > JOINT_STATE_CAP:
         raise StateSpaceError(
-            f"joint state space has {total} states, above the cap of "
-            f"{JOINT_STATE_CAP}; use the relaxed solver"
+            f"joint state space has more than {JOINT_STATE_CAP} states; use the relaxed solver"
         )
+    models = [sensor_model(s, config.delta_max) for s in config.sensors]
     actions = enumerate_budget_actions(config.num_sensors, config.budget)
     # Axes (requests_1, x_1, ..., requests_K, x_K), x_k the (battery, age) index.
     shape = [n for m in models for n in (m.request_dist.size, m.num_states // m.request_dist.size)]

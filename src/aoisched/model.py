@@ -16,9 +16,10 @@ concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "sensor_classes",
     "FleetLayout",
     "fleet_layout",
+    "joint_state_sizes",
     "request_pmf",
     "slot_step",
     "state_index",
@@ -156,7 +158,7 @@ class SensorModel:
         self.delta_max = int(delta_max)
         capacity, rate = sensor.battery_capacity, sensor.harvest_rate
         shape = (sensor.num_users + 1, capacity + 1, self.delta_max)
-        self.num_states = int(np.prod(shape))
+        self.num_states = math.prod(shape)
         self.requests_of, self.battery_of, age0 = np.unravel_index(
             np.arange(self.num_states), shape
         )
@@ -258,8 +260,9 @@ class FleetLayout:
     s = start[c] + x for index x of class c, so class c holds the block
     [start[c], start[c + 1]). A sensor in state s keeps the index
     i = width * s, and a flat table of the layout holds its entry j for s at
-    i + j: j = 2a + e in the simulator's successor table, the request count
-    r in a runtime policy's tables. ``width`` = max(4, N + 1) fits both.
+    i + j: j = 2a + e in the simulator's successor table, 0 in its age
+    table, the request count r in a runtime policy's tables. ``width`` =
+    max(4, N + 1) fits them all; :meth:`table` writes every such table.
     """
 
     width: int
@@ -271,6 +274,18 @@ class FleetLayout:
         """The fleet index of (battery, age) indices x, one per sensor along the last axis."""
         return self.width * (self.start[self.class_of] + x)
 
+    def table(self, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """The flat table holding row x of ``rows[c]`` at width * (start[c] + x).
+
+        ``rows[c]`` has one row per (battery, age) state of class c; every class
+        has the same number of columns, at most ``width``, and the rest of each
+        width-long row is zero.
+        """
+        rows = np.concatenate(rows)
+        out = np.zeros((rows.shape[0], self.width), dtype=rows.dtype)
+        out[:, :rows.shape[1]] = rows
+        return out.ravel()
+
 
 def fleet_layout(network: NetworkConfig) -> FleetLayout:
     """The :class:`FleetLayout` of ``network``; it depends on the network alone."""
@@ -281,3 +296,13 @@ def fleet_layout(network: NetworkConfig) -> FleetLayout:
     for arr in (class_of, start):
         arr.setflags(write=False)
     return FleetLayout(max(4, network.num_users + 1), class_of, models, start)
+
+
+def joint_state_sizes(network: NetworkConfig) -> tuple[int, ...]:
+    """Per-sensor state counts of the joint MDP, in sensor order, as Python ints.
+
+    The joint state count is their ``math.prod``, exact at any fleet size; a
+    fixed-width product wraps (2048**40 is 0 in int64). Compare it with a cap
+    before formatting it: past 4,300 digits ``str`` refuses the number.
+    """
+    return tuple(sensor_model(s, network.delta_max).num_states for s in network.sensors)

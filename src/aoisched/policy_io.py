@@ -11,14 +11,15 @@ would give. Floats in the metadata round-trip through repr.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .errors import PolicyFileError
-from .exact_solver import JointPolicy
-from .model import NetworkConfig, sensor_classes, sensor_model
+from .exact_solver import JOINT_STATE_CAP, JointPolicy
+from .model import NetworkConfig, joint_state_sizes, sensor_classes, sensor_model
 from .relaxed_solver import MixedPolicy, PolicyTable, RelaxedSolution
 from .runtime_policies import class_policies
 
@@ -188,10 +189,11 @@ def save_joint_policy(
 def load_joint_policy(
     path: str | Path, config: NetworkConfig
 ) -> tuple[JointPolicy, dict[str, str]]:
-    sizes = tuple(
-        sensor_model(s, config.delta_max).num_states for s in config.sensors
-    )
-    index = np.arange(int(np.prod(sizes)))[:, None]
+    sizes = joint_state_sizes(config)
+    total = math.prod(sizes)
+    if total > JOINT_STATE_CAP:  # no joint solve writes such a file
+        raise PolicyFileError(f"{path}: no joint policy exists above {JOINT_STATE_CAP} states")
+    index = np.arange(total)[:, None]
     actions, meta = _read(
         path, JOINT_TAG, config, _joint_columns(config.num_sensors), index
     )

@@ -9,8 +9,10 @@ K) arrays of request counts, fleet indices and ages, plus the mixture and the
 truncation streams of the episodes (:class:`simulator.UniformStreams`), and
 returns the (episodes, K) action bits and each episode's proposal count
 before truncation. A sensor's fleet index is width * s for its state s in
-the network's :func:`model.fleet_layout`; the relaxed policy's tables share
-that layout, so a sensor's entry for r requests sits at index + r.
+the network's :func:`model.fleet_layout`; the relaxed policy's tables are
+written by ``FleetLayout.table``, so a sensor's entry for r requests sits at
+index + r. The exact policy's table covers the joint states that
+:func:`model.joint_state_sizes` counts.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from .exact_solver import JointPolicy
-from .model import FleetLayout, NetworkConfig, fleet_layout, sensor_classes, sensor_model
+from .model import (
+    FleetLayout,
+    NetworkConfig,
+    fleet_layout,
+    joint_state_sizes,
+    sensor_classes,
+    sensor_model,
+)
 from .relaxed_solver import MixedPolicy
 
 __all__ = [
@@ -167,16 +176,6 @@ def class_policies(
     return class_of, per_class
 
 
-def _fleet_table(layout: FleetLayout, tables) -> np.ndarray:
-    """Per-class tables over (requests, x), relaid so that the entry of state s
-    for r requests sits at ``layout.width * s + r``."""
-    rows = np.concatenate([t.reshape(-1, m.succ.shape[0]).T
-                           for t, m in zip(tables, layout.models)])
-    out = np.zeros((rows.shape[0], layout.width), dtype=rows.dtype)
-    out[:, :rows.shape[1]] = rows
-    return out.ravel()
-
-
 def build_relaxed_fleet_policy(
     network: NetworkConfig,
     policies: Sequence[MixedPolicy],
@@ -186,9 +185,14 @@ def build_relaxed_fleet_policy(
     one runtime policy object."""
     _, per_class = class_policies(network, policies)
     layout = fleet_layout(network)
+
+    def table(tables):  # each class's table over (requests, x), one row per x
+        return layout.table([t.reshape(-1, m.succ.shape[0]).T
+                             for t, m in zip(tables, layout.models)])
+
     return RelaxedFleetPolicy(
-        lower=_fleet_table(layout, [p.lower.actions for p in per_class]),
-        upper=_fleet_table(layout, [p.upper.actions for p in per_class]),
+        lower=table([p.lower.actions for p in per_class]),
+        upper=table([p.upper.actions for p in per_class]),
         eta=per_class[0].eta,
         budget=network.budget if truncate_to_budget else None,
         name="rtt" if truncate_to_budget else "relaxed",
@@ -196,8 +200,6 @@ def build_relaxed_fleet_policy(
 
 
 def build_exact_fleet_policy(network: NetworkConfig, policy: JointPolicy) -> ExactFleetPolicy:
-    layout = fleet_layout(network)
-    sizes = [layout.models[c].num_states for c in layout.class_of]
-    if tuple(policy.state_sizes) != tuple(sizes) or policy.budget != network.budget:
+    if tuple(policy.state_sizes) != joint_state_sizes(network) or policy.budget != network.budget:
         raise ValueError("joint policy table does not match the network")
-    return ExactFleetPolicy(policy, layout)
+    return ExactFleetPolicy(policy, fleet_layout(network))

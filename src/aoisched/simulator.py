@@ -8,11 +8,12 @@ mixture / truncation streams spawned from its seed, so runs replay bit-exactly
 and per-episode results do not depend on how many episodes run together.
 
 Per sensor-slot, the request stream gives one uniform, turned into the
-request count by inverse transform over :func:`model.request_pmf`, and the
-energy stream gives one uniform. The policy's ``decide`` consumes the other
-two: the mixture stream one uniform per sensor whose state is one where the
-two mixed tables differ, the truncation stream one uniform per proposing
-sensor in a slot whose proposals exceed the budget. Those two are served
+request count by inverse transform over its class's
+``SensorModel.request_dist``, and the energy stream gives one uniform. The
+policy's ``decide`` consumes the other two: the mixture stream one uniform
+per sensor whose state is one where the two mixed tables differ, the
+truncation stream one uniform per proposing sensor in a slot whose
+proposals exceed the budget. Those two are served
 from per-episode buffers (:class:`UniformStreams`), which hand out the same
 uniforms in the same order as one draw per request would.
 
@@ -26,11 +27,11 @@ command counts for the budget check and the command rate.
 
 Each (episode, sensor) keeps one fleet index i = width * s, its (battery,
 age) state s in the network's :func:`model.fleet_layout`. Three flat tables
-share that layout: the successor table, built from every class's
-``SensorModel.succ``, holds width * s' for action a and harvest e at
-i + 2a + e; the age table holds the age of s at i; and the relaxed policy's
-tables hold its action for r requests at i + r. The slot cost is the
-request count times the age after the step.
+share that layout, all written by ``FleetLayout.table``: the successor
+table, from every class's ``SensorModel.succ``, holds width * s' for action
+a and harvest e at i + 2a + e; the age table holds the age of s at i; and
+the relaxed policy's tables hold its action for r requests at i + r. The
+slot cost is the request count times the age after the step.
 
 Episodes start pessimistically at empty batteries and capped ages with fresh
 requests; no burn-in is discarded, long horizons wash out the transient.
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .model import NetworkConfig, fleet_layout, request_pmf, sensor_classes
+from .model import FleetLayout, NetworkConfig, fleet_layout
 
 __all__ = [
     "SimConfig",
@@ -172,20 +173,19 @@ class UniformStreams:
         return self._buffer.take(index)
 
 
-def _request_thresholds(network: NetworkConfig) -> np.ndarray:
+def _request_thresholds(layout: FleetLayout) -> np.ndarray:
     """Inverse-transform thresholds of each sensor's request count, shape (N, K).
 
     Row j holds P(count <= j); a count is the number of rows at or below one
     uniform in [0, 1). Where a count above j is impossible the row holds 1.0,
     which no uniform reaches, so degenerate probabilities give exact counts.
     """
-    classes, _, class_of = sensor_classes(network)
     rows = []
-    for sensor in classes:
-        pmf = request_pmf(sensor.request_probs)
+    for model in layout.models:
+        pmf = model.request_dist
         above = np.cumsum(pmf[::-1])[::-1][1:]  # P(count > j)
         rows.append(np.where(above > 0, np.cumsum(pmf)[:-1], 1.0))
-    return np.array(rows)[class_of].T.copy()
+    return np.array(rows)[layout.class_of].T.copy()
 
 
 def run_experiment(config: SimConfig, policy) -> SimReport:
@@ -193,18 +193,15 @@ def run_experiment(config: SimConfig, policy) -> SimReport:
     net = config.network
     n_sensors, n_users, delta_max = net.num_sensors, net.num_users, net.delta_max
     episodes, horizon = config.episodes, config.horizon
-    thresholds = _request_thresholds(net)
+    layout = fleet_layout(net)
+    thresholds = _request_thresholds(layout)
     rates = np.array([s.harvest_rate for s in net.sensors])
     # The successor of index i under action a and harvest e is succ[i + 2a + e],
     # the age at i is age_of[i]; sensor k's index stays in [low[k], high[k]).
-    layout = fleet_layout(net)
     width, start = layout.width, layout.start
-    succ = np.zeros((start[-1], width), dtype=np.intp)
-    succ[:, :4] = width * np.concatenate(
-        [m.succ.reshape(-1, 4) + s for m, s in zip(layout.models, start)])
-    succ = succ.ravel()
-    age_of = np.repeat(np.concatenate([m.age_of[:m.succ.shape[0]] for m in layout.models]),
-                       width)
+    succ = layout.table([width * (m.succ.reshape(-1, 4) + s)
+                         for m, s in zip(layout.models, start)])
+    age_of = layout.table([m.age_of[:m.succ.shape[0], None] for m in layout.models])
     low, high = width * start[layout.class_of], width * start[layout.class_of + 1]
 
     streams = _episode_streams(config)

@@ -130,15 +130,15 @@ def test_sqrt_k_mad_binomial():
     mad = float(np.abs(samples - samples.mean()).mean())
     expected = np.sqrt(2 / np.pi) * np.sqrt(fleet * rate * (1 - rate))
     assert mad == pytest.approx(expected, rel=0.02)
-    report = check_sqrt_k_mad([(fleet, mad)], gamma=rate, delta_max=64)
+    report = check_sqrt_k_mad(fleet, mad)
     assert report.holds
-    assert report.largest_ratio == pytest.approx(0.1246, abs=0.005)
+    assert report.ratio == pytest.approx(0.1246, abs=0.005)
 
 
 def test_sqrt_k_mad_constant_proposals():
-    report = check_sqrt_k_mad([(100, 0.0)], gamma=0.5, delta_max=8)
+    report = check_sqrt_k_mad(100, 0.0)
     assert report.holds
-    assert report.largest_ratio == 0.0
+    assert report.ratio == 0.0
 
 
 def test_lower_bound_non_increasing_in_budget():
@@ -151,10 +151,3 @@ def test_lower_bound_non_increasing_in_budget():
         costs.append(solve_relaxed(net).avg_cost)
     assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
-
-def test_sqrt_k_mad_orders_entries():
-    report = check_sqrt_k_mad(
-        [(400, 4.0), (100, 3.0)], gamma=0.1, delta_max=16
-    )
-    assert [k for k, _, _ in report.entries] == [100, 400]
-    assert report.largest_k == 400

@@ -272,6 +272,20 @@ def test_analyze_simulates_each_policy_once(tmp_path, monkeypatch, capsys, text)
     assert "truncation-gap-bound" in printed
 
 
+def test_analyze_paper_scale_skips_the_exact_solve(tmp_path, capsys):
+    # fig2a's 2**440 joint states wrapped to 0 in an int64 product, so the
+    # exact solve ran and failed; the exact count skips it.
+    text = (CONFIGS / "fig2a.cfg").read_text()
+    text = text.replace("horizon = 100000", "horizon = 2000")
+    text = text.replace("episodes = 10", "episodes = 2")
+    assert "horizon = 2000\n" in text and "episodes = 2\n" in text
+    cfg = _write_config(tmp_path, text)
+    code = main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "a")])
+    printed = capsys.readouterr().out
+    assert code == 0, printed
+    assert "INFO ordering-chain skipped: more than 50000 joint states" in printed
+
+
 def test_region_map(tmp_path, capsys):
     cfg = _write_config(tmp_path, SMALL_FLEET)
     out = tmp_path / "run"

@@ -1,5 +1,6 @@
 """Joint-solver tests: action enumeration, tiny oracles, Bellman residuals, and memory."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from oracles import (
 )
 
 from aoisched import (
+    JointPolicy,
     NetworkConfig,
     SensorParams,
     StateSpaceError,
@@ -20,6 +22,7 @@ from aoisched import (
     solve_exact,
     solve_per_sensor,
 )
+from aoisched.model import joint_state_sizes
 
 TINY2_SENSOR = SensorParams(harvest_rate=1.0, battery_capacity=1, request_probs=(1.0,))
 TINY2 = NetworkConfig(2, 1, 1, 3, (TINY2_SENSOR, TINY2_SENSOR))
@@ -45,6 +48,33 @@ def test_state_space_cap():
     net = NetworkConfig(3, 7, 1, 64, (sensor,) * 3)
     with pytest.raises(StateSpaceError):
         solve_exact(net)
+
+
+# fig2a's sensors: 4 request counts x 8 battery levels x 64 ages = 2,048 states.
+PAPER_SENSOR = SensorParams(0.05, 7, (0.6,) * 3)
+
+
+def test_state_space_cap_at_paper_scale():
+    # 40 sensors of 2,048 states: 2**440 joint states, which an int64 product
+    # wraps to 0, so the cap let the solve through to a numpy allocation error.
+    net = NetworkConfig(40, 3, 1, 64, (PAPER_SENSOR,) * 40)
+    assert math.prod(joint_state_sizes(net)) == 2**440
+    with pytest.raises(StateSpaceError, match="more than"):
+        solve_exact(net)
+
+
+def test_state_space_cap_message_stays_short():
+    # 2048**1300 has 4,305 digits, past what Python formats as a str.
+    net = NetworkConfig(1300, 3, 1, 64, (PAPER_SENSOR,) * 1300)
+    with pytest.raises(StateSpaceError) as err:
+        solve_exact(net)
+    assert len(str(err.value)) < 100
+
+
+def test_joint_policy_rejects_a_table_of_the_wrapped_size():
+    # A 0-row table matched the int64 product of 40 sensors of 2,048 states.
+    with pytest.raises(ValueError, match="shape"):
+        JointPolicy(np.zeros((0, 40), np.int8), 1, (2048,) * 40)
 
 
 def test_always_requested_always_energized():

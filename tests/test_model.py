@@ -24,7 +24,7 @@ from aoisched import (
     slot_step,
     state_index,
 )
-from aoisched.model import expected_next
+from aoisched.model import expected_next, fleet_layout, joint_state_sizes
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 
@@ -204,6 +204,21 @@ def test_sensor_classes_dedupe():
     assert len(classes) == 2
     assert counts.tolist() == [3, 1]
     assert class_of.tolist() == [0, 0, 1, 0]
+
+
+def test_fleet_table_places_rows_by_class_block():
+    # Class 0 has 2 * 4 (battery, age) states, class 1 has 3 * 4; width is 4.
+    net = NetworkConfig(3, 1, 1, 4, (TINY1, SensorParams(0.2, 2, (0.5,)), TINY1))
+    layout = fleet_layout(net)
+    assert layout.start.tolist() == [0, 8, 20]
+    rows = [np.arange(24).reshape(8, 3), 100 + np.arange(36).reshape(12, 3)]
+    table = layout.table(rows).reshape(20, 4)
+    np.testing.assert_array_equal(table[:, :3], np.concatenate(rows))
+    assert not table[:, 3].any()
+    # Sensor k's row x sits at its fleet index.
+    x = np.array([5, 7, 1])
+    assert table.ravel()[layout.index(x)].tolist() == [15, 121, 3]
+    assert joint_state_sizes(net) == (16, 24, 16)
 
 
 @settings(max_examples=60, deadline=None)

@@ -130,6 +130,14 @@ def test_joint_policy_rejects_truncated_file(tmp_path):
         load_joint_policy(path, net)
 
 
+def test_joint_policy_refuses_a_fleet_above_the_joint_cap(tmp_path):
+    # 40 sensors of 2,048 states: no joint solve writes a table of 2**440 rows.
+    sensor = SensorParams(0.05, 7, (0.6,) * 3)
+    net = NetworkConfig(40, 3, 1, 64, (sensor,) * 40)
+    with pytest.raises(PolicyFileError, match="above 2000000 states"):
+        load_joint_policy(tmp_path / "joint.csv", net)
+
+
 def test_identical_sensors_share_rows(tmp_path):
     k = 50
     net = NetworkConfig(k, 1, 5, 2, (TINY1,) * k)
