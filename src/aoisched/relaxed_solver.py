@@ -17,7 +17,10 @@ Every policy evaluation therefore runs on that (battery, age) chain, a factor
 num_users + 1 smaller than the full one, assembled straight from the model's
 successor table: :func:`_poisson`, one sparse LU factorisation, yields its
 per-state cost and command rates and its relative values at once, whatever
-the number of closed classes. It is the only place that needs scipy.
+the number of closed classes. Its system reaches SuperLU as CSC arrays
+written through a slot map built once per model and set of gain columns
+(:func:`_system_slots`), so no evaluation sorts sparse triplets. It is the
+only place that needs scipy.
 Multichain Howard policy iteration solves each priced per-sensor problem on
 it at every price, and the gain and bias Q-values of the full states follow
 from one ``SensorModel.expect`` per action; :func:`evaluate_per_sensor`
@@ -134,20 +137,23 @@ class PerSensorSolve:
     evaluation: ChainEvaluation
 
 
-def _poisson(chain: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray,
-             ref: int) -> tuple[np.ndarray, np.ndarray]:
+def _poisson(probs: np.ndarray, rhs: np.ndarray,
+             model: SensorModel) -> tuple[np.ndarray, np.ndarray]:
     """Per-state gains and relative values of any chain, one column per reward in ``rhs``.
 
-    ``chain`` holds the (rows, cols, data) of the transition matrix in
-    canonical CSR order: sorted by row, then column, with no duplicates and no
-    zeros. Solves the multichain Poisson equations (I - P) g = 0,
-    (I - P) h + g = r (Puterman, *Markov Decision Processes*, 1994, section
-    9.2). Each closed class has one gain unknown, in the column of a pivot
-    state whose h is fixed at 0; that column holds the probabilities of
-    absorption into the class, from one sparse solve on the transient block.
-    With one closed class the pivot is ``ref`` and the column is all ones. The
-    solvers pass the request-averaged (battery, age) chain, so the system has
-    (battery_capacity + 1) * delta_max unknowns. Raises
+    ``probs`` holds the chain's probability on each pair of ``model``'s
+    :func:`_chain_pattern`, zeros included; the chains are the
+    request-averaged (battery, age) chains of the solvers, so the system has
+    (battery_capacity + 1) * delta_max unknowns. Solves the multichain
+    Poisson equations (I - P) g = 0, (I - P) h + g = r (Puterman, *Markov
+    Decision Processes*, 1994, section 9.2). Each closed class has one gain
+    unknown, in the column of a pivot state whose h is fixed at 0; that
+    column holds the probabilities of absorption into the class, from one
+    sparse solve on the transient block. With one closed class the pivot is
+    ``model.ref_index`` and the column is all ones. The system goes straight
+    into CSC arrays through the :func:`_system_slots` of its pivots:
+    1 - p on the diagonal, -p on the other pairs with p nonzero, and the
+    nonzero absorption probabilities in the pivot columns. Raises
     :class:`MultichainError` when SuperLU finds the system singular or the
     solve misses ``POISSON_RESIDUAL``.
     """
@@ -157,17 +163,19 @@ def _poisson(chain: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray,
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import splu
 
-    rows, cols, data = chain
+    rows, cols, _ = _chain_pattern(model)
+    nonzero = probs != 0.0
+    rows, cols, data = rows[nonzero], cols[nonzero], probs[nonzero]
     n = rhs.shape[0]
-    index = np.arange(n)
-    matrix = sp.csr_matrix((data, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)  # as scipy keeps it
+    matrix = sp.csr_matrix((data, cols, indptr), shape=(n, n))
     n_comp, labels = connected_components(matrix, directed=True, connection="strong")
-    leaving = labels[rows] != labels[cols]
+    origin = labels[rows]
     leaky = np.zeros(n_comp, dtype=bool)
-    leaky[labels[rows[leaving]]] = True
+    leaky[origin[origin != labels[cols]]] = True
     closed = np.flatnonzero(~leaky)
     if closed.size == 1:
-        pivots, absorb = np.array([ref]), np.ones((n, 1))
+        pivots, absorb = np.array([model.ref_index]), np.ones((n, 1))
     else:
         pivots = np.unique(labels, return_index=True)[1][closed]
         absorb = (labels[:, None] == closed).astype(np.float64)
@@ -177,22 +185,20 @@ def _poisson(chain: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray,
             block = matrix[transient]
             inner = (sp.identity(transient.size) - block[:, transient]).tocsc()
             absorb[transient] = splu(inner).solve(block @ absorb)
-    # I - P with the pivot columns zeroed, plus the absorption columns at the
-    # pivots; duplicates sum.
-    pivot = np.zeros(n, dtype=bool)
-    pivot[pivots] = True
-    keep = ~pivot[cols]
-    gain_rows, gain_cols = np.nonzero(absorb)
-    system = sp.csc_matrix(
-        (
-            np.concatenate([-data[keep], ~pivot, absorb[gain_rows, gain_cols]]),
-            (
-                np.concatenate([rows[keep], index, gain_rows]),
-                np.concatenate([cols[keep], index, pivots[gain_cols]]),
-            ),
-        ),
-        shape=(n, n),
-    )
+    # I - P, then each pivot column overwritten by its absorption column. p is
+    # the pair's probability, or 0 where the entry has no pair; 1.0 - p is
+    # (-p) + 1.0 to the bit, the sum of duplicates that a COO assembly forms.
+    pair, diagonal, slot_rows, col_start = _system_slots(model, tuple(pivots.tolist()))
+    p = np.concatenate([probs, [0.0]])[pair]
+    values = diagonal - p
+    kept = (p != 0.0) | diagonal
+    for column, pivot in zip(absorb.T, pivots):
+        entries = slice(col_start[pivot], col_start[pivot + 1])
+        values[entries] = column
+        kept[entries] = column != 0.0
+    before = np.zeros(kept.size + 1, dtype=np.int32)  # kept entries before each slot
+    np.cumsum(kept, out=before[1:])
+    system = sp.csc_matrix((values[kept], slot_rows[kept], before[col_start]), shape=(n, n))
     try:
         x = splu(system).solve(rhs)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -216,25 +222,58 @@ def _chain_pattern(model: SensorModel) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Where the successor table's branches land in a chain over the
     (battery, age) states: the distinct (row, column) pairs in row, then
     column order, and the pair of each branch ``succ[x, a, e]``, flat. It
-    depends on the table alone, so each model merges its branches once."""
+    depends on the table alone, so each model merges its branches once.
+    :func:`_mean_chain` gives a chain as its probability on each pair, and
+    :func:`_system_slots` places each pair's entry of the Poisson system."""
     n = model.succ.shape[0]
     keys, inverse = np.unique(np.arange(n)[:, None, None] * n + model.succ,
                               return_inverse=True)
     rows, cols = np.divmod(keys, n)
-    # int32 columns, as scipy stores them, spare _poisson's sparse constructors a cast.
+    # int32 columns, as scipy stores them, spare _poisson's CSR constructor a cast.
     return rows, cols.astype(np.int32), inverse.ravel()
+
+
+@lru_cache(maxsize=256)  # multichain tables add a map per set of pivots
+def _system_slots(
+    model: SensorModel, pivots: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The slot map of ``model``'s Poisson systems with gain columns ``pivots``.
+
+    Its entries are the union of the :func:`_chain_pattern` pairs, the
+    diagonal and every row of each pivot column, sorted by column, then row;
+    a system is a subset of them. Returns per entry its pair (the pair count
+    where it has none), whether it is on the diagonal and its row (int32),
+    and per column its first entry, the entry count last. Unichain tables
+    all have the pivot ``model.ref_index``, so one map serves them all.
+    """
+    rows, cols, _ = _chain_pattern(model)
+    n = model.succ.shape[0]
+    index = np.arange(n)
+    pivot_columns = np.array(pivots)[:, None] * n + index
+    keys, slot = np.unique(  # column * n + row, in intp: n * n may pass the int32 range
+        np.concatenate([cols.astype(np.intp) * n + rows, index * (n + 1), pivot_columns.ravel()]),
+        return_inverse=True,
+    )
+    pair = np.full(keys.size, rows.size)
+    pair[slot[:rows.size]] = np.arange(rows.size)
+    slots = (pair, keys % (n + 1) == 0, (keys % n).astype(np.int32),
+             np.searchsorted(keys, np.arange(n + 1) * n))
+    for arr in slots:
+        arr.setflags(write=False)
+    return slots
 
 
 def _mean_chain(
     model: SensorModel, w_cmd: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (battery, age) chain of a table with the request count averaged out.
 
     ``w_cmd`` is the command probability per full state. With w̄(x) its
     request-averaged value at (battery, age) index x, the chain is
-    diag(1 - w̄) Q_0 + diag(w̄) Q_1, returned as the (rows, cols, data) that
-    :func:`_poisson` takes, straight from the model's successor table; also
-    returns the request-averaged slot cost and w̄, the per-state command rate.
+    diag(1 - w̄) Q_0 + diag(w̄) Q_1, returned as its probability on each pair
+    of the model's :func:`_chain_pattern`, the form :func:`_poisson` takes;
+    also returns the request-averaged slot cost and w̄, the per-state command
+    rate.
     """
     pmf = model.request_dist
     w = w_cmd.reshape(pmf.size, -1)
@@ -244,15 +283,14 @@ def _mean_chain(
 
     # Where every possible request count commands, 1 - w̄ can round to 1e-16
     # instead of 0, and that edge would open a closed class; pmf @ (1 - w) is
-    # exactly 0 there. The branches that reach one state are summed in branch
+    # exactly 0 there. The branches that reach one pair are summed in branch
     # order; a zero branch adds exactly nothing, and a pair whose branches
-    # are all zero is no entry.
+    # are all zero has probability 0.
     idle = np.where(pmf @ (1.0 - w) > 0.0, 1.0 - w_bar, 0.0)
-    rows, cols, inverse = _chain_pattern(model)
+    rows, _, inverse = _chain_pattern(model)
     branches = model.succ_prob * np.stack([idle, w_bar], axis=1)[:, :, None]
-    data = np.bincount(inverse, weights=branches.ravel(), minlength=rows.size)
-    kept = data != 0.0
-    return (rows[kept], cols[kept], data[kept]), cost, w_bar
+    probs = np.bincount(inverse, weights=branches.ravel(), minlength=rows.size)
+    return probs, cost, w_bar
 
 
 def solve_per_sensor(
@@ -292,8 +330,8 @@ def solve_per_sensor(
     def evaluate(actions):
         """Exact rates of a table, its (idle, command) gain Q-values and gain
         tolerance, its (idle, command) Q-values, and its relative values."""
-        chain, cost, rate = _mean_chain(model, actions.astype(np.float64))
-        gains, x = _poisson(chain, np.column_stack([cost, rate]), model.ref_index)
+        probs, cost, rate = _mean_chain(model, actions.astype(np.float64))
+        gains, x = _poisson(probs, np.column_stack([cost, rate]), model)
         g_bar = gains[:, 0] + mu * gains[:, 1]
         h_bar = x[:, 0] + mu * x[:, 1]
         q0, q1 = c0 + model.expect(0, h_bar), c1 + model.expect(1, h_bar)
@@ -357,8 +395,8 @@ def evaluate_per_sensor(
         w_cmd = policy.actions.astype(np.float64)
     if w_cmd.size != model.num_states:
         raise ValueError("policy does not cover the sensor state space")
-    chain, cost, rate = _mean_chain(model, w_cmd)
-    gains, _ = _poisson(chain, np.column_stack([cost, rate]), model.ref_index)
+    probs, cost, rate = _mean_chain(model, w_cmd)
+    gains, _ = _poisson(probs, np.column_stack([cost, rate]), model)
     return ChainEvaluation(cost_rate=float(gains[model.ref_index, 0]),
                            command_rate=float(gains[model.ref_index, 1]))
 

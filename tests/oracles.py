@@ -11,7 +11,9 @@ program over their occupation measures, and the joint problem is
 cross-checked by a finite-horizon dynamic program and a Bellman residual on
 their product. The policy-file references are the plain writers that
 ``policy_io`` is held byte-equal to: ``np.savetxt`` for the body and one
-text per sensor for the network fingerprint.
+text per sensor for the network fingerprint. :func:`poisson_reference` is
+the COO assembly of the policy-evaluation system that the solver's direct
+CSC assembly is held bit-equal to.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
 from aoisched import (
+    MultichainError,
     NetworkConfig,
     SensorParams,
     SimConfig,
@@ -36,6 +39,7 @@ from aoisched import (
     solve_exact,
     solve_relaxed,
 )
+from aoisched.relaxed_solver import POISSON_RESIDUAL
 
 
 @dataclass(frozen=True)
@@ -190,6 +194,75 @@ def chain_average_cost(transition: np.ndarray, cost: np.ndarray, start: int) -> 
     # nearly singular, as for a transient cycle left with probability 3e-7 per
     # pass, where it reached 1.6e-10.
     return float(reach @ [gains[labels[members[0]]] for members in closed] / reach.sum())
+
+
+def poisson_reference(chain: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.ndarray,
+                      ref: int) -> tuple[np.ndarray, np.ndarray]:
+    """``relaxed_solver._poisson`` as it was before its system went straight into
+    CSC arrays: the same multichain Poisson solve, with I - P and the
+    absorption columns assembled as COO triplets whose duplicates scipy sums.
+
+    ``chain`` holds the (rows, cols, data) of the transition matrix sorted by
+    row, then column, with no duplicates and no zeros; ``ref`` is the pivot
+    of a chain with one closed class. The solver must hand SuperLU the same
+    matrix and return the same arrays, bit for bit.
+    """
+    # splu is looked up at call time, as the solver looks it up, so that a
+    # test can record the matrices both hand to SuperLU.
+    from scipy.sparse.linalg import splu
+
+    rows, cols, data = chain
+    n = rhs.shape[0]
+    index = np.arange(n)
+    matrix = sp.csr_matrix((data, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    n_comp, labels = connected_components(matrix, directed=True, connection="strong")
+    leaving = labels[rows] != labels[cols]
+    leaky = np.zeros(n_comp, dtype=bool)
+    leaky[labels[rows[leaving]]] = True
+    closed = np.flatnonzero(~leaky)
+    if closed.size == 1:
+        pivots, absorb = np.array([ref]), np.ones((n, 1))
+    else:
+        pivots = np.unique(labels, return_index=True)[1][closed]
+        absorb = (labels[:, None] == closed).astype(np.float64)
+        transient = np.flatnonzero(leaky[labels])
+        if transient.size:
+            # (I - P_TT) A_T = P_TC A_C; the transient rows of ``absorb`` are still 0.
+            block = matrix[transient]
+            inner = (sp.identity(transient.size) - block[:, transient]).tocsc()
+            absorb[transient] = splu(inner).solve(block @ absorb)
+    # I - P with the pivot columns zeroed, plus the absorption columns at the
+    # pivots; duplicates sum.
+    pivot = np.zeros(n, dtype=bool)
+    pivot[pivots] = True
+    keep = ~pivot[cols]
+    gain_rows, gain_cols = np.nonzero(absorb)
+    system = sp.csc_matrix(
+        (
+            np.concatenate([-data[keep], ~pivot, absorb[gain_rows, gain_cols]]),
+            (
+                np.concatenate([rows[keep], index, gain_rows]),
+                np.concatenate([cols[keep], index, pivots[gain_cols]]),
+            ),
+        ),
+        shape=(n, n),
+    )
+    try:
+        x = splu(system).solve(rhs)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise MultichainError(f"policy evaluation failed: {exc}") from None
+    # Normwise backward error; every row of the system has absolute sum <= 3.
+    # A zero scale means x and rhs are both exactly zero, which solves the system.
+    error = float(np.abs(system @ x - rhs).max())
+    scale = 3.0 * float(np.abs(x).max()) + float(np.abs(rhs).max())
+    residual = error / scale if scale else 0.0
+    if not residual <= POISSON_RESIDUAL:  # also catches a NaN solve
+        raise MultichainError(
+            f"policy evaluation residual {residual:.3e} exceeds {POISSON_RESIDUAL:.0e}"
+        )
+    gains = absorb @ x[pivots]
+    x[pivots] = 0.0
+    return gains, x
 
 
 def best_deterministic_policy(

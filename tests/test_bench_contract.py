@@ -69,3 +69,17 @@ def test_names_and_fields_the_benchmark_reads():
         command_rate=0.1, constraint_active=True, lagrange=lagrange,
         per_sensor_cost_rates=(), per_sensor_command_rates=(),
     )
+
+
+def test_emptied_caches_hold_no_slot_maps():
+    # A cold solve builds each model's chain pattern and Poisson slot map
+    # again: both live in caches that the benchmark empties, not on the model
+    # or in a module dict, which would make its solve_s a warm solve.
+    net = NetworkConfig(20, 1, 1, 2, (TINY1,) * 20)
+    solve_relaxed(net)
+    _clear_package_caches()
+    for cache in (relaxed_solver._chain_pattern, relaxed_solver._system_slots):
+        assert cache.cache_info().currsize == 0
+    solve_relaxed(net)
+    for cache in (relaxed_solver._chain_pattern, relaxed_solver._system_slots):
+        assert cache.cache_info().misses >= 1

@@ -1,16 +1,19 @@
 """Per-sensor solver, exact evaluator, price bisection, and mixing tests."""
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     best_deterministic_policy,
     chain_average_cost,
     full_chain,
+    poisson_reference,
     pure_chains,
     random_sensor,
     reference_battery_age_kernel,
@@ -22,6 +25,7 @@ from aoisched import (
     MultichainError,
     NetworkConfig,
     PolicyTable,
+    SensorModel,
     SensorParams,
     evaluate_per_sensor,
     sensor_classes,
@@ -35,39 +39,113 @@ from aoisched.exact_solver import DEFAULT_THETA, IMPROVEMENT_TOL, relative_value
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+def _command_probs(data, size):
+    """A per-state command probability table of one of four kinds."""
+    kind = data.draw(st.sampled_from(["zeros", "ones", "bits", "probabilities"]))
+    if kind == "zeros":
+        return np.zeros(size)
+    if kind == "ones":
+        return np.ones(size)
+    if kind == "bits":
+        return np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)),
+                        dtype=np.float64)
+    return np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+
+
+SENSOR_FIELDS = dict(
     rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_subnormal=False)),
     capacity=st.integers(1, 4),
     probs=st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=3),
     delta_max=st.integers(2, 8),
     data=st.data(),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SENSOR_FIELDS)
 def test_mean_chain_is_canonical_reference_chain(rate, capacity, probs, delta_max, data):
-    # The request-averaged chain comes back canonical, its (row, column)
-    # pairs strictly increasing and no entry zero, and it equals
+    # The request-averaged chain comes back on the model's chain pattern, its
+    # (row, column) pairs strictly increasing, and it equals
     # diag(1 - w̄) Q_0 + diag(w̄) Q_1 of the slot-rule reference kernels.
     sensor = SensorParams(rate, capacity, tuple(probs))
     model = sensor_model(sensor, delta_max)
-    kind = data.draw(st.sampled_from(["zeros", "ones", "bits", "probabilities"]))
-    size = model.num_states
-    w_cmd = {
-        "zeros": np.zeros(size),
-        "ones": np.ones(size),
-        "bits": np.array(data.draw(st.lists(st.integers(0, 1), min_size=size,
-                                            max_size=size)), dtype=np.float64),
-        "probabilities": np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=size,
-                                                     max_size=size))),
-    }[kind]
-    (rows, cols, values), _, w_bar = relaxed_solver._mean_chain(model, w_cmd)
+    w_cmd = _command_probs(data, model.num_states)
+    values, _, w_bar = relaxed_solver._mean_chain(model, w_cmd)
+    rows, cols, _ = relaxed_solver._chain_pattern(model)
     n = model.succ.shape[0]
     assert (np.diff(rows * n + cols) > 0).all()
-    assert (values != 0.0).all()
     chain = np.zeros((n, n))
     chain[rows, cols] = values
     expected = ((1.0 - w_bar)[:, None] * reference_battery_age_kernel(sensor, delta_max, 0)
                 + w_bar[:, None] * reference_battery_age_kernel(sensor, delta_max, 1))
     np.testing.assert_allclose(chain, expected, rtol=0, atol=1e-12)
+
+
+def _poisson_run(poisson, *args):
+    """The matrices ``poisson`` hands to SuperLU, and its result or error.
+
+    A transient block that rounds to singular, as on a request probability
+    of 1e-155, makes SuperLU raise RuntimeError in both assemblies alike."""
+    factored = []
+
+    def recording_splu(matrix, *rest, **options):
+        assert matrix.format == "csc"
+        factored.append((matrix.data.copy(), matrix.indices.copy(), matrix.indptr.copy()))
+        return splu(matrix, *rest, **options)
+
+    with mock.patch.object(scipy.sparse.linalg, "splu", recording_splu):
+        try:
+            return factored, poisson(*args)
+        except (MultichainError, RuntimeError) as exc:
+            return factored, f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(**SENSOR_FIELDS)
+def test_poisson_matches_coo_reference(rate, capacity, probs, delta_max, data):
+    # The CSC assembly gives SuperLU the matrices the COO assembly gave it:
+    # the same values, rows and column pointers, explicit zeros included. So
+    # the gains and relative values are the same bit for bit, on unichain and
+    # multichain tables alike (a sensor that never harvests keeps each
+    # battery level closed where it does not command).
+    sensor = SensorParams(rate, capacity, tuple(probs))
+    model = sensor_model(sensor, delta_max)
+    values, cost, w_bar = relaxed_solver._mean_chain(model, _command_probs(data, model.num_states))
+    rhs = np.column_stack([cost, w_bar])
+    rows, cols, _ = relaxed_solver._chain_pattern(model)
+    nonzero = values != 0.0
+    chain = (rows[nonzero], cols[nonzero], values[nonzero])
+    factored, result = _poisson_run(relaxed_solver._poisson, values, rhs, model)
+    ref_factored, expected = _poisson_run(poisson_reference, chain, rhs, model.ref_index)
+    assert len(factored) == len(ref_factored)
+    for arrays, ref_arrays in zip(factored, ref_factored):
+        for got, want in zip(arrays, ref_arrays):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+    if isinstance(expected, str):
+        assert result == expected
+    else:
+        for got, want in zip(result, expected):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("battery, delta_max", [(3, 5), (45, 1031)])
+def test_system_slots_hold_each_pair_in_csc_order(battery, delta_max):
+    # Each pair of the chain pattern has the entry at its row and column, the
+    # entries run in column, then row order, and the pivot column is whole;
+    # at 47,426 states a column * n + row key passes the int32 range.
+    model = SensorModel(SensorParams(0.3, battery, (0.5,)), delta_max)
+    n = model.succ.shape[0]
+    rows, cols, _ = relaxed_solver._chain_pattern(model)
+    pair, diagonal, slot_rows, col_start = relaxed_solver._system_slots(model, (2,))
+    col_of = np.repeat(np.arange(n), np.diff(col_start))
+    assert (np.diff(col_of * n + slot_rows) > 0).all()
+    has_pair = pair < rows.size
+    np.testing.assert_array_equal(slot_rows[has_pair], rows[pair[has_pair]])
+    np.testing.assert_array_equal(col_of[has_pair], cols[pair[has_pair]])
+    np.testing.assert_array_equal(diagonal, slot_rows == col_of)
+    np.testing.assert_array_equal(slot_rows[col_start[2]:col_start[3]], np.arange(n))
+    assert np.array_equal(np.sort(pair[has_pair]), np.arange(rows.size))
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 2.0])
