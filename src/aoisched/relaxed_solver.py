@@ -15,17 +15,16 @@ and the action, so a table over (requests, battery, age) acts on the
 (battery, age) states only through its request-averaged command probability.
 Every policy evaluation therefore runs on that (battery, age) chain, a factor
 num_users + 1 smaller than the full one, assembled straight from the model's
-successor table: :func:`_poisson`, one sparse LU factorisation, yields its
+successor table, and goes through one primitive, :func:`_evaluate`. Its one
+:func:`_poisson` solve, a single sparse LU factorisation, yields the chain's
 per-state cost and command rates and its relative values at once, whatever
-the number of closed classes. Its system reaches SuperLU as CSC arrays
+the number of closed classes. The system reaches SuperLU as CSC arrays
 written through a slot map built once per model and set of gain columns
 (:func:`_system_slots`), so no evaluation sorts sparse triplets. It is the
-only place that needs scipy.
-Multichain Howard policy iteration solves each priced per-sensor problem on
-it at every price, and the gain and bias Q-values of the full states follow
-from one ``SensorModel.expect`` per action; :func:`evaluate_per_sensor`
-reads the rates of any pure or mixed table at the reference state from the
-same solve.
+only place that needs scipy. Multichain Howard policy iteration calls
+:func:`_evaluate` at every step and price, and the gain and bias Q-values of
+the full states follow from one ``SensorModel.expect`` per action;
+:func:`evaluate_per_sensor` calls it on any pure or mixed table.
 """
 
 from __future__ import annotations
@@ -161,7 +160,6 @@ def _poisson(probs: np.ndarray, rhs: np.ndarray,
     # package to simulate saved tables does not pay for scipy.sparse.
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import splu
 
     rows, cols, _ = _chain_pattern(model)
     nonzero = probs != 0.0
@@ -184,7 +182,7 @@ def _poisson(probs: np.ndarray, rhs: np.ndarray,
             # (I - P_TT) A_T = P_TC A_C; the transient rows of ``absorb`` are still 0.
             block = matrix[transient]
             inner = (sp.identity(transient.size) - block[:, transient]).tocsc()
-            absorb[transient] = splu(inner).solve(block @ absorb)
+            absorb[transient] = _lu_solve(inner, block @ absorb)
     # I - P, then each pivot column overwritten by its absorption column. p is
     # the pair's probability, or 0 where the entry has no pair; 1.0 - p is
     # (-p) + 1.0 to the bit, the sum of duplicates that a COO assembly forms.
@@ -199,10 +197,7 @@ def _poisson(probs: np.ndarray, rhs: np.ndarray,
     before = np.zeros(kept.size + 1, dtype=np.int32)  # kept entries before each slot
     np.cumsum(kept, out=before[1:])
     system = sp.csc_matrix((values[kept], slot_rows[kept], before[col_start]), shape=(n, n))
-    try:
-        x = splu(system).solve(rhs)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise MultichainError(f"policy evaluation failed: {exc}") from None
+    x = _lu_solve(system, rhs)
     # Normwise backward error; every row of the system has absolute sum <= 3.
     # A zero scale means x and rhs are both exactly zero, which solves the system.
     error = float(np.abs(system @ x - rhs).max())
@@ -215,6 +210,16 @@ def _poisson(probs: np.ndarray, rhs: np.ndarray,
     gains = absorb @ x[pivots]
     x[pivots] = 0.0
     return gains, x
+
+
+def _lu_solve(matrix, rhs: np.ndarray) -> np.ndarray:
+    """SuperLU's solution of ``matrix`` x = ``rhs``; a singular factor raises MultichainError."""
+    from scipy.sparse.linalg import splu
+
+    try:
+        return splu(matrix).solve(rhs)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise MultichainError(f"policy evaluation failed: {exc}") from None
 
 
 @lru_cache(maxsize=None)
@@ -293,6 +298,29 @@ def _mean_chain(
     return probs, cost, w_bar
 
 
+def _evaluate(
+    model: SensorModel, command_prob: np.ndarray
+) -> tuple[ChainEvaluation, np.ndarray, np.ndarray]:
+    """The one policy evaluation: a table with per-state command probability
+    ``command_prob`` acts through its request-averaged (battery, age) chain,
+    and one :func:`_poisson` solve gives that chain's per-state gains and
+    relative values, a (cost, command rate) column each. The reference
+    state's successors do not depend on the request count or the action, so
+    its gains, returned first as a :class:`ChainEvaluation`, are those of the
+    full chain."""
+    probs, cost, rate = _mean_chain(model, np.asarray(command_prob, dtype=np.float64))
+    gains, x = _poisson(probs, np.column_stack([cost, rate]), model)
+    ref = model.ref_index
+    return ChainEvaluation(float(gains[ref, 0]), float(gains[ref, 1])), gains, x
+
+
+def _fleet_average(weights: np.ndarray, evaluations: list[ChainEvaluation]) -> tuple[float, float]:
+    """Per-sensor (cost, command rate) of a fleet, its per-class evaluations
+    weighted by the classes' shares ``weights``."""
+    return (float(sum(w * ev.cost_rate for w, ev in zip(weights, evaluations))),
+            float(sum(w * ev.command_rate for w, ev in zip(weights, evaluations))))
+
+
 def solve_per_sensor(
     sensor: SensorParams, delta_max: int, mu: float, start: np.ndarray | None = None
 ) -> PerSensorSolve:
@@ -330,14 +358,11 @@ def solve_per_sensor(
     def evaluate(actions):
         """Exact rates of a table, its (idle, command) gain Q-values and gain
         tolerance, its (idle, command) Q-values, and its relative values."""
-        probs, cost, rate = _mean_chain(model, actions.astype(np.float64))
-        gains, x = _poisson(probs, np.column_stack([cost, rate]), model)
+        evaluation, gains, x = _evaluate(model, actions)
         g_bar = gains[:, 0] + mu * gains[:, 1]
         h_bar = x[:, 0] + mu * x[:, 1]
         q0, q1 = c0 + model.expect(0, h_bar), c1 + model.expect(1, h_bar)
         q_pi = np.where(actions, q1, q0)
-        evaluation = ChainEvaluation(float(gains[model.ref_index, 0]),
-                                     float(gains[model.ref_index, 1]))
         return (evaluation, (model.expect(0, g_bar), model.expect(1, g_bar)),
                 IMPROVEMENT_TOL * float(np.abs(g_bar).max()), (q0, q1),
                 q_pi - q_pi[0, model.ref_index])
@@ -383,22 +408,14 @@ def evaluate_per_sensor(
     """Exact long-run cost and command rates of a per-sensor policy from the
     reference state (requests 0, battery 0, age 1).
 
-    Pure and mixed tables alike act through their request-averaged (battery,
-    age) chain, whose per-state gains :func:`_poisson` returns for any number
-    of closed classes; the reference state's successors do not depend on the
-    request count or the action, so its gains are those of the full chain.
+    Pure and mixed tables alike go through :func:`_evaluate`, the solver's
+    own policy evaluation.
     """
     model = sensor_model(sensor, delta_max)
-    if isinstance(policy, MixedPolicy):
-        w_cmd = policy.command_prob()
-    else:
-        w_cmd = policy.actions.astype(np.float64)
+    w_cmd = policy.command_prob() if isinstance(policy, MixedPolicy) else policy.actions
     if w_cmd.size != model.num_states:
         raise ValueError("policy does not cover the sensor state space")
-    probs, cost, rate = _mean_chain(model, w_cmd)
-    gains, _ = _poisson(probs, np.column_stack([cost, rate]), model)
-    return ChainEvaluation(cost_rate=float(gains[model.ref_index, 0]),
-                           command_rate=float(gains[model.ref_index, 1]))
+    return _evaluate(model, w_cmd)[0]
 
 
 @lru_cache(maxsize=64)
@@ -484,52 +501,46 @@ def solve_relaxed(config: NetworkConfig) -> RelaxedSolution:
 
     evaluations: list[tuple[float, float, float]] = []
 
-    def fleet_rate(mu: float) -> tuple[float, list[PerSensorSolve]]:
+    def fleet(mu: float) -> tuple[float, float, list[PerSensorSolve]]:
+        """The fleet's per-sensor (cost, command rate) at price mu, and its class solves."""
         results = [_solve_class(s, config.delta_max, mu) for s in classes]
-        rate = float(sum(w * s.evaluation.command_rate for w, s in zip(weights, results)))
-        mean_lagr = float(
-            sum(w * s.avg_lagrangian for w, s in zip(weights, results))
-        ) / config.num_users
+        cost, rate = _fleet_average(weights, [s.evaluation for s in results])
+        mean_lagr = float(sum(w * s.avg_lagrangian for w, s in zip(weights, results)))
+        mean_lagr /= config.num_users
         evaluations.append((mu, rate, mean_lagr))
         log.debug("price %.6g -> rate %.6g, mean Lagrangian %.6g", mu, rate, mean_lagr)
-        return rate, results
+        return cost, rate, results
 
-    # Result set whose tables are returned unmixed (eta = 1): the zero-price
-    # one when the budget is slack, or a bracket end whose rate meets Gamma.
-    pure = None
-    rate0, results0 = fleet_rate(0.0)
-    if rate0 <= gamma:
-        mu_minus = mu_plus = mu_star = 0.0
-        active = False
-        lower_results = pure = results0
-    else:
-        active = True
-        mu_lo, mu_hi = 0.0, _mu_upper_bound(config)
-        rate_hi, results_hi = fleet_rate(mu_hi)
+    # The bracket: (mu_lo, lower) with rate >= Gamma and (mu_hi, upper) below
+    # it. ``ends`` holds the (lower, upper) tables returned; one end's tables
+    # twice when the budget is slack or that end's rate ties Gamma (eta = 1).
+    mu_lo = mu_hi = mu_star = 0.0
+    cost_lo, rate_lo, lower = fleet(mu_lo)
+    upper, ends = lower, (lower, lower)
+    active = rate_lo > gamma
+    if active:
+        mu_hi = _mu_upper_bound(config)
+        cost_hi, rate_hi, upper = fleet(mu_hi)
         if rate_hi > gamma:
             raise BracketError(
                 f"command rate {rate_hi:.6g} at the price upper bound still exceeds "
                 f"the budget {gamma:.6g}"
             )
-        rate_lo, results_lo = rate0, results0
         while True:
             if abs(rate_lo - gamma) <= RATE_TIE_TOL:
-                pure, mu_star = results_lo, mu_lo
+                mu_star, ends = mu_lo, (lower, lower)
                 break
             if abs(rate_hi - gamma) <= RATE_TIE_TOL:
-                pure, mu_star = results_hi, mu_hi
+                mu_star, ends = mu_hi, (upper, upper)
                 break
-            cost_lo, cost_hi = (
-                sum(w * s.evaluation.cost_rate for w, s in zip(weights, r))
-                for r in (results_lo, results_hi)
-            )
+            ends = (lower, upper)
             # Prices stay Python floats: policy files write them with repr.
             mu_star = float((cost_hi - cost_lo) / (rate_lo - rate_hi))
             if not mu_lo < mu_star < mu_hi:
                 # Both ends tie at a bracket end, up to round-off.
                 mu_star = min(max(mu_star, mu_lo), mu_hi)
                 break
-            rate_b, results_b = fleet_rate(mu_star)
+            cost_b, rate_b, results_b = fleet(mu_star)
             if rate_b > rate_lo + 1e-9 or rate_b < rate_hi - 1e-9:
                 raise BracketError(
                     f"command rate not monotone across the bracket: "
@@ -540,66 +551,35 @@ def solve_relaxed(config: NetworkConfig) -> RelaxedSolution:
             if evaluations[-1][2] >= chord - IMPROVEMENT_TOL * max(1.0, abs(chord)):
                 break
             if rate_b >= gamma:
-                mu_lo, rate_lo, results_lo = mu_star, rate_b, results_b
+                mu_lo, cost_lo, rate_lo, lower = mu_star, cost_b, rate_b, results_b
             else:
-                mu_hi, rate_hi, results_hi = mu_star, rate_b, results_b
-        mu_minus, mu_plus = mu_lo, mu_hi
-        lower_results = results_lo
+                mu_hi, cost_hi, rate_hi, upper = mu_star, cost_b, rate_b, results_b
 
-    if pure is not None:
-        eta = 1.0
-        class_policies = [
-            MixedPolicy(lower=s.policy, upper=s.policy, eta=1.0) for s in pure
-        ]
-        class_evals = [s.evaluation for s in pure]
+    if ends[0] is ends[1]:
+        eta, class_evals = 1.0, [s.evaluation for s in ends[0]]
     else:
-        eta, class_evals = _calibrate_eta(
-            classes, config.delta_max, results_lo, results_hi,
-            weights, gamma, rate_lo, rate_hi,
-        )
-        class_policies = [
-            MixedPolicy(lower=lo.policy, upper=hi.policy, eta=eta)
-            for lo, hi in zip(results_lo, results_hi)
-        ]
-
-    avg_cost = float(
-        sum(w * ev.cost_rate for w, ev in zip(weights, class_evals))
-    ) / config.num_users
-    command_rate = float(
-        sum(w * ev.command_rate for w, ev in zip(weights, class_evals))
-    )
-    dual_bound = max(
-        lagr - mu * gamma / config.num_users for mu, _, lagr in evaluations
-    )
+        eta, class_evals = _calibrate_eta(classes, config.delta_max, *ends, weights, gamma)
+    class_policies = [MixedPolicy(lo.policy, up.policy, eta) for lo, up in zip(*ends)]
+    cost, command_rate = _fleet_average(weights, class_evals)
+    dual_bound = max(lagr - mu * gamma / config.num_users for mu, _, lagr in evaluations)
 
     lagrange = LagrangeSolve(
-        mu_star=mu_star,
-        mu_minus=mu_minus,
-        mu_plus=mu_plus,
-        evaluations=tuple(evaluations),
-        per_sensor_rel_values=tuple(
-            lower_results[c].rel_values for c in class_of
-        ),
-        per_sensor_lagrangians=tuple(
-            float(lower_results[c].avg_lagrangian) for c in class_of
-        ),
-        per_sensor_rates=tuple(
-            float(lower_results[c].evaluation.command_rate) for c in class_of
-        ),
+        mu_star=mu_star, mu_minus=mu_lo, mu_plus=mu_hi, evaluations=tuple(evaluations),
+        per_sensor_rel_values=tuple(lower[c].rel_values for c in class_of),
+        per_sensor_lagrangians=tuple(float(lower[c].avg_lagrangian) for c in class_of),
+        per_sensor_rates=tuple(float(lower[c].evaluation.command_rate) for c in class_of),
         dual_bound=float(dual_bound),
     )
     return RelaxedSolution(
         policies=tuple(class_policies[c] for c in class_of),
         mu_star=mu_star,
         eta=float(eta),
-        avg_cost=avg_cost,
+        avg_cost=cost / config.num_users,
         command_rate=command_rate,
         constraint_active=active,
         lagrange=lagrange,
         per_sensor_cost_rates=tuple(float(class_evals[c].cost_rate) for c in class_of),
-        per_sensor_command_rates=tuple(
-            float(class_evals[c].command_rate) for c in class_of
-        ),
+        per_sensor_command_rates=tuple(float(class_evals[c].command_rate) for c in class_of),
     )
 
 
@@ -610,22 +590,18 @@ def _calibrate_eta(
     upper: list[PerSensorSolve],
     weights: np.ndarray,
     gamma: float,
-    rate_at_one: float,
-    rate_at_zero: float,
 ) -> tuple[float, list[ChainEvaluation]]:
     """Bisection on the mixing factor against the exact mixed command rate.
 
-    The fleet's mixed command rate rises with eta. The bracket keeps
+    The fleet's mixed command rate rises with eta, from that of the ``upper``
+    tables at 0 to that of the ``lower`` tables at 1. The bracket keeps
     rate(lo) <= Gamma <= rate(hi), so a rate continuous in eta meets
     ``DEFAULT_ETA_TOL`` before the bracket collapses; a collapse raises
-    :class:`BracketError` with the best rate seen. A class whose lower and
-    upper tables coincide does not depend on eta: it keeps the evaluation of
-    its pure table.
+    :class:`BracketError` with the best rate seen. A class whose mixture is
+    degenerate does not depend on eta: it keeps the evaluation of its pure table.
     """
-    fixed = [
-        lo.evaluation if np.array_equal(lo.policy.actions, up.policy.actions) else None
-        for lo, up in zip(lower, upper)
-    ]
+    fixed = [lo.evaluation if MixedPolicy(lo.policy, up.policy, 1.0).degenerate else None
+             for lo, up in zip(lower, upper)]
 
     def rate_at(eta: float) -> tuple[float, list[ChainEvaluation]]:
         evals = [
@@ -633,8 +609,10 @@ def _calibrate_eta(
             else evaluate_per_sensor(s, delta_max, MixedPolicy(lo.policy, up.policy, eta))
             for s, lo, up, ev in zip(classes, lower, upper, fixed)
         ]
-        return float(sum(w * ev.command_rate for w, ev in zip(weights, evals))), evals
+        return _fleet_average(weights, evals)[1], evals
 
+    rate_at_one, rate_at_zero = (_fleet_average(weights, [s.evaluation for s in end])[1]
+                                 for end in (lower, upper))
     if not (rate_at_zero - 1e-9 <= gamma <= rate_at_one + 1e-9):
         raise BracketError(
             f"budget {gamma:.6g} outside the mixing bracket "

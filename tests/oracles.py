@@ -205,7 +205,8 @@ def poisson_reference(chain: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.
     ``chain`` holds the (rows, cols, data) of the transition matrix sorted by
     row, then column, with no duplicates and no zeros; ``ref`` is the pivot
     of a chain with one closed class. The solver must hand SuperLU the same
-    matrix and return the same arrays, bit for bit.
+    matrix and return the same arrays, bit for bit. Like the solver, it
+    reports a singular factor of either factorisation as MultichainError.
     """
     # splu is looked up at call time, as the solver looks it up, so that a
     # test can record the matrices both hand to SuperLU.
@@ -230,7 +231,10 @@ def poisson_reference(chain: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.
             # (I - P_TT) A_T = P_TC A_C; the transient rows of ``absorb`` are still 0.
             block = matrix[transient]
             inner = (sp.identity(transient.size) - block[:, transient]).tocsc()
-            absorb[transient] = splu(inner).solve(block @ absorb)
+            try:
+                absorb[transient] = splu(inner).solve(block @ absorb)
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise MultichainError(f"policy evaluation failed: {exc}") from None
     # I - P with the pivot columns zeroed, plus the absorption columns at the
     # pivots; duplicates sum.
     pivot = np.zeros(n, dtype=bool)

@@ -85,7 +85,8 @@ def _poisson_run(poisson, *args):
     """The matrices ``poisson`` hands to SuperLU, and its result or error.
 
     A transient block that rounds to singular, as on a request probability
-    of 1e-155, makes SuperLU raise RuntimeError in both assemblies alike."""
+    of 1e-155, raises MultichainError as a singular system does; any other
+    error fails the test."""
     factored = []
 
     def recording_splu(matrix, *rest, **options):
@@ -96,7 +97,7 @@ def _poisson_run(poisson, *args):
     with mock.patch.object(scipy.sparse.linalg, "splu", recording_splu):
         try:
             return factored, poisson(*args)
-        except (MultichainError, RuntimeError) as exc:
+        except MultichainError as exc:
             return factored, f"{type(exc).__name__}: {exc}"
 
 
@@ -255,6 +256,24 @@ def test_evaluate_rejects_nan_stationary_solve(monkeypatch):
     always = PolicyTable(actions=np.ones(sensor_model(TINY1, 2).num_states, dtype=np.int8), mu=0.0)
     with pytest.raises(MultichainError, match="residual nan"):
         evaluate_per_sensor(TINY1, 2, always)
+
+
+def test_evaluate_maps_every_singular_factor_to_multichain_error():
+    # Rates of about 1e-155 leave some states, and 1 - (1 - q) rounds them to
+    # 0: SuperLU then finds either the Poisson system or the transient block
+    # of the absorption solve singular. Both must surface as MultichainError,
+    # which the CLI reports, not as SuperLU's bare RuntimeError.
+    sensor = SensorParams(0.0, 2, (1.0, 3.3955172642378604e-155))
+    n = sensor_model(sensor, 5).num_states
+    rng = np.random.default_rng(22)
+    messages = set()
+    for _ in range(400):
+        table = PolicyTable(actions=(rng.random(n) < 0.5).astype(np.int8), mu=0.0)
+        try:
+            evaluate_per_sensor(sensor, 5, table)
+        except MultichainError as exc:
+            messages.add(str(exc))
+    assert "policy evaluation failed: Factor is exactly singular" in messages
 
 
 def test_mixed_policy_validation():
@@ -490,6 +509,39 @@ def test_breakpoints_inside_final_bracket_reach_relaxed_lp():
     optimum = relaxed_lp(net)
     assert abs(solution.avg_cost - optimum) <= _calibration_error(net, solution)
     assert abs(solution.lagrange.dual_bound - optimum) <= 1e-9
+
+
+def test_tie_at_upper_bracket_end_returns_its_tables_unmixed():
+    # The chord's price yields tables whose rate ties Gamma, and they become
+    # the upper end: they come back unmixed at their price, while the
+    # relative values stay those of the lower end.
+    net = NetworkConfig(4, 2, 1, 4, (SensorParams(0.0, 1, (0.5, 0.5)),) * 2
+                        + (SensorParams(1.0, 2, (0.5, 0.5)),) * 2)
+    solution = solve_relaxed(net)
+    lagrange = solution.lagrange
+    assert solution.constraint_active and solution.eta == 1.0
+    assert solution.mu_star == lagrange.mu_plus > lagrange.mu_minus
+    assert all(p.degenerate and p.lower.mu == lagrange.mu_plus for p in solution.policies)
+    # A cold solve at mu_minus converges through other tables than the solve
+    # warm-started along the bracket, so its relative values differ by
+    # round-off; the upper end's differ by 0.4 or more.
+    for sensor, rel in zip(net.sensors, lagrange.per_sensor_rel_values):
+        expected = solve_per_sensor(sensor, net.delta_max, lagrange.mu_minus).rel_values
+        np.testing.assert_allclose(rel, expected, rtol=0, atol=1e-12)
+    assert abs(solution.avg_cost - relaxed_lp(net)) <= _calibration_error(net, solution)
+
+
+def test_breakpoint_clamped_to_bracket_end_still_mixes():
+    # The last bracket's ends cost the same, so the chord's breakpoint falls
+    # on the lower end's price 0 and ends the search: both ends are optimal
+    # there, so it is mu_star and their mixture meets Gamma.
+    net = NetworkConfig(3, 1, 1, 5, (SensorParams(1.0, 2, (0.25,)),) * 2
+                        + (SensorParams(0.0, 2, (1.0,)),))
+    solution = solve_relaxed(net)
+    assert solution.mu_star == solution.lagrange.mu_minus == 0.0
+    assert 0.0 < solution.eta < 1.0
+    assert solution.command_rate == pytest.approx(net.gamma, abs=1e-6)
+    assert abs(solution.avg_cost - relaxed_lp(net)) <= _calibration_error(net, solution)
 
 
 PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
