@@ -25,11 +25,20 @@ only place that needs scipy. Multichain Howard policy iteration calls
 :func:`_evaluate` at every step and price, and the gain and bias Q-values of
 the full states follow from one ``SensorModel.expect`` per action;
 :func:`evaluate_per_sensor` calls it on any pure or mixed table.
+
+The mixing factor's calibration factors once per mixed class: the mixture's
+chain is linear in eta, and the two tables differ on few of its states, so
+the even mixture's factor gives the command rate at any other eta by a
+low-rank (Woodbury) update (:func:`_mixture_rate`). The bisection steers by
+these rates, decides any step close to a threshold on exact evaluations, and
+certifies the returned eta with exact evaluations of its mixtures.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,6 +66,8 @@ log = logging.getLogger(__name__)
 POISSON_RESIDUAL = 1e-10  # normwise backward error a policy evaluation must meet
 RATE_TIE_TOL = 1e-6  # command rate counts as "equal to Gamma" within this
 DEFAULT_ETA_TOL = 1e-6  # |mixed command rate - Gamma| that ends the eta bisection
+ETA_GUARD = 1e-9  # a low-rank mixed rate this close to a bisection threshold is decided exactly
+LOW_RANK_SHARE = 0.25  # largest share of a chain's states a low-rank eta step may move
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +148,10 @@ class PerSensorSolve:
 
 
 def _poisson(probs: np.ndarray, rhs: np.ndarray,
-             model: SensorModel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state gains and relative values of any chain, one column per reward in ``rhs``.
+             model: SensorModel) -> tuple[np.ndarray, np.ndarray, object]:
+    """Per-state gains and relative values of any chain, one column per reward
+    in ``rhs``, and the system's SuperLU factor when the chain has one closed
+    class (None otherwise).
 
     ``probs`` holds the chain's probability on each pair of ``model``'s
     :func:`_chain_pattern`, zeros included; the chains are the
@@ -182,7 +195,7 @@ def _poisson(probs: np.ndarray, rhs: np.ndarray,
             # (I - P_TT) A_T = P_TC A_C; the transient rows of ``absorb`` are still 0.
             block = matrix[transient]
             inner = (sp.identity(transient.size) - block[:, transient]).tocsc()
-            absorb[transient] = _lu_solve(inner, block @ absorb)
+            absorb[transient] = _factor(inner).solve(block @ absorb)
     # I - P, then each pivot column overwritten by its absorption column. p is
     # the pair's probability, or 0 where the entry has no pair; 1.0 - p is
     # (-p) + 1.0 to the bit, the sum of duplicates that a COO assembly forms.
@@ -197,7 +210,8 @@ def _poisson(probs: np.ndarray, rhs: np.ndarray,
     before = np.zeros(kept.size + 1, dtype=np.int32)  # kept entries before each slot
     np.cumsum(kept, out=before[1:])
     system = sp.csc_matrix((values[kept], slot_rows[kept], before[col_start]), shape=(n, n))
-    x = _lu_solve(system, rhs)
+    factor = _factor(system)
+    x = factor.solve(rhs)
     # Normwise backward error; every row of the system has absolute sum <= 3.
     # A zero scale means x and rhs are both exactly zero, which solves the system.
     error = float(np.abs(system @ x - rhs).max())
@@ -209,15 +223,15 @@ def _poisson(probs: np.ndarray, rhs: np.ndarray,
         )
     gains = absorb @ x[pivots]
     x[pivots] = 0.0
-    return gains, x
+    return gains, x, factor if closed.size == 1 else None
 
 
-def _lu_solve(matrix, rhs: np.ndarray) -> np.ndarray:
-    """SuperLU's solution of ``matrix`` x = ``rhs``; a singular factor raises MultichainError."""
+def _factor(matrix):
+    """SuperLU's factor of ``matrix``; a singular factor raises MultichainError."""
     from scipy.sparse.linalg import splu
 
     try:
-        return splu(matrix).solve(rhs)
+        return splu(matrix)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise MultichainError(f"policy evaluation failed: {exc}") from None
 
@@ -300,18 +314,18 @@ def _mean_chain(
 
 def _evaluate(
     model: SensorModel, command_prob: np.ndarray
-) -> tuple[ChainEvaluation, np.ndarray, np.ndarray]:
+) -> tuple[ChainEvaluation, np.ndarray, np.ndarray, object]:
     """The one policy evaluation: a table with per-state command probability
     ``command_prob`` acts through its request-averaged (battery, age) chain,
     and one :func:`_poisson` solve gives that chain's per-state gains and
-    relative values, a (cost, command rate) column each. The reference
-    state's successors do not depend on the request count or the action, so
-    its gains, returned first as a :class:`ChainEvaluation`, are those of the
-    full chain."""
+    relative values, a (cost, command rate) column each, and its unichain
+    factor. The reference state's successors do not depend on the request
+    count or the action, so its gains, returned first as a
+    :class:`ChainEvaluation`, are those of the full chain."""
     probs, cost, rate = _mean_chain(model, np.asarray(command_prob, dtype=np.float64))
-    gains, x = _poisson(probs, np.column_stack([cost, rate]), model)
+    gains, x, factor = _poisson(probs, np.column_stack([cost, rate]), model)
     ref = model.ref_index
-    return ChainEvaluation(float(gains[ref, 0]), float(gains[ref, 1])), gains, x
+    return ChainEvaluation(float(gains[ref, 0]), float(gains[ref, 1])), gains, x, factor
 
 
 def _fleet_average(weights: np.ndarray, evaluations: list[ChainEvaluation]) -> tuple[float, float]:
@@ -358,7 +372,7 @@ def solve_per_sensor(
     def evaluate(actions):
         """Exact rates of a table, its (idle, command) gain Q-values and gain
         tolerance, its (idle, command) Q-values, and its relative values."""
-        evaluation, gains, x = _evaluate(model, actions)
+        evaluation, gains, x, _ = _evaluate(model, actions)
         g_bar = gains[:, 0] + mu * gains[:, 1]
         h_bar = x[:, 0] + mu * x[:, 1]
         q0, q1 = c0 + model.expect(0, h_bar), c1 + model.expect(1, h_bar)
@@ -448,7 +462,10 @@ class LagrangeSolve:
     triples for every price evaluated, where the mean Lagrangian is
     sum_k L*_k(mu) / (num_users * K) without the -mu * Gamma / num_users
     offset; the rate is non-increasing and the Lagrangian non-decreasing in mu.
-    Per-sensor tables are the ones solved at the final lower endpoint.
+    The per-sensor pieces are those of the returned lower tables
+    (``RelaxedSolution.policies[k].lower``): solved at ``mu_minus``, or at
+    ``mu_plus`` when the upper end's rate ties Gamma and its tables come back
+    unmixed.
     """
 
     mu_star: float
@@ -565,9 +582,9 @@ def solve_relaxed(config: NetworkConfig) -> RelaxedSolution:
 
     lagrange = LagrangeSolve(
         mu_star=mu_star, mu_minus=mu_lo, mu_plus=mu_hi, evaluations=tuple(evaluations),
-        per_sensor_rel_values=tuple(lower[c].rel_values for c in class_of),
-        per_sensor_lagrangians=tuple(float(lower[c].avg_lagrangian) for c in class_of),
-        per_sensor_rates=tuple(float(lower[c].evaluation.command_rate) for c in class_of),
+        per_sensor_rel_values=tuple(ends[0][c].rel_values for c in class_of),
+        per_sensor_lagrangians=tuple(float(ends[0][c].avg_lagrangian) for c in class_of),
+        per_sensor_rates=tuple(float(ends[0][c].evaluation.command_rate) for c in class_of),
         dual_bound=float(dual_bound),
     )
     return RelaxedSolution(
@@ -583,6 +600,62 @@ def solve_relaxed(config: NetworkConfig) -> RelaxedSolution:
     )
 
 
+def _mixture_rate(
+    model: SensorModel, lower: PolicyTable, upper: PolicyTable
+) -> tuple[ChainEvaluation, Callable[[float], float | None] | None, int]:
+    """The exact evaluation of the even mixture of ``lower`` and ``upper``, the
+    command rate of their mixture at any eta in (0, 1) as a low-rank update of
+    that evaluation, and the rank d of the update.
+
+    The mixture's request-averaged command rate w̄ is linear in eta, and so
+    are its chain and its Poisson system. Row x of the chain moves by
+    δ(x) (Q_1[x] - Q_0[x]) per unit of eta, with δ = w̄_lower - w̄_upper, and
+    row x of the system by minus that, except in the pivot column of ones.
+    With t = eta - 1/2, the system at eta is A + t E G: A is the even
+    mixture's system, E selects the d rows where δ is nonzero, and G holds
+    their change. The rate column's right-hand side moves by t E δ_E, so its
+    solution moves from the even mixture's x by t (A + t E G)⁻¹ E w, with
+    w = δ_E - G x. With Z = A⁻¹E from A's SuperLU factor, the Woodbury
+    identity makes that t Z (I + t G Z)⁻¹ w: one d x d solve per eta
+    (Hager, *SIAM Review* 31, 1989). The reference state's entry is the
+    command rate.
+
+    The rate function is None where the even mixture has more than one
+    closed class, since the factor's layout fits one gain column, or where d
+    exceeds ``LOW_RANK_SHARE`` of the chain's n states. It returns None where
+    I + t G Z is singular, as the system at eta then is, or its rate is not
+    finite.
+    """
+    half, _, x, factor = _evaluate(model, MixedPolicy(lower, upper, 0.5).command_prob())
+    pmf = model.request_dist
+    delta = pmf @ (lower.actions.reshape(pmf.size, -1) - upper.actions.reshape(pmf.size, -1))
+    rows = np.flatnonzero(delta)
+    n, d = delta.size, rows.size
+    if factor is None or d > LOW_RANK_SHARE * n:
+        return half, None, d
+    ref = model.ref_index
+    succ = model.succ.reshape(n, -1)[rows]
+    change = (model.succ_prob * [[1.0], [-1.0]]).reshape(n, -1)[rows] * delta[rows, None]
+    change[succ == ref] = 0.0  # the pivot column holds the gain's ones
+    selection = np.zeros((n, d))
+    selection[rows, np.arange(d)] = 1.0
+    z = factor.solve(selection)
+    coupling = np.einsum("ie,iej->ij", change, z[succ])  # G Z
+    moved = delta[rows] - (change * x[succ, 1]).sum(axis=1)  # w; G skips the pivot's entry
+    identity = np.identity(d)
+
+    def rate_at(eta: float) -> float | None:
+        t = eta - 0.5
+        try:
+            s = np.linalg.solve(identity + t * coupling, moved)
+        except np.linalg.LinAlgError:
+            return None
+        value = half.command_rate + t * float(z[ref] @ s)
+        return value if math.isfinite(value) else None
+
+    return half, rate_at, d
+
+
 def _calibrate_eta(
     classes: tuple[SensorParams, ...],
     delta_max: int,
@@ -591,26 +664,30 @@ def _calibrate_eta(
     weights: np.ndarray,
     gamma: float,
 ) -> tuple[float, list[ChainEvaluation]]:
-    """Bisection on the mixing factor against the exact mixed command rate.
+    """Bisection on the mixing factor against the mixed command rate, on one
+    factorisation per mixed class.
 
     The fleet's mixed command rate rises with eta, from that of the ``upper``
     tables at 0 to that of the ``lower`` tables at 1. The bracket keeps
     rate(lo) <= Gamma <= rate(hi), so a rate continuous in eta meets
     ``DEFAULT_ETA_TOL`` before the bracket collapses; a collapse raises
     :class:`BracketError` with the best rate seen. A class whose mixture is
-    degenerate does not depend on eta: it keeps the evaluation of its pure table.
+    degenerate does not depend on eta: it keeps the evaluation of its pure
+    table. Every other class is evaluated exactly at the first step,
+    eta = 1/2, with one factorisation, and later steps take its rate from
+    :func:`_mixture_rate`'s low-rank update of that evaluation, or from an
+    exact :func:`evaluate_per_sensor` where the update does not apply. A step
+    whose fleet rate lies within ``ETA_GUARD`` of Gamma or of
+    Gamma ± ``DEFAULT_ETA_TOL`` is decided on exact evaluations, so the steps
+    are those of a bisection on exact rates. The returned eta is certified
+    by exact evaluations, which are returned. Where the certified rate lies
+    more than ``ETA_GUARD`` from the low-rank one, or the bracket collapses,
+    the bisection runs again on exact rates alone; it reuses every exact
+    evaluation made. Each pass that meets the budget logs its counts, the
+    (d, n) of each mixed class and that gap at debug level.
     """
     fixed = [lo.evaluation if MixedPolicy(lo.policy, up.policy, 1.0).degenerate else None
              for lo, up in zip(lower, upper)]
-
-    def rate_at(eta: float) -> tuple[float, list[ChainEvaluation]]:
-        evals = [
-            ev if ev is not None
-            else evaluate_per_sensor(s, delta_max, MixedPolicy(lo.policy, up.policy, eta))
-            for s, lo, up, ev in zip(classes, lower, upper, fixed)
-        ]
-        return _fleet_average(weights, evals)[1], evals
-
     rate_at_one, rate_at_zero = (_fleet_average(weights, [s.evaluation for s in end])[1]
                                  for end in (lower, upper))
     if not (rate_at_zero - 1e-9 <= gamma <= rate_at_one + 1e-9):
@@ -618,19 +695,62 @@ def _calibrate_eta(
             f"budget {gamma:.6g} outside the mixing bracket "
             f"[{rate_at_zero:.6g}, {rate_at_one:.6g}]"
         )
-    lo_eta, hi_eta = 0.0, 1.0
-    best_rate = rate_at_zero
-    while hi_eta - lo_eta >= 1e-15:
-        mid = 0.5 * (lo_eta + hi_eta)
-        rate, evals = rate_at(mid)
-        if abs(rate - gamma) <= DEFAULT_ETA_TOL:
-            return mid, evals
-        if abs(rate - gamma) < abs(best_rate - gamma):
-            best_rate = rate
-        if rate > gamma:
-            hi_eta = mid
-        else:
-            lo_eta = mid
+    exact: dict[tuple[int, float], ChainEvaluation] = {}  # (class, eta) -> evaluation
+    low_rank: list[Callable[[float], float | None] | None] = []
+    shapes = []  # (d, n) of each mixed class
+    for c, (s, lo, up, ev) in enumerate(zip(classes, lower, upper, fixed)):
+        update = None
+        if ev is None:
+            model = sensor_model(s, delta_max)
+            exact[c, 0.5], update, d = _mixture_rate(model, lo.policy, up.policy)
+            shapes.append((d, model.succ.shape[0]))
+        low_rank.append(update)
+    steps = {"low_rank": 0, "exact": 0}
+
+    def evaluation(c: int, eta: float) -> ChainEvaluation:
+        if fixed[c] is not None:
+            return fixed[c]
+        if (c, eta) not in exact:
+            steps["exact"] += 1
+            exact[c, eta] = evaluate_per_sensor(
+                classes[c], delta_max, MixedPolicy(lower[c].policy, upper[c].policy, eta))
+        return exact[c, eta]
+
+    def rate_at(eta: float, exactly: bool) -> float:
+        """The fleet's mixed command rate at eta: each class's low-rank rate
+        where it has one, unless ``exactly``, and its exact one elsewhere."""
+        rates = []
+        for c, update in enumerate(low_rank):
+            rate = None if exactly or update is None else update(eta)
+            steps["low_rank"] += rate is not None
+            rates.append(evaluation(c, eta).command_rate if rate is None else rate)
+        return float(sum(w * r for w, r in zip(weights, rates)))
+
+    edges = (gamma - DEFAULT_ETA_TOL, gamma, gamma + DEFAULT_ETA_TOL)
+    for exactly in (False, True):  # the exact pass reuses every exact evaluation made
+        lo_eta, hi_eta = 0.0, 1.0
+        best_rate = rate_at_zero
+        while hi_eta - lo_eta >= 1e-15:
+            mid = 0.5 * (lo_eta + hi_eta)
+            estimate = rate_at(mid, exactly or mid == 0.5)
+            near = min(abs(estimate - edge) for edge in edges) <= ETA_GUARD
+            rate = rate_at(mid, True) if near else estimate
+            if abs(rate - gamma) <= DEFAULT_ETA_TOL:
+                evals = [evaluation(c, mid) for c in range(len(classes))]
+                gap = abs(estimate - _fleet_average(weights, evals)[1])
+                log.debug("eta %.6g on the %s pass: %d low-rank class rates, %d exact "
+                          "class evaluations, (d, n) per mixed class %s, low-rank rate "
+                          "off by %.1e", mid, "exact" if exactly else "low-rank",
+                          steps["low_rank"], steps["exact"], shapes, gap)
+                if gap <= ETA_GUARD:  # always on the exact pass
+                    return mid, evals
+                break
+            if abs(rate - gamma) < abs(best_rate - gamma):
+                best_rate = rate
+            if rate > gamma:
+                hi_eta = mid
+            else:
+                lo_eta = mid
     raise BracketError(
         f"no mixing factor reaches the budget: best rate {best_rate:.6g} "
         f"vs {gamma:.6g}"

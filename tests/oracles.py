@@ -13,7 +13,9 @@ their product. The policy-file references are the plain writers that
 ``policy_io`` is held byte-equal to: ``np.savetxt`` for the body and one
 text per sensor for the network fingerprint. :func:`poisson_reference` is
 the COO assembly of the policy-evaluation system that the solver's direct
-CSC assembly is held bit-equal to.
+CSC assembly is held bit-equal to, and :func:`calibrate_eta_reference` the
+exact bisection on the mixing factor that the solver's low-rank calibration
+is held bit-equal to.
 """
 
 from __future__ import annotations
@@ -28,18 +30,21 @@ from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
 from aoisched import (
+    BracketError,
+    MixedPolicy,
     MultichainError,
     NetworkConfig,
     SensorParams,
     SimConfig,
     SimReport,
     build_relaxed_fleet_policy,
+    evaluate_per_sensor,
     run_experiment,
     sensor_classes,
     solve_exact,
     solve_relaxed,
 )
-from aoisched.relaxed_solver import POISSON_RESIDUAL
+from aoisched.relaxed_solver import DEFAULT_ETA_TOL, POISSON_RESIDUAL
 
 
 @dataclass(frozen=True)
@@ -267,6 +272,53 @@ def poisson_reference(chain: tuple[np.ndarray, np.ndarray, np.ndarray], rhs: np.
     gains = absorb @ x[pivots]
     x[pivots] = 0.0
     return gains, x
+
+
+def calibrate_eta_reference(classes, delta_max, lower, upper, weights, gamma):
+    """``relaxed_solver._calibrate_eta`` as it was before its low-rank steps:
+    the bisection on the mixing factor with every step's mixtures evaluated
+    exactly by ``evaluate_per_sensor``. It takes and returns what the solver's
+    calibration does, so a test can put it in the solver's place; the
+    solver's eta and class evaluations must equal its own, bit for bit.
+    """
+
+    def fleet_rate(evaluations):
+        return float(sum(w * ev.command_rate for w, ev in zip(weights, evaluations)))
+
+    fixed = [lo.evaluation if MixedPolicy(lo.policy, up.policy, 1.0).degenerate else None
+             for lo, up in zip(lower, upper)]
+
+    def rate_at(eta):
+        evals = [
+            ev if ev is not None
+            else evaluate_per_sensor(s, delta_max, MixedPolicy(lo.policy, up.policy, eta))
+            for s, lo, up, ev in zip(classes, lower, upper, fixed)
+        ]
+        return fleet_rate(evals), evals
+
+    rate_at_one, rate_at_zero = (fleet_rate([s.evaluation for s in end]) for end in (lower, upper))
+    if not (rate_at_zero - 1e-9 <= gamma <= rate_at_one + 1e-9):
+        raise BracketError(
+            f"budget {gamma:.6g} outside the mixing bracket "
+            f"[{rate_at_zero:.6g}, {rate_at_one:.6g}]"
+        )
+    lo_eta, hi_eta = 0.0, 1.0
+    best_rate = rate_at_zero
+    while hi_eta - lo_eta >= 1e-15:
+        mid = 0.5 * (lo_eta + hi_eta)
+        rate, evals = rate_at(mid)
+        if abs(rate - gamma) <= DEFAULT_ETA_TOL:
+            return mid, evals
+        if abs(rate - gamma) < abs(best_rate - gamma):
+            best_rate = rate
+        if rate > gamma:
+            hi_eta = mid
+        else:
+            lo_eta = mid
+    raise BracketError(
+        f"no mixing factor reaches the budget: best rate {best_rate:.6g} "
+        f"vs {gamma:.6g}"
+    )
 
 
 def best_deterministic_policy(

@@ -1,5 +1,6 @@
 """Per-sensor solver, exact evaluator, price bisection, and mixing tests."""
 
+import logging
 from pathlib import Path
 from unittest import mock
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import splu
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     best_deterministic_policy,
+    calibrate_eta_reference,
     chain_average_cost,
     full_chain,
     poisson_reference,
@@ -20,7 +22,9 @@ from oracles import (
     relaxed_lp,
 )
 
+import aoisched.model
 from aoisched import (
+    BracketError,
     MixedPolicy,
     MultichainError,
     NetworkConfig,
@@ -415,20 +419,20 @@ def _edge(harvest, prob, budget, delta_max, active, bound):
                         id=f"{harvest}-{prob}-{budget}-{delta_max}-{active}-{bound}")
 
 
-@pytest.mark.parametrize(
-    "net, active, bound",
-    [
-        _edge(0.3, 0.0, 1, 8, False, 0.0),  # no requests: nothing to pay for
-        _edge(0.0, 0.6, 1, 8, False, 4.8),  # no energy: age stays capped, p * delta_max
-        _edge(1.0, 1.0, 1, 8, True, 5.2),  # (1 + ... + 8 + 8 + 8) / 10
-        _edge(0.3, 0.6, 10, 8, False, None),  # budget equals the fleet
-        _edge(0.3, 0.6, 10, 256, False, None),
-        _edge(0.3, 0.6, 1, 256, True, "lp"),  # binding at delta_max 256: against the relaxed LP
-        # Never harvests, never requested: every evaluation is the zero solution.
-        pytest.param(NetworkConfig(2, 1, 1, 5, (SensorParams(0.0, 2, (0.0,)),) * 2),
-                     False, 0.0, id="no-energy-no-requests"),
-    ],
-)
+EDGE_INSTANCES = [
+    _edge(0.3, 0.0, 1, 8, False, 0.0),  # no requests: nothing to pay for
+    _edge(0.0, 0.6, 1, 8, False, 4.8),  # no energy: age stays capped, p * delta_max
+    _edge(1.0, 1.0, 1, 8, True, 5.2),  # (1 + ... + 8 + 8 + 8) / 10
+    _edge(0.3, 0.6, 10, 8, False, None),  # budget equals the fleet
+    _edge(0.3, 0.6, 10, 256, False, None),
+    _edge(0.3, 0.6, 1, 256, True, "lp"),  # binding at delta_max 256: against the relaxed LP
+    # Never harvests, never requested: every evaluation is the zero solution.
+    pytest.param(NetworkConfig(2, 1, 1, 5, (SensorParams(0.0, 2, (0.0,)),) * 2),
+                 False, 0.0, id="no-energy-no-requests"),
+]
+
+
+@pytest.mark.parametrize("net, active, bound", EDGE_INSTANCES)
 def test_edge_instances(net, active, bound):
     solution = solve_relaxed(net)
     assert solution.constraint_active == active
@@ -513,8 +517,8 @@ def test_breakpoints_inside_final_bracket_reach_relaxed_lp():
 
 def test_tie_at_upper_bracket_end_returns_its_tables_unmixed():
     # The chord's price yields tables whose rate ties Gamma, and they become
-    # the upper end: they come back unmixed at their price, while the
-    # relative values stay those of the lower end.
+    # the upper end: they come back unmixed at their price, and so do the
+    # relative values, Lagrangians and rates that the analysis reads with them.
     net = NetworkConfig(4, 2, 1, 4, (SensorParams(0.0, 1, (0.5, 0.5)),) * 2
                         + (SensorParams(1.0, 2, (0.5, 0.5)),) * 2)
     solution = solve_relaxed(net)
@@ -522,12 +526,20 @@ def test_tie_at_upper_bracket_end_returns_its_tables_unmixed():
     assert solution.constraint_active and solution.eta == 1.0
     assert solution.mu_star == lagrange.mu_plus > lagrange.mu_minus
     assert all(p.degenerate and p.lower.mu == lagrange.mu_plus for p in solution.policies)
-    # A cold solve at mu_minus converges through other tables than the solve
-    # warm-started along the bracket, so its relative values differ by
-    # round-off; the upper end's differ by 0.4 or more.
-    for sensor, rel in zip(net.sensors, lagrange.per_sensor_rel_values):
-        expected = solve_per_sensor(sensor, net.delta_max, lagrange.mu_minus).rel_values
-        np.testing.assert_allclose(rel, expected, rtol=0, atol=1e-12)
+    # A cold solve at mu_plus converges through other tables than the solve
+    # warm-started along the bracket, so its relative values may differ by
+    # round-off; the lower end's, at mu_minus, differ by 0.4 or more.
+    for k, sensor in enumerate(net.sensors):
+        expected = solve_per_sensor(sensor, net.delta_max, lagrange.mu_plus)
+        np.testing.assert_array_equal(expected.policy.actions, solution.policies[k].lower.actions)
+        np.testing.assert_allclose(lagrange.per_sensor_rel_values[k], expected.rel_values,
+                                   rtol=0, atol=1e-12)
+        assert lagrange.per_sensor_lagrangians[k] == pytest.approx(expected.avg_lagrangian,
+                                                                   rel=0, abs=1e-12)
+        assert lagrange.per_sensor_rates[k] == pytest.approx(expected.evaluation.command_rate,
+                                                             rel=0, abs=1e-12)
+        lower_end = solve_per_sensor(sensor, net.delta_max, lagrange.mu_minus).rel_values
+        assert np.abs(lagrange.per_sensor_rel_values[k] - lower_end).max() >= 0.4
     assert abs(solution.avg_cost - relaxed_lp(net)) <= _calibration_error(net, solution)
 
 
@@ -544,6 +556,96 @@ def test_breakpoint_clamped_to_bracket_end_still_mixes():
     assert abs(solution.avg_cost - relaxed_lp(net)) <= _calibration_error(net, solution)
 
 
+# The solve instances of bench/run.py.
+BENCH_SOLVES = {
+    "paper-k40": NetworkConfig(40, 3, 1, 12, (SensorParams(0.05, 7, (0.6,) * 3),) * 40),
+    "bigbattery-k800": NetworkConfig(20, 3, 1, 8, (SensorParams(0.9, 63, (0.6,) * 3),) * 20),
+}
+
+
+def _cold_solve(net):
+    """``solve_relaxed`` with every cache of the model and the solver emptied first."""
+    for module in (aoisched.model, relaxed_solver):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    return solve_relaxed(net)
+
+
+def _calibrated(solve, net):
+    """The calibration's outputs, as hex floats, or the error it raised."""
+    try:
+        solution = solve(net)
+    except BracketError as exc:
+        return f"BracketError: {exc}"
+    return tuple(getattr(solution, f).hex() for f in ("eta", "avg_cost", "command_rate"))
+
+
+def _exact_bisection(solve):
+    """``solve`` with the calibration that evaluates every step exactly."""
+    def run(net):
+        with mock.patch.object(relaxed_solver, "_calibrate_eta", calibrate_eta_reference):
+            return solve(net)
+    return run
+
+
+@pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in BENCH_SOLVES.items()]
+                         + [pytest.param(p.values[0], id=p.id) for p in EDGE_INSTANCES])
+def test_calibration_matches_exact_bisection(net):
+    # The low-rank steps steer the bisection as exact rates would, and the
+    # returned eta is evaluated exactly: eta, the bound and the rate are the
+    # exact bisection's, bit for bit.
+    assert _calibrated(_cold_solve, net) == _calibrated(_exact_bisection(_cold_solve), net)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_networks())
+def test_forced_low_rank_calibration_matches_exact_bisection(net):
+    # Every mixed class takes the low-rank steps, whatever its rank.
+    with mock.patch.object(relaxed_solver, "LOW_RANK_SHARE", 1.0):
+        got = _calibrated(solve_relaxed, net)
+    assert got == _calibrated(_exact_bisection(solve_relaxed), net)
+
+
+def test_cold_bench_solve_factors_once_per_mixed_class(caplog):
+    # Policy iteration makes 11 factorisations. The calibration adds one for
+    # the even mixture and one for the certified eta; an exact bisection
+    # made 16.
+    factored = []
+
+    def counted_splu(matrix, *args, **kwargs):
+        factored.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    with (mock.patch.object(scipy.sparse.linalg, "splu", counted_splu),
+          caplog.at_level(logging.DEBUG, logger=relaxed_solver.__name__)):
+        solution = _cold_solve(BENCH_SOLVES["paper-k40"])
+    assert 0.0 < solution.eta < 1.0
+    assert len(factored) <= 13
+    # The calibration's debug line: eta, the pass, the low-rank class rates,
+    # the exact class evaluations, (d, n) per mixed class and the low-rank gap.
+    [record] = [r for r in caplog.records if r.getMessage().startswith("eta")]
+    mid, which, low_rank, exact, shapes, gap = record.args
+    assert mid == solution.eta and which == "low-rank"
+    assert low_rank >= 1 and exact == 1 and shapes == [(14, 96)]
+    assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("share", [relaxed_solver.LOW_RANK_SHARE, 1.0])
+def test_rate_jump_at_eta_one_raises_bracket_error(share):
+    # The grid-powered class (harvest 1.0) has a lower table whose chain
+    # keeps a closed class that every mixture with eta < 1 leaves: the fleet
+    # rate jumps at eta = 1, and no eta in [0, 1) reaches Gamma. Its even
+    # mixture moves 18 of 30 states, above the rank rule; share 1.0 sends the
+    # low-rank update, built on (0, 1) only, to the same jump.
+    net = NetworkConfig(3, 1, 2, 6, (SensorParams(0.6428, 3, (0.5,)),
+                                     SensorParams(0.9909, 4, (0.5305,)),
+                                     SensorParams(1.0, 4, (0.1456,))))
+    with (mock.patch.object(relaxed_solver, "LOW_RANK_SHARE", share),
+          pytest.raises(BracketError, match="^no mixing factor reaches the budget: best rate")):
+        solve_relaxed(net)
+
+
 PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
 
 
@@ -553,6 +655,34 @@ def boundary_sensors(draw):
     users = draw(st.integers(1, 3))
     return SensorParams(draw(PROBABILITY), draw(st.integers(1, 3)),
                         tuple(draw(PROBABILITY) for _ in range(users)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(boundary_sensors(), st.integers(2, 8), st.floats(0.01, 0.99), st.data())
+def test_low_rank_rates_match_exact_evaluation(sensor, delta_max, eta, data):
+    # Two tables that differ on at most a quarter of the (battery, age)
+    # states; their mixture's rate from the even mixture's factor equals the
+    # exact evaluation's. Mixtures near eta = 0 or 1 are left out: where a
+    # pure table has another closed class than the mixture, both solves lose
+    # accuracy there.
+    model = sensor_model(sensor, delta_max)
+    n = model.succ.shape[0]
+    bits = st.lists(st.integers(0, 1), min_size=model.num_states, max_size=model.num_states)
+    upper = np.array(data.draw(bits), dtype=np.int8)
+    lower = upper.reshape(-1, n).copy()
+    moved = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n // 4, unique=True))
+    for x in moved:
+        lower[data.draw(st.integers(0, lower.shape[0] - 1)), x] ^= 1
+    tables = PolicyTable(lower.ravel(), 0.0), PolicyTable(upper, 0.0)
+    half, update, d = relaxed_solver._mixture_rate(model, *tables)
+    exact_half = evaluate_per_sensor(sensor, delta_max, MixedPolicy(*tables, 0.5))
+    assert (half.cost_rate, half.command_rate) == (exact_half.cost_rate, exact_half.command_rate)
+    assert d <= len(moved)
+    assume(update is not None)  # the even mixture has one closed class
+    exact = evaluate_per_sensor(sensor, delta_max, MixedPolicy(*tables, eta)).command_rate
+    # A rate that is 0 but for round-off comes out of either solve as up to
+    # about 1e-10; the absolute bound is a tenth of the calibration's guard.
+    assert update(eta) == pytest.approx(exact, rel=1e-12, abs=0.1 * relaxed_solver.ETA_GUARD)
 
 
 @settings(max_examples=60, deadline=None)
