@@ -21,10 +21,14 @@ per-state cost and command rates and its relative values at once, whatever
 the number of closed classes. The system reaches SuperLU as CSC arrays
 written through a slot map built once per model and set of gain columns
 (:func:`_system_slots`), so no evaluation sorts sparse triplets. It is the
-only place that needs scipy. Multichain Howard policy iteration calls
-:func:`_evaluate` at every step and price, and the gain and bias Q-values of
-the full states follow from one ``SensorModel.expect`` per action;
-:func:`evaluate_per_sensor` calls it on any pure or mixed table.
+only place that needs scipy. Multichain Howard policy iteration evaluates
+each distinct table once, through :func:`_table_evaluation`, a cache of the
+64 tables used last that ``cache_clear`` empties: a chain depends on its
+table, not on the price, so a warm start at the next price reuses its start
+table's evaluation instead of factoring it again. The gain and bias
+Q-values of the full states follow from one ``SensorModel.expect`` per
+action; :func:`evaluate_per_sensor` calls :func:`_evaluate` on any pure or
+mixed table.
 
 The mixing factor's calibration factors once per mixed class: the mixture's
 chain is linear in eta, and the two tables differ on few of its states, so
@@ -136,8 +140,9 @@ class ChainEvaluation:
 class PerSensorSolve:
     """Optimal per-sensor table at a fixed command price, with its exact averages.
 
-    ``iterations`` counts the policy evaluations of policy iteration (one
-    Poisson solve each).
+    ``iterations`` counts the steps of policy iteration, one table evaluation
+    each; a step whose table was evaluated before reuses that evaluation
+    and makes no Poisson solve.
     """
 
     policy: PolicyTable
@@ -328,6 +333,25 @@ def _evaluate(
     return ChainEvaluation(float(gains[ref, 0]), float(gains[ref, 1])), gains, x, factor
 
 
+@lru_cache(maxsize=64)
+def _table_evaluation(
+    model: SensorModel, actions: bytes
+) -> tuple[ChainEvaluation, np.ndarray, np.ndarray]:
+    """:func:`_evaluate` of the pure table whose action bits, as bools, are
+    ``actions``, without its factor: the chain depends on the table, not on
+    the price, so policy iteration evaluates each distinct table once, also
+    across prices. Its arrays are read-only; an error is raised again on each
+    call, not cached."""
+    evaluation, gains, x, factor = _evaluate(model, np.frombuffer(actions, dtype=bool))
+    if factor is not None:
+        # One closed class: every state's gains are the reference state's, so
+        # the cache keeps one row of them.
+        gains = np.broadcast_to(gains[model.ref_index].copy(), gains.shape)
+    for arr in (gains, x):
+        arr.setflags(write=False)
+    return evaluation, gains, x
+
+
 def _fleet_average(weights: np.ndarray, evaluations: list[ChainEvaluation]) -> tuple[float, float]:
     """Per-sensor (cost, command rate) of a fleet, its per-class evaluations
     weighted by the classes' shares ``weights``."""
@@ -342,8 +366,9 @@ def solve_per_sensor(
 
     Starts from the action bits ``start`` (by default the myopic table that
     commands where the price undercuts the slot-cost saving). Each step
-    evaluates the table exactly with :func:`_poisson` on its request-averaged
-    (battery, age) chain. Its gains ḡ and relative values h̄ give each full
+    evaluates the table exactly on its request-averaged (battery, age) chain,
+    or reuses that evaluation from :func:`_table_evaluation`, and prices its
+    per-command columns at mu. Its gains ḡ and relative values h̄ give each full
     state (r, x) the gain Q-values (Q_a ḡ)(x) and the Q-values
     q_a(r, x) = c_a(r, x) + (Q_a h̄)(x). A step switches the states whose gain
     Q-value drops by more than ``IMPROVEMENT_TOL`` times max|ḡ| or, where none
@@ -372,14 +397,13 @@ def solve_per_sensor(
     def evaluate(actions):
         """Exact rates of a table, its (idle, command) gain Q-values and gain
         tolerance, its (idle, command) Q-values, and its relative values."""
-        evaluation, gains, x, _ = _evaluate(model, actions)
-        g_bar = gains[:, 0] + mu * gains[:, 1]
-        h_bar = x[:, 0] + mu * x[:, 1]
-        q0, q1 = c0 + model.expect(0, h_bar), c1 + model.expect(1, h_bar)
+        evaluation, gains, x = _table_evaluation(model, actions.tobytes())
+        priced = np.column_stack([x[:, 0] + mu * x[:, 1], gains[:, 0] + mu * gains[:, 1]])
+        (h0, g0), (h1, g1) = (model.expect(a, priced).T for a in (0, 1))
+        q0, q1 = c0 + h0, c1 + h1
         q_pi = np.where(actions, q1, q0)
-        return (evaluation, (model.expect(0, g_bar), model.expect(1, g_bar)),
-                IMPROVEMENT_TOL * float(np.abs(g_bar).max()), (q0, q1),
-                q_pi - q_pi[0, model.ref_index])
+        return (evaluation, (g0, g1), IMPROVEMENT_TOL * float(np.abs(priced[:, 1]).max()),
+                (q0, q1), q_pi - q_pi[0, model.ref_index])
 
     def improves(pair, tol):
         """Where the action the table does not take is lower by more than tol."""

@@ -26,11 +26,16 @@ from aoisched import (
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
 
 
+def _package_caches():
+    """Every ``cache_clear``-able object of the model and the solver, by name."""
+    return {f"{module.__name__}.{name}": obj
+            for module in (model, relaxed_solver)
+            for name, obj in vars(module).items() if hasattr(obj, "cache_clear")}
+
+
 def _clear_package_caches():
-    for module in (model, relaxed_solver):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    for cache in _package_caches().values():
+        cache.cache_clear()
 
 
 def test_solve_reaches_traced_functions_through_module_globals(monkeypatch):
@@ -79,14 +84,20 @@ def test_names_and_fields_the_benchmark_reads():
 
 
 def test_emptied_caches_hold_no_slot_maps():
-    # A cold solve builds each model's chain pattern and Poisson slot map
-    # again: both live in caches that the benchmark empties, not on the model
-    # or in a module dict, which would make its solve_s a warm solve.
+    # A cold solve builds each model, its chain pattern, its Poisson slot
+    # maps and its table evaluations again: every cache of the model and the
+    # solver is one the benchmark's sweep empties and a solve refills, not
+    # state on the model or in a module dict, which would make its solve_s a
+    # warm solve. A cache added later joins the sweep by being found here.
     net = NetworkConfig(20, 1, 1, 2, (TINY1,) * 20)
     solve_relaxed(net)
+    caches = _package_caches()
+    assert {"aoisched.model.sensor_model", "aoisched.relaxed_solver._chain_pattern",
+            "aoisched.relaxed_solver._system_slots",
+            "aoisched.relaxed_solver._table_evaluation"} <= caches.keys()
     _clear_package_caches()
-    for cache in (relaxed_solver._chain_pattern, relaxed_solver._system_slots):
-        assert cache.cache_info().currsize == 0
+    assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(
+        caches, 0)
     solve_relaxed(net)
-    for cache in (relaxed_solver._chain_pattern, relaxed_solver._system_slots):
-        assert cache.cache_info().misses >= 1
+    assert all(cache.cache_info().currsize >= 1 for cache in caches.values()), {
+        name: cache.cache_info() for name, cache in caches.items()}

@@ -1,6 +1,7 @@
 """Per-sensor solver, exact evaluator, price bisection, and mixing tests."""
 
 import logging
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -250,13 +251,14 @@ def test_evaluate_always_commanding_request_counts_leave_no_idle_edge():
     assert abs(ev.command_rate - rate) <= 1e-12
 
 
-def test_evaluate_rejects_nan_stationary_solve(monkeypatch):
-    class NanFactor:
-        def solve(self, rhs):
-            return np.full(rhs.shape, np.nan)
+class _NanFactor:
+    def solve(self, rhs):
+        return np.full(rhs.shape, np.nan)
 
+
+def test_evaluate_rejects_nan_stationary_solve(monkeypatch):
     # The solver imports splu from scipy when it factorises, so patch it there.
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda system: NanFactor())
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda system: _NanFactor())
     always = PolicyTable(actions=np.ones(sensor_model(TINY1, 2).num_states, dtype=np.int8), mu=0.0)
     with pytest.raises(MultichainError, match="residual nan"):
         evaluate_per_sensor(TINY1, 2, always)
@@ -563,13 +565,31 @@ BENCH_SOLVES = {
 }
 
 
-def _cold_solve(net):
-    """``solve_relaxed`` with every cache of the model and the solver emptied first."""
+def _clear_caches():
+    """Empty every cache of the model and the solver."""
     for module in (aoisched.model, relaxed_solver):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
+
+
+def _cold_solve(net):
+    """``solve_relaxed`` with every cache of the model and the solver emptied first."""
+    _clear_caches()
     return solve_relaxed(net)
+
+
+@contextmanager
+def _counted_splu():
+    """A list that collects the shape of every matrix SuperLU factors in the block."""
+    factored = []
+
+    def counted(matrix, *args, **kwargs):
+        factored.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    with mock.patch.object(scipy.sparse.linalg, "splu", counted):
+        yield factored
 
 
 def _calibrated(solve, net):
@@ -608,20 +628,14 @@ def test_forced_low_rank_calibration_matches_exact_bisection(net):
 
 
 def test_cold_bench_solve_factors_once_per_mixed_class(caplog):
-    # Policy iteration makes 11 factorisations. The calibration adds one for
-    # the even mixture and one for the certified eta; an exact bisection
-    # made 16.
-    factored = []
-
-    def counted_splu(matrix, *args, **kwargs):
-        factored.append(matrix.shape)
-        return splu(matrix, *args, **kwargs)
-
-    with (mock.patch.object(scipy.sparse.linalg, "splu", counted_splu),
+    # Policy iteration makes 8 factorisations, one per distinct table. The
+    # calibration adds one for the even mixture and one for the certified
+    # eta; an exact bisection made 16.
+    with (_counted_splu() as factored,
           caplog.at_level(logging.DEBUG, logger=relaxed_solver.__name__)):
         solution = _cold_solve(BENCH_SOLVES["paper-k40"])
     assert 0.0 < solution.eta < 1.0
-    assert len(factored) <= 13
+    assert len(factored) <= 10
     # The calibration's debug line: eta, the pass, the low-rank class rates,
     # the exact class evaluations, (d, n) per mixed class and the low-rank gap.
     [record] = [r for r in caplog.records if r.getMessage().startswith("eta")]
@@ -721,7 +735,11 @@ def test_fig2a_solve_matches_fixture():
     network = build_network(parse_spec((root / "configs" / "fig2a.cfg").read_text()))
     with np.load(root / "bench" / "data" / "fig2a_tables.npz") as fixture:
         expected = dict(fixture)
-    solution = solve_relaxed(network)
+    with _counted_splu() as factored:
+        solution = _cold_solve(network)
+    # Each distinct pure table is evaluated once per model; 413 when every
+    # warm start evaluated its start table again.
+    assert len(factored) <= 264
     classes, _, class_of = sensor_classes(network)
     first = [int(np.flatnonzero(class_of == c)[0]) for c in range(len(classes))]
     np.testing.assert_array_equal([c.harvest_rate for c in classes], expected["harvest"])
@@ -803,3 +821,68 @@ def test_boundary_solves_match_policy_enumeration(sensor, mu, start):
     oracle_value, _ = best_deterministic_policy(sensor, 2, mu)
     solve = solve_per_sensor(sensor, 2, mu, None if start is None else np.array(start))
     assert abs(solve.avg_lagrangian - oracle_value) <= 1e-9
+
+
+@st.composite
+def sensor_pairs(draw):
+    """Two boundary sensors with one state space, so their tables share a byte layout."""
+    first = draw(boundary_sensors())
+    second = SensorParams(draw(PROBABILITY), first.battery_capacity,
+                          tuple(draw(PROBABILITY) for _ in first.request_probs))
+    return first, second
+
+
+def _solve_record(solve):
+    """A per-sensor solve's table, relative values, Lagrangian, step count and
+    evaluation, as bytes and hex floats."""
+    return (solve.policy.actions.tobytes(), solve.rel_values.tobytes(),
+            solve.avg_lagrangian.hex(), solve.iterations,
+            solve.evaluation.cost_rate.hex(), solve.evaluation.command_rate.hex())
+
+
+@settings(max_examples=60, deadline=None)
+@given(sensor_pairs(), st.integers(2, 8), st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4))
+def test_reused_table_evaluations_match_cold_solves(sensors, delta_max, prices):
+    # Each solve starts from its sensor's previous table, which that solve
+    # evaluated last: the evaluation is reused, not repeated, and the solve
+    # returns what the same call returns with every cache emptied, bit for
+    # bit. The two sensors' tables share a byte layout (both start from the
+    # same myopic table), so an evaluation reused across models shows.
+    evaluations = relaxed_solver._table_evaluation
+    _clear_caches()
+    calls = []
+    starts = [None, None]
+    for mu in prices:
+        for k, sensor in enumerate(sensors):
+            args = (sensor, delta_max, mu, starts[k])
+            hits = evaluations.cache_info().hits
+            solve = solve_per_sensor(*args)
+            assert starts[k] is None or evaluations.cache_info().hits > hits
+            calls.append((args, _solve_record(solve)))
+            starts[k] = solve.policy.actions
+    for args, record in calls:
+        _clear_caches()
+        assert _solve_record(solve_per_sensor(*args)) == record
+
+    # The last cold solve evaluated its table; the arrays handed out again are read-only.
+    model = sensor_model(sensors[-1], delta_max)
+    key = starts[-1].astype(bool).tobytes()
+    hits = evaluations.cache_info().hits
+    _, gains, x = evaluations(model, key)
+    assert evaluations.cache_info().hits == hits + 1
+    for arr in (gains, x):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+
+    # A failed evaluation is not kept: the next call factors and fails again.
+    _clear_caches()
+    model = sensor_model(sensors[0], delta_max)
+    factored, counts = [], []
+    with mock.patch.object(scipy.sparse.linalg, "splu",
+                           lambda system: factored.append(system) or _NanFactor()):
+        for _ in range(2):
+            with pytest.raises(MultichainError):
+                evaluations(model, key)
+            counts.append(len(factored))
+    assert 0 < counts[0] < counts[1]
+    assert evaluations.cache_info().currsize == 0
