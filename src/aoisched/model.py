@@ -17,7 +17,7 @@ concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -71,13 +71,21 @@ class SensorParams:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """A full problem instance: sensor fleet, per-slot budget, and the age cap."""
+    """A full problem instance: sensor fleet, per-slot budget, and the age cap.
+
+    Construction also groups identical sensors into classes, once per network;
+    :func:`sensor_classes` returns that grouping, whose arrays are read-only.
+    """
 
     num_sensors: int
     num_users: int
     budget: int
     delta_max: int
     sensors: tuple[SensorParams, ...]
+    # The grouping that sensor_classes returns; not part of equality or hashing.
+    _classes: tuple[SensorParams, ...] = field(init=False, compare=False, repr=False)
+    _class_counts: np.ndarray = field(init=False, compare=False, repr=False)
+    _class_of: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
@@ -91,9 +99,19 @@ class NetworkConfig:
             raise ValueError("delta_max must be >= 2")
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
+        lookup: dict[SensorParams, int] = {}  # class per sensor, in order of first appearance
+        class_of = []
         for k, s in enumerate(self.sensors):
             if s.num_users != self.num_users:
                 raise ValueError(f"sensor {k} has {s.num_users} request probs, expected {self.num_users}")
+            class_of.append(lookup.setdefault(s, len(lookup)))
+        class_of = np.array(class_of, dtype=np.int64)
+        counts = np.bincount(class_of, minlength=len(lookup)).astype(np.int64)
+        for arr in (class_of, counts):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_classes", tuple(lookup))
+        object.__setattr__(self, "_class_counts", counts)
+        object.__setattr__(self, "_class_of", class_of)
 
     @property
     def gamma(self) -> float:
@@ -242,13 +260,11 @@ def sensor_classes(
 ) -> tuple[tuple[SensorParams, ...], np.ndarray, np.ndarray]:
     """Group identical sensors so solvers do per-class work once.
 
-    Returns (unique sensor parameters, multiplicity per class, class index per sensor).
+    Returns (unique sensor parameters in order of first appearance,
+    multiplicity per class, class index per sensor). The grouping is computed
+    once per network, when it is constructed; both arrays are read-only.
     """
-    lookup: dict[SensorParams, int] = {}  # in order of first appearance
-    class_of = np.array([lookup.setdefault(s, len(lookup)) for s in config.sensors],
-                        dtype=np.int64)
-    counts = np.bincount(class_of, minlength=len(lookup)).astype(np.int64)
-    return tuple(lookup), counts, class_of
+    return config._classes, config._class_counts, config._class_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,8 +309,7 @@ def fleet_layout(network: NetworkConfig) -> FleetLayout:
     models = tuple(sensor_model(c, network.delta_max) for c in classes)
     sizes = [m.succ.shape[0] for m in models]
     start = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
-    for arr in (class_of, start):
-        arr.setflags(write=False)
+    start.setflags(write=False)
     return FleetLayout(max(4, network.num_users + 1), class_of, models, start)
 
 

@@ -3,9 +3,12 @@
 Both formats start with four header lines: a version tag, a network
 fingerprint (so a policy cannot silently be replayed on a different
 instance), solve metadata, and the column names. The body is integers only:
-row-index columns followed by 0/1 action columns, written in chunks of
-``_CHUNK_ROWS`` rows with the bytes ``np.savetxt(fmt="%d", delimiter=",")``
-would give. Floats in the metadata round-trip through repr.
+row-index columns followed by 0/1 action columns, with the bytes
+``np.savetxt(fmt="%d", delimiter=",")`` would give. The joint body is written
+in chunks of ``_CHUNK_ROWS`` rows, each formatted by one ``%``. The mixed body
+is written one sensor class at a time, as bytes: its row (c, i) is
+``f"{c},"``, then state i's index from a digit table shared by the classes,
+then the two action bits. Floats in the metadata round-trip through repr.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import hashlib
 import math
 import warnings
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +38,7 @@ __all__ = [
 MIXED_TAG = "# aoisched-mixed-policy v2"
 JOINT_TAG = "# aoisched-joint-policy v2"
 MIXED_COLUMNS = "class,state_index,action_lower,action_upper"
-_CHUNK_ROWS = 1024  # body rows formatted by one % each
+_CHUNK_ROWS = 1024  # joint body rows formatted by one % each
 
 
 def network_fingerprint(config: NetworkConfig) -> str:
@@ -45,16 +49,14 @@ def network_fingerprint(config: NetworkConfig) -> str:
         f"M={config.budget}",
         f"delta_max={config.delta_max}",
     ]
-    # Equal sensors share one text, formatted once; ``SensorParams`` stores no
-    # -0.0, so equal sensors have equal texts.
-    texts: dict[tuple, str] = {}
-    for s in config.sensors:
-        key = (s.harvest_rate, s.battery_capacity, s.request_probs)
-        text = texts.get(key)
-        if text is None:
-            probs = ",".join(repr(p) for p in s.request_probs)
-            text = texts[key] = f"({s.harvest_rate!r},{s.battery_capacity},[{probs}])"
-        parts.append(text)
+    # One text per sensor class; ``SensorParams`` stores no -0.0, so every
+    # sensor of a class has its class's text.
+    classes, _, class_of = sensor_classes(config)
+    texts = [
+        f"({s.harvest_rate!r},{s.battery_capacity},[{','.join(map(repr, s.request_probs))}])"
+        for s in classes
+    ]
+    parts.extend(map(texts.__getitem__, class_of.tolist()))
     return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
 
 
@@ -69,16 +71,46 @@ def _class_rows(sizes: list[int]) -> np.ndarray:
     )
 
 
+def _int_rows(rows: np.ndarray) -> Iterator[str]:
+    """The integer ``rows`` as "%d" rows, in chunks of ``_CHUNK_ROWS`` rows."""
+    line = ",".join(["%d"] * rows.shape[1]) + "\n"
+    for start in range(0, rows.shape[0], _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        yield line * chunk.shape[0] % tuple(chunk.ravel().tolist())
+
+
+def _mixed_rows(per_class: Sequence[MixedPolicy]) -> Iterator[str]:
+    """The mixed body, one text per class, built as bytes with no object per row.
+
+    Row (c, i) is ``f"{c},"``, state i's index from a digit table shared by
+    the classes, ``",lower,upper"`` and a newline. Each row is laid out in
+    one fixed-width row of bytes; zero bytes pad the shorter indices and are
+    dropped.
+    """
+    n = max(p.num_states for p in per_class)
+    place = 10 ** np.arange(len(str(n - 1)))[::-1]  # most significant digit first
+    index = np.arange(n)[:, None]
+    digits = np.where((index < place) & (place > 1), 0, ord("0") + index // place % 10)
+    for c, p in enumerate(per_class):
+        lead = f"{c},".encode()
+        rows = np.zeros((p.num_states, len(lead) + place.size + 5), dtype=np.uint8)
+        rows[:, :len(lead)] = np.frombuffer(lead, dtype=np.uint8)
+        rows[:, len(lead):-5] = digits[:p.num_states]
+        rows[:, -5:] = np.frombuffer(b",0,0\n", dtype=np.uint8)
+        rows[:, -4] += p.lower.actions.view(np.uint8)
+        rows[:, -2] += p.upper.actions.view(np.uint8)
+        text = rows.ravel()
+        yield text[text != 0].tobytes().decode()
+
+
 def _write(
     path: str | Path, tag: str, config: NetworkConfig, meta: str, columns: str,
-    rows: np.ndarray,
+    body: Iterable[str],
 ) -> None:
-    line = ",".join(["%d"] * rows.shape[1]) + "\n"
+    """Write the four header lines, then the texts of ``body``."""
     with open(path, "w") as fh:
         fh.write(f"{tag}\n# network={network_fingerprint(config)}\n# {meta}\n{columns}\n")
-        for start in range(0, rows.shape[0], _CHUNK_ROWS):
-            chunk = rows[start:start + _CHUNK_ROWS]
-            fh.write(line * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+        fh.writelines(body)
 
 
 def _read(
@@ -118,7 +150,7 @@ def _read(
     if body.shape != shape or not np.array_equal(body[:, : index.shape[1]], index):
         raise PolicyFileError(f"{path}: incomplete or misordered policy table")
     actions = body[:, index.shape[1]:]
-    if not np.isin(actions, (0, 1)).all():
+    if not ((actions == 0) | (actions == 1)).all():
         raise PolicyFileError(f"{path}: action bits must be 0 or 1")
     return actions, meta
 
@@ -132,18 +164,13 @@ def save_mixed_policies(
     one table.
     """
     _, per_class = class_policies(config, solution.policies)
-    rows = np.column_stack((
-        _class_rows([p.num_states for p in per_class]),
-        np.concatenate([p.lower.actions for p in per_class]),
-        np.concatenate([p.upper.actions for p in per_class]),
-    ))
     meta = (
         f"eta={solution.eta!r} mu_star={solution.mu_star!r} "
         f"mu_minus={solution.lagrange.mu_minus!r} mu_plus={solution.lagrange.mu_plus!r} "
         f"active={int(solution.constraint_active)} avg_cost={solution.avg_cost!r} "
         f"command_rate={solution.command_rate!r}"
     )
-    _write(path, MIXED_TAG, config, meta, MIXED_COLUMNS, rows)
+    _write(path, MIXED_TAG, config, meta, MIXED_COLUMNS, _mixed_rows(per_class))
 
 
 def load_mixed_policies(
@@ -174,7 +201,7 @@ def load_mixed_policies(
         ]
     except ValueError as exc:
         raise PolicyFileError(f"{path}: {exc}") from exc
-    return tuple(per_class[c] for c in class_of), meta
+    return tuple(map(per_class.__getitem__, class_of.tolist())), meta
 
 
 def save_joint_policy(
@@ -183,7 +210,7 @@ def save_joint_policy(
     """Write a joint policy: one row per joint state, one column per action bit."""
     rows = np.column_stack((np.arange(policy.num_states), policy.actions))
     meta = f"avg_cost={avg_cost!r} budget={policy.budget}"
-    _write(path, JOINT_TAG, config, meta, _joint_columns(config.num_sensors), rows)
+    _write(path, JOINT_TAG, config, meta, _joint_columns(config.num_sensors), _int_rows(rows))
 
 
 def load_joint_policy(

@@ -82,9 +82,11 @@ class PolicyTable:
     mu: float
 
     def __post_init__(self):
-        acts = np.asarray(self.actions, dtype=np.int8)
-        if acts.ndim != 1 or not np.isin(acts, (0, 1)).all():
+        acts = np.asarray(self.actions)
+        # Checked before the cast, which would wrap 256 to 0 and truncate 0.5 to 0.
+        if acts.ndim != 1 or not ((acts == 0) | (acts == 1)).all():
             raise ValueError("policy table must be a flat array of 0/1 action bits")
+        acts = acts.astype(np.int8, copy=False)
         acts.setflags(write=False)
         object.__setattr__(self, "actions", acts)
 

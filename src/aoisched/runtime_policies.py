@@ -164,8 +164,8 @@ def class_policies(
     for sensor, p in zip(classes, per_class):
         if p.num_states != sensor_model(sensor, network.delta_max).num_states:
             raise ValueError("mixed policy table size does not match the sensor")
-    for k, c in enumerate(class_of):
-        p, ref = policies[k], per_class[c]
+    for k, (p, c) in enumerate(zip(policies, class_of.tolist())):
+        ref = per_class[c]
         if p is not ref and not (
             np.array_equal(p.lower.actions, ref.lower.actions)
             and np.array_equal(p.upper.actions, ref.upper.actions)

@@ -11,7 +11,8 @@ program over their occupation measures, and the joint problem is
 cross-checked by a finite-horizon dynamic program and a Bellman residual on
 their product. The policy-file references are the plain writers that
 ``policy_io`` is held byte-equal to: ``np.savetxt`` for the body and one
-text per sensor for the network fingerprint. :func:`poisson_reference` is
+text per sensor for the network fingerprint; :func:`sensor_classes_reference`
+is the grouping of identical sensors that ``NetworkConfig`` keeps. :func:`poisson_reference` is
 the COO assembly of the policy-evaluation system that the solver's direct
 CSC assembly is held bit-equal to, and :func:`calibrate_eta_reference` the
 exact bisection on the mixing factor that the solver's low-rank calibration
@@ -551,6 +552,17 @@ def ordering_inputs(
 def savetxt_reference(path, header: str, rows: np.ndarray) -> None:
     """A policy file as ``np.savetxt`` writes it: the header, then "%d" rows."""
     np.savetxt(path, rows, fmt="%d", delimiter=",", header=header, comments="")
+
+
+def sensor_classes_reference(
+    config: NetworkConfig,
+) -> tuple[tuple[SensorParams, ...], np.ndarray, np.ndarray]:
+    """The sensor grouping, recomputed from the sensors by one dict."""
+    lookup: dict[SensorParams, int] = {}  # in order of first appearance
+    class_of = np.array([lookup.setdefault(s, len(lookup)) for s in config.sensors],
+                        dtype=np.int64)
+    counts = np.bincount(class_of, minlength=len(lookup)).astype(np.int64)
+    return tuple(lookup), counts, class_of
 
 
 def fingerprint_reference(config: NetworkConfig) -> str:

@@ -18,6 +18,8 @@ from aoisched import (
     PolicyTable,
     RelaxedSolution,
     SensorParams,
+    build_relaxed_fleet_policy,
+    sensor_classes,
     sensor_model,
     solve_exact,
     solve_relaxed,
@@ -30,7 +32,7 @@ from aoisched.policy_io import (
     save_joint_policy,
     save_mixed_policies,
 )
-from oracles import fingerprint_reference, savetxt_reference
+from oracles import fingerprint_reference, savetxt_reference, sensor_classes_reference
 from test_replay import ROOT, _fixture_policies, _network
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
@@ -276,16 +278,14 @@ def test_write_matches_savetxt(tmp_path, num_rows, num_cols, seed):
     rng = np.random.default_rng(seed)
     rows = rng.integers(-10**12, 10**12, size=(num_rows, num_cols))
     tag, meta, columns = "# tag", "avg_cost=1.25 budget=1", ",".join(["c"] * num_cols)
-    policy_io._write(tmp_path / "new.csv", tag, net, meta, columns, rows)
+    policy_io._write(tmp_path / "new.csv", tag, net, meta, columns, policy_io._int_rows(rows))
     header = f"{tag}\n# network={network_fingerprint(net)}\n# {meta}\n{columns}"
     savetxt_reference(tmp_path / "reference.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-def test_fig2b_mixed_file_bytes_are_pinned(tmp_path):
-    # The paper's K=800 fleet with the fixture tables (20,480 body rows); the
-    # digest was recorded from the np.savetxt writer.
-    net = _network("fig2b.cfg")
+def _fig2b_solution(net):
+    """The fixture tables on the paper's K=800 fleet, as a relaxed solution."""
     with np.load(ROOT / "bench" / "data" / "fig2a_tables.npz") as data:
         fx = {key: float(data[key]) for key in
               ("mu_star", "mu_minus", "mu_plus", "eta", "lower_bound", "command_rate")}
@@ -294,13 +294,19 @@ def test_fig2b_mixed_file_bytes_are_pinned(tmp_path):
         evaluations=(), per_sensor_rel_values=(), per_sensor_lagrangians=(),
         per_sensor_rates=(), dual_bound=float("nan"),
     )
-    solution = RelaxedSolution(
+    return RelaxedSolution(
         policies=_fixture_policies(net), mu_star=fx["mu_star"], eta=fx["eta"],
         avg_cost=fx["lower_bound"], command_rate=fx["command_rate"], constraint_active=True,
         lagrange=lagrange, per_sensor_cost_rates=(), per_sensor_command_rates=(),
     )
+
+
+def test_fig2b_mixed_file_bytes_are_pinned(tmp_path):
+    # The paper's K=800 fleet with the fixture tables (20,480 body rows); the
+    # digest was recorded from the np.savetxt writer.
+    net = _network("fig2b.cfg")
     path = tmp_path / "fig2b.csv"
-    save_mixed_policies(path, net, solution)
+    save_mixed_policies(path, net, _fig2b_solution(net))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "e11a6c82cb684568c5549eeba2ad8431356ec74a5219309fc870138c4f037e2f"
 
@@ -333,3 +339,106 @@ def _fleets(draw):
 )))
 def test_fingerprint_matches_per_sensor_formula(net):
     assert network_fingerprint(net) == fingerprint_reference(net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fleets())
+def test_sensor_classes_match_reference_and_are_read_only(net):
+    classes, counts, class_of = sensor_classes(net)
+    ref_classes, ref_counts, ref_class_of = sensor_classes_reference(net)
+    # repr tells a -0.0 from a 0.0, which == does not.
+    assert [repr(c) for c in classes] == [repr(c) for c in ref_classes]
+    for arr, ref in ((counts, ref_counts), (class_of, ref_class_of)):
+        assert arr.dtype == ref.dtype and arr.tolist() == ref.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    assert sensor_classes(net)[2] is class_of  # kept on the network, not recomputed
+
+
+def test_fig2b_hand_off_hashes_each_sensor_at_most_once(tmp_path, monkeypatch):
+    # The class grouping is made when the network is built; a save, a load and
+    # two fleet builds must not regroup the 800 sensors.
+    net = _network("fig2b.cfg")
+    solution = _fig2b_solution(net)
+    calls = []
+    plain_hash = SensorParams.__hash__
+
+    def counted_hash(self):
+        calls.append(1)
+        return plain_hash(self)
+
+    monkeypatch.setattr(SensorParams, "__hash__", counted_hash)
+    path = tmp_path / "fig2b.csv"
+    save_mixed_policies(path, net, solution)
+    policies, _ = load_mixed_policies(path, net)
+    for truncate in (True, False):
+        build_relaxed_fleet_policy(net, policies, truncate)
+    assert hash(TINY1) == plain_hash(TINY1) and calls  # the counter is live
+    assert len(calls) <= net.num_sensors + 1
+
+
+_TABLE_KINDS = st.sampled_from(["zeros", "ones", "bits"])
+
+
+def _assert_mixed_file_matches_savetxt(path, sensors, delta_max, kinds, eta, rng):
+    """Save hand-made tables (``kinds[c]``, lower and upper, for class c) and
+    compare the file with ``np.savetxt`` of its (class, state, lower, upper) rows."""
+    net = NetworkConfig(len(sensors), 1, 1, delta_max, tuple(sensors))
+    classes, _, class_of = sensor_classes(net)
+    tables = {"zeros": np.zeros, "ones": np.ones,
+              "bits": lambda n, dtype: rng.integers(0, 2, n).astype(dtype)}
+    per_class, rows = [], []
+    for c, sensor in enumerate(classes):
+        n = sensor_model(sensor, delta_max).num_states
+        lower, upper = (tables[kind](n, dtype=np.int8) for kind in kinds[c])
+        per_class.append(MixedPolicy(PolicyTable(lower, 0.5), PolicyTable(upper, 1.5), eta))
+        rows.append(np.column_stack((np.full(n, c), np.arange(n), lower, upper)))
+    lagrange = LagrangeSolve(
+        mu_star=1.0, mu_minus=0.5, mu_plus=1.5, evaluations=(), per_sensor_rel_values=(),
+        per_sensor_lagrangians=(), per_sensor_rates=(), dual_bound=float("nan"),
+    )
+    solution = RelaxedSolution(
+        policies=tuple(per_class[c] for c in class_of), mu_star=1.0, eta=eta, avg_cost=2.0,
+        command_rate=0.25, constraint_active=True, lagrange=lagrange,
+        per_sensor_cost_rates=(), per_sensor_command_rates=(),
+    )
+    save_mixed_policies(path, net, solution)
+    head = path.read_text().splitlines()[:4]
+    assert head[0] == policy_io.MIXED_TAG and head[3] == policy_io.MIXED_COLUMNS
+    assert head[1] == f"# network={network_fingerprint(net)}"
+    assert head[2].startswith(f"# eta={eta!r} ")
+    reference = path.with_name("reference.csv")
+    savetxt_reference(reference, "\n".join(head), np.concatenate(rows))
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_mixed_file_matches_savetxt_on_each_table_kind(tmp_path):
+    # Classes of 32, 16 and 24 states: all-0, all-1 and random tables.
+    pool = [SensorParams(0.5, b, (0.5,)) for b in (3, 1, 2)]
+    kinds = [("zeros", "ones"), ("ones", "ones"), ("bits", "zeros")]
+    for eta in (0.0, 1.0):
+        _assert_mixed_file_matches_savetxt(
+            tmp_path / "mixed.csv", (pool[0], pool[1], pool[2], pool[1]), 4, kinds, eta,
+            np.random.default_rng(0),
+        )
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mixed_file_matches_savetxt(tmp_path, data):
+    # Up to 12 classes (two-digit class numbers) of up to 120 states.
+    pool = data.draw(st.lists(
+        st.builds(SensorParams, st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(1, 4),
+                  st.just((0.5,))),
+        min_size=1, max_size=12, unique=True,
+    ))
+    sensors = data.draw(st.permutations(
+        pool + data.draw(st.lists(st.sampled_from(pool), max_size=8))
+    ))
+    kinds = [(data.draw(_TABLE_KINDS), data.draw(_TABLE_KINDS)) for _ in pool]
+    _assert_mixed_file_matches_savetxt(
+        tmp_path / "mixed.csv", sensors, data.draw(st.integers(2, 12)), kinds,
+        data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+    )

@@ -181,6 +181,19 @@ def test_solver_rejects_bad_arguments():
         solve_per_sensor(TINY1, 2, -0.5)
 
 
+@pytest.mark.parametrize("actions", [[256, 1], [0.5, 1.0], [-255, 0], [1.9, 0.0]])
+def test_policy_table_rejects_values_an_int8_cast_would_turn_into_bits(actions):
+    with pytest.raises(ValueError, match="0/1 action bits"):
+        PolicyTable(actions=actions, mu=0.0)
+
+
+def test_policy_table_takes_bool_and_float_bits():
+    for actions in (np.array([True, False, True]), [1.0, 0.0, 1.0]):
+        table = PolicyTable(actions=actions, mu=0.0)
+        assert table.actions.dtype == np.int8 and table.actions.tolist() == [1, 0, 1]
+        assert not table.actions.flags.writeable
+
+
 def test_evaluate_never_command_saturates():
     for rate in (0.0, 0.3, 1.0):
         sensor = SensorParams(rate, 2, (1.0,))
