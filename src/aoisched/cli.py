@@ -370,7 +370,7 @@ def cmd_simulate(args) -> int:
                 "policies 'relaxed' and 'rtt' need --relaxed-policy (run solve-relaxed first)"
             )
         mixed, meta = load_mixed_policies(args.relaxed_policy, network)
-        lower_bound = float(meta.get("avg_cost", "nan"))
+        lower_bound = float(meta["avg_cost"])
     if "exact" in names:
         if args.exact_policy is None:
             raise AoischedError("policy 'exact' needs --exact-policy (run solve-exact first)")

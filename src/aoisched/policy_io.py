@@ -9,13 +9,15 @@ in chunks of ``_CHUNK_ROWS`` rows, each formatted by one ``%``. The mixed body
 is written one sensor class at a time, as bytes: its row (c, i) is
 ``f"{c},"``, then state i's index from a digit table shared by the classes,
 then the two action bits. Floats in the metadata round-trip through repr.
+
+The writer alone defines the format: the reader accepts only the bytes the
+writer gives for the network, with each action byte ``0`` or ``1``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -64,95 +66,90 @@ def _joint_columns(num_sensors: int) -> str:
     return "state_index," + ",".join(f"action_{k}" for k in range(num_sensors))
 
 
-def _class_rows(sizes: list[int]) -> np.ndarray:
-    """(class, state_index) of every row of a mixed file, in file order."""
-    return np.concatenate(
-        [np.column_stack((np.full(n, c), np.arange(n))) for c, n in enumerate(sizes)]
-    )
-
-
-def _int_rows(rows: np.ndarray) -> Iterator[str]:
+def _int_rows(rows: np.ndarray) -> Iterator[bytes]:
     """The integer ``rows`` as "%d" rows, in chunks of ``_CHUNK_ROWS`` rows."""
-    line = ",".join(["%d"] * rows.shape[1]) + "\n"
+    line = b",".join([b"%d"] * rows.shape[1]) + b"\n"
     for start in range(0, rows.shape[0], _CHUNK_ROWS):
         chunk = rows[start:start + _CHUNK_ROWS]
         yield line * chunk.shape[0] % tuple(chunk.ravel().tolist())
 
 
-def _mixed_rows(per_class: Sequence[MixedPolicy]) -> Iterator[str]:
-    """The mixed body, one text per class, built as bytes with no object per row.
+def _mixed_rows(per_class: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[bytes]:
+    """The mixed body of per-class (lower, upper) int8 bits, one text per class.
 
     Row (c, i) is ``f"{c},"``, state i's index from a digit table shared by
     the classes, ``",lower,upper"`` and a newline. Each row is laid out in
-    one fixed-width row of bytes; zero bytes pad the shorter indices and are
-    dropped.
+    one fixed-width row of bytes, with no object per row; zero bytes pad the
+    shorter indices and are dropped.
     """
-    n = max(p.num_states for p in per_class)
+    n = max(lower.size for lower, _ in per_class)
     place = 10 ** np.arange(len(str(n - 1)))[::-1]  # most significant digit first
     index = np.arange(n)[:, None]
     digits = np.where((index < place) & (place > 1), 0, ord("0") + index // place % 10)
-    for c, p in enumerate(per_class):
+    for c, (lower, upper) in enumerate(per_class):
         lead = f"{c},".encode()
-        rows = np.zeros((p.num_states, len(lead) + place.size + 5), dtype=np.uint8)
+        rows = np.zeros((lower.size, len(lead) + place.size + 5), dtype=np.uint8)
         rows[:, :len(lead)] = np.frombuffer(lead, dtype=np.uint8)
-        rows[:, len(lead):-5] = digits[:p.num_states]
+        rows[:, len(lead):-5] = digits[:lower.size]
         rows[:, -5:] = np.frombuffer(b",0,0\n", dtype=np.uint8)
-        rows[:, -4] += p.lower.actions.view(np.uint8)
-        rows[:, -2] += p.upper.actions.view(np.uint8)
+        rows[:, -4] += lower.view(np.uint8)
+        rows[:, -2] += upper.view(np.uint8)
         text = rows.ravel()
-        yield text[text != 0].tobytes().decode()
+        yield text[text != 0].tobytes()
 
 
 def _write(
     path: str | Path, tag: str, config: NetworkConfig, meta: str, columns: str,
-    body: Iterable[str],
+    body: Iterable[bytes],
 ) -> None:
-    """Write the four header lines, then the texts of ``body``."""
-    with open(path, "w") as fh:
-        fh.write(f"{tag}\n# network={network_fingerprint(config)}\n# {meta}\n{columns}\n")
+    """Write the four header lines, then the bytes of ``body``."""
+    with open(path, "wb") as fh:
+        fh.write(f"{tag}\n# network={network_fingerprint(config)}\n# {meta}\n{columns}\n".encode())
         fh.writelines(body)
 
 
 def _read(
-    path: str | Path, tag: str, config: NetworkConfig, columns: str, index: np.ndarray
+    path: str | Path, tag: str, config: NetworkConfig, columns: str, blank: bytes, bits: int
 ) -> tuple[np.ndarray, dict[str, str]]:
     """The 0/1 action columns and the header metadata of a policy file.
 
-    The body must have one row per row of ``index`` and one column per name
-    in ``columns``; its leading row-index columns must equal ``index``, which
-    checks completeness and order at once.
+    Only the writer's bytes are accepted: the body must equal ``blank``, the
+    writer's body for this network with every bit 0, except that the last
+    ``bits`` one-byte fields of each row may each be ``0`` or ``1``. The file
+    is read as bytes, so CRLF line ends are not translated.
     """
     path = Path(path)
     if not path.exists():
         raise PolicyFileError(f"policy file not found: {path}")
+    *head, body = (path.read_bytes().split(b"\n", 4) + [b""] * 4)[:5]
     try:
-        with path.open() as fh, warnings.catch_warnings():
-            head = [fh.readline().rstrip("\n") for _ in range(4)]
-            if head[0] != tag:
-                raise PolicyFileError(f"{path}: expected header '{tag}'")
-            if head[3] != columns:
-                raise PolicyFileError(f"{path}: expected columns '{columns}'")
-            meta = dict(
-                token.split("=", 1) for token in " ".join(head[1:3]).split() if "=" in token
-            )
-            if meta.get("network") != network_fingerprint(config):
-                raise PolicyFileError(f"{path}: policy was solved for a different network")
-            warnings.filterwarnings("error", ".*input contained no data", UserWarning)
-            try:
-                body = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-            except UserWarning:
-                raise PolicyFileError(f"{path}: no policy rows") from None
-            except ValueError as exc:
-                raise PolicyFileError(f"{path}: malformed policy row: {exc}") from exc
+        head = [line.decode() for line in head]
+        body.decode()  # checked only: the body is compared as bytes
     except UnicodeDecodeError as exc:
         raise PolicyFileError(f"{path}: not a text file: {exc}") from None
-    shape = (index.shape[0], columns.count(",") + 1)
-    if body.shape != shape or not np.array_equal(body[:, : index.shape[1]], index):
-        raise PolicyFileError(f"{path}: incomplete or misordered policy table")
-    actions = body[:, index.shape[1]:]
-    if not ((actions == 0) | (actions == 1)).all():
+    if head[0] != tag:
+        raise PolicyFileError(f"{path}: expected header '{tag}', found {head[0]!r}")
+    if head[3] != columns:
+        raise PolicyFileError(f"{path}: expected columns '{columns}', found {head[3]!r}")
+    meta = dict(token.split("=", 1) for token in " ".join(head[1:3]).split() if "=" in token)
+    if meta.get("network") != network_fingerprint(config):
+        raise PolicyFileError(f"{path}: policy was solved for a different network")
+    if not body:
+        raise PolicyFileError(f"{path}: no policy rows")
+    expected = np.frombuffer(blank, dtype=np.uint8)
+    got = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(expected == ord("\n"))
+    at = (ends[:, None] - np.arange(2 * bits - 1, 0, -2)).ravel()  # action bytes, in order
+    n = min(got.size, expected.size)
+    bad = got[:n] != expected[:n]
+    bad[at[:np.searchsorted(at, n)]] = False
+    if got.size != expected.size or bad.any():
+        line = 5 + np.searchsorted(ends, np.argmax(np.append(bad, True)))
+        raise PolicyFileError(f"{path}: line {line} differs from the writer's rows for this network")
+    actions = got[at].reshape(-1, bits) - ord("0")
+    if (actions > 1).any():
         raise PolicyFileError(f"{path}: action bits must be 0 or 1")
-    return actions, meta
+    return actions.view(np.int8), meta
 
 
 def save_mixed_policies(
@@ -170,7 +167,8 @@ def save_mixed_policies(
         f"active={int(solution.constraint_active)} avg_cost={solution.avg_cost!r} "
         f"command_rate={solution.command_rate!r}"
     )
-    _write(path, MIXED_TAG, config, meta, MIXED_COLUMNS, _mixed_rows(per_class))
+    tables = [(p.lower.actions, p.upper.actions) for p in per_class]
+    _write(path, MIXED_TAG, config, meta, MIXED_COLUMNS, _mixed_rows(tables))
 
 
 def load_mixed_policies(
@@ -179,16 +177,17 @@ def load_mixed_policies(
     """Read mixed tables back, validate them, and hand one to every sensor."""
     classes, _, class_of = sensor_classes(config)
     sizes = [sensor_model(s, config.delta_max).num_states for s in classes]
-    actions, meta = _read(path, MIXED_TAG, config, MIXED_COLUMNS, _class_rows(sizes))
+    blank = b"".join(_mixed_rows([(np.zeros(n, np.int8),) * 2 for n in sizes]))
+    actions, meta = _read(path, MIXED_TAG, config, MIXED_COLUMNS, blank, 2)
     numbers = []
-    for key in ("eta", "mu_minus", "mu_plus"):
+    for key in ("eta", "mu_minus", "mu_plus", "avg_cost"):
         if key not in meta:
             raise PolicyFileError(f"{path}: metadata lacks {key}")
         try:
             numbers.append(float(meta[key]))
         except ValueError:
             raise PolicyFileError(f"{path}: metadata {key}={meta[key]!r} is not a number") from None
-    eta, mu_minus, mu_plus = numbers
+    eta, mu_minus, mu_plus, _ = numbers
     splits = np.cumsum(sizes)[:-1]
     try:
         per_class = [
@@ -220,10 +219,9 @@ def load_joint_policy(
     total = math.prod(sizes)
     if total > JOINT_STATE_CAP:  # no joint solve writes such a file
         raise PolicyFileError(f"{path}: no joint policy exists above {JOINT_STATE_CAP} states")
-    index = np.arange(total)[:, None]
-    actions, meta = _read(
-        path, JOINT_TAG, config, _joint_columns(config.num_sensors), index
-    )
+    k = config.num_sensors
+    blank = b"".join(_int_rows(np.column_stack((np.arange(total), np.zeros((total, k), np.int8)))))
+    actions, meta = _read(path, JOINT_TAG, config, _joint_columns(k), blank, k)
     try:
         policy = JointPolicy(actions=actions, budget=config.budget, state_sizes=sizes)
     except ValueError as exc:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import aoisched
+from aoisched import PolicyFileError
 from aoisched.cli import (
     ExperimentSpec,
     build_network,
@@ -17,6 +18,7 @@ from aoisched.cli import (
     parse_spec,
     serialize_spec,
 )
+from aoisched.policy_io import load_mixed_policies
 
 TINY_CONFIG = """
 # two-sensor toy instance
@@ -164,6 +166,21 @@ def test_relaxed_flow_after_bracket_end_replaced(tmp_path):
     assert float(meta["mu_minus"]) > 0.0
     assert main(["simulate", "--config", str(cfg), "--out", str(out),
                  "--policy", "relaxed", "--relaxed-policy", str(policy_file)]) == 0
+
+
+def test_simulate_reports_a_crlf_policy_file_without_traceback(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SMALL_FLEET)
+    out = tmp_path / "run"
+    assert main(["solve-relaxed", "--config", str(cfg), "--out", str(out)]) == 0
+    policy_file = out / "relaxed_policy.csv"
+    policy_file.write_bytes(policy_file.read_bytes().replace(b"\n", b"\r\n"))
+    with pytest.raises(PolicyFileError) as raised:
+        load_mixed_policies(policy_file, build_network(parse_spec(SMALL_FLEET)))
+    capsys.readouterr()
+    code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--policy", "relaxed", "--relaxed-policy", str(policy_file)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
 
 
 def test_simulate_greedy_needs_no_policy_file(tmp_path):

@@ -1,6 +1,7 @@
 """Round-trip and validation tests for the policy file formats."""
 
 import hashlib
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from aoisched import (
+    JointPolicy,
     LagrangeSolve,
     MixedPolicy,
     NetworkConfig,
@@ -25,6 +27,7 @@ from aoisched import (
     solve_relaxed,
 )
 from aoisched import policy_io
+from aoisched.model import joint_state_sizes
 from aoisched.policy_io import (
     load_joint_policy,
     load_mixed_policies,
@@ -95,6 +98,9 @@ def test_mixed_policy_rejects_non_numeric_metadata(tmp_path):
     path.write_text(text.replace(" mu_plus=", " mu_plus=np.float64(", 1).replace(
         " active=", ") active=", 1))
     with pytest.raises(PolicyFileError, match=r"mixed\.csv: metadata mu_plus="):
+        load_mixed_policies(path, net)
+    path.write_text(re.sub(r" avg_cost=\S+", " avg_cost=low", text, count=1))
+    with pytest.raises(PolicyFileError, match=r"mixed\.csv: metadata avg_cost='low'"):
         load_mixed_policies(path, net)
 
 
@@ -190,8 +196,12 @@ def test_mixed_policy_rejects_bit_two(tmp_path):
 
 def test_mixed_policy_rejects_missing_metadata_key(tmp_path):
     net, path = _saved_mixed(tmp_path)
-    path.write_text(path.read_text().replace("# eta=", "# eat="))
+    text = path.read_text()
+    path.write_text(text.replace("# eta=", "# eat="))
     with pytest.raises(PolicyFileError, match="eta"):
+        load_mixed_policies(path, net)
+    path.write_text(text.replace(" avg_cost=", " cost="))
+    with pytest.raises(PolicyFileError, match="metadata lacks avg_cost"):
         load_mixed_policies(path, net)
 
 
@@ -380,29 +390,34 @@ def test_fig2b_hand_off_hashes_each_sensor_at_most_once(tmp_path, monkeypatch):
 _TABLE_KINDS = st.sampled_from(["zeros", "ones", "bits"])
 
 
-def _assert_mixed_file_matches_savetxt(path, sensors, delta_max, kinds, eta, rng):
-    """Save hand-made tables (``kinds[c]``, lower and upper, for class c) and
-    compare the file with ``np.savetxt`` of its (class, state, lower, upper) rows."""
-    net = NetworkConfig(len(sensors), 1, 1, delta_max, tuple(sensors))
-    classes, _, class_of = sensor_classes(net)
-    tables = {"zeros": np.zeros, "ones": np.ones,
-              "bits": lambda n, dtype: rng.integers(0, 2, n).astype(dtype)}
-    per_class, rows = [], []
-    for c, sensor in enumerate(classes):
-        n = sensor_model(sensor, delta_max).num_states
-        lower, upper = (tables[kind](n, dtype=np.int8) for kind in kinds[c])
-        per_class.append(MixedPolicy(PolicyTable(lower, 0.5), PolicyTable(upper, 1.5), eta))
-        rows.append(np.column_stack((np.full(n, c), np.arange(n), lower, upper)))
+def _solution(net, tables, eta):
+    """A relaxed solution whose class c carries the (lower, upper) bits ``tables[c]``."""
+    per_class = [MixedPolicy(PolicyTable(lo, 0.5), PolicyTable(up, 1.5), eta) for lo, up in tables]
     lagrange = LagrangeSolve(
         mu_star=1.0, mu_minus=0.5, mu_plus=1.5, evaluations=(), per_sensor_rel_values=(),
         per_sensor_lagrangians=(), per_sensor_rates=(), dual_bound=float("nan"),
     )
-    solution = RelaxedSolution(
-        policies=tuple(per_class[c] for c in class_of), mu_star=1.0, eta=eta, avg_cost=2.0,
-        command_rate=0.25, constraint_active=True, lagrange=lagrange,
+    return RelaxedSolution(
+        policies=tuple(per_class[c] for c in sensor_classes(net)[2]), mu_star=1.0, eta=eta,
+        avg_cost=2.0, command_rate=0.25, constraint_active=True, lagrange=lagrange,
         per_sensor_cost_rates=(), per_sensor_command_rates=(),
     )
-    save_mixed_policies(path, net, solution)
+
+
+def _assert_mixed_file_matches_savetxt(path, sensors, delta_max, kinds, eta, rng):
+    """Save hand-made tables (``kinds[c]``, lower and upper, for class c) and
+    compare the file with ``np.savetxt`` of its (class, state, lower, upper) rows."""
+    net = NetworkConfig(len(sensors), 1, 1, delta_max, tuple(sensors))
+    classes, _, _ = sensor_classes(net)
+    make = {"zeros": np.zeros, "ones": np.ones,
+            "bits": lambda n, dtype: rng.integers(0, 2, n).astype(dtype)}
+    tables, rows = [], []
+    for c, sensor in enumerate(classes):
+        n = sensor_model(sensor, delta_max).num_states
+        lower, upper = (make[kind](n, dtype=np.int8) for kind in kinds[c])
+        tables.append((lower, upper))
+        rows.append(np.column_stack((np.full(n, c), np.arange(n), lower, upper)))
+    save_mixed_policies(path, net, _solution(net, tables, eta))
     head = path.read_text().splitlines()[:4]
     assert head[0] == policy_io.MIXED_TAG and head[3] == policy_io.MIXED_COLUMNS
     assert head[1] == f"# network={network_fingerprint(net)}"
@@ -442,3 +457,156 @@ def test_mixed_file_matches_savetxt(tmp_path, data):
         data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
         np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
     )
+
+
+def _random_tables(net, rng):
+    """Random (lower, upper) int8 bits for each sensor class of ``net``."""
+    return [
+        tuple(rng.integers(0, 2, sensor_model(s, net.delta_max).num_states, dtype=np.int8)
+              for _ in range(2))
+        for s in sensor_classes(net)[0]
+    ]
+
+
+def _random_joint(net, rng):
+    """A random joint policy of ``net`` that keeps the per-slot budget."""
+    sizes = joint_state_sizes(net)
+    actions = rng.integers(0, 2, (math.prod(sizes), net.num_sensors))
+    actions[actions.cumsum(axis=1) > net.budget] = 0
+    return JointPolicy(actions=actions, budget=net.budget, state_sizes=sizes)
+
+
+def _class_bits(net, policies):
+    """The (lower, upper) bits of per-sensor tables, in mixed-file row order."""
+    first = np.unique(sensor_classes(net)[2], return_index=True)[1]
+    return np.concatenate([
+        np.column_stack((policies[k].lower.actions, policies[k].upper.actions)) for k in first
+    ])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(net=_fleets(), seed=st.integers(0, 2**32 - 1),
+       eta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+def test_canonical_files_round_trip_on_random_fleets(tmp_path, net, seed, eta):
+    rng = np.random.default_rng(seed)
+    solution = _solution(net, _random_tables(net, rng), eta)
+    save_mixed_policies(tmp_path / "mixed.csv", net, solution)
+    loaded, meta = load_mixed_policies(tmp_path / "mixed.csv", net)
+    assert len(loaded) == net.num_sensors
+    for original, restored in zip(solution.policies, loaded):
+        for a, b in ((original.lower, restored.lower), (original.upper, restored.upper)):
+            np.testing.assert_array_equal(a.actions, b.actions)
+            assert a.mu == b.mu
+        assert restored.eta == original.eta
+    assert meta["eta"] == repr(eta) and float(meta["avg_cost"]) == solution.avg_cost
+    # The joint file on the fleet's longest prefix with at most 4,096 joint states.
+    sizes = joint_state_sizes(net)
+    k = max(k for k in range(1, len(sizes) + 1) if math.prod(sizes[:k]) <= 4096)
+    small = NetworkConfig(k, net.num_users, min(net.budget, k), net.delta_max, net.sensors[:k])
+    policy = _random_joint(small, rng)
+    save_joint_policy(tmp_path / "joint.csv", small, policy, 1.25)
+    restored, meta = load_joint_policy(tmp_path / "joint.csv", small)
+    np.testing.assert_array_equal(restored.actions, policy.actions)
+    assert meta["avg_cost"] == "1.25" and meta["budget"] == str(small.budget)
+
+
+@pytest.fixture(scope="module")
+def canonical_files(tmp_path_factory):
+    """A mixed and a joint file with random tables, each with a reader of its bits."""
+    rng = np.random.default_rng(26)
+    out = tmp_path_factory.mktemp("canonical")
+    mixed_net = NetworkConfig(3, 1, 1, 3, (TINY1, OTHER, TINY1))
+    save_mixed_policies(out / "mixed.csv", mixed_net,
+                        _solution(mixed_net, _random_tables(mixed_net, rng), 0.25))
+    joint_net = NetworkConfig(2, 1, 2, 3, (TINY1, OTHER))  # no flip can break the budget
+    save_joint_policy(out / "joint.csv", joint_net, _random_joint(joint_net, rng), 1.25)
+    return {
+        "mixed": (out / "mixed.csv",
+                  lambda path: _class_bits(mixed_net, load_mixed_policies(path, mixed_net)[0])),
+        "joint": (out / "joint.csv",
+                  lambda path: load_joint_policy(path, joint_net)[0].actions),
+    }
+
+
+def _body_start(raw):
+    """The offset of a policy file's first body byte."""
+    return len(b"".join(raw.splitlines(keepends=True)[:4]))
+
+
+def _action_bytes(raw, bits):
+    """{offset: (row, column)} of the action bytes, the last ``bits`` fields of each row."""
+    spots, offset = {}, _body_start(raw)
+    for row, line in enumerate(raw[offset:].splitlines(keepends=True)):
+        fields = line.rstrip(b"\n").split(b",")
+        for col, field in enumerate(fields):
+            if col >= len(fields) - bits:
+                assert len(field) == 1
+                spots[offset] = (row, col - (len(fields) - bits))
+            offset += len(field) + 1
+    return spots
+
+
+def _edit(raw, kind, at, byte):
+    """``raw`` with one byte substituted, deleted or inserted at offset ``at``."""
+    return raw[:at] + bytes([byte]) * (kind != "delete") + raw[at + (kind != "insert"):]
+
+
+@pytest.mark.parametrize("kind", ["mixed", "joint"])
+def test_swapping_an_action_byte_flips_exactly_that_bit(canonical_files, kind):
+    path, read_bits = canonical_files[kind]
+    raw, bits = path.read_bytes(), read_bits(path)
+    edited = path.with_name(f"flipped-{kind}.csv")
+    spots = _action_bytes(raw, bits.shape[1])
+    assert len(spots) == bits.size
+    for at, (row, col) in spots.items():
+        edited.write_bytes(_edit(raw, "substitute", at, raw[at] ^ 1))  # "0" <-> "1"
+        expected = bits.copy()
+        expected[row, col] ^= 1
+        np.testing.assert_array_equal(read_bits(edited), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["mixed", "joint"]), data=st.data())
+def test_one_byte_edit_of_the_body_raises_unless_it_swaps_a_bit(canonical_files, kind, data):
+    path, read_bits = canonical_files[kind]
+    raw = path.read_bytes()
+    bits = read_bits(path).copy()
+    spots = _action_bytes(raw, bits.shape[1])
+    edit = data.draw(st.sampled_from(["substitute", "delete", "insert"]))
+    last = len(raw) - (edit != "insert")
+    at = data.draw(st.sampled_from(sorted(spots)) | st.integers(_body_start(raw), last))
+    byte = data.draw((st.sampled_from(b"01") | st.integers(0, 255)).filter(
+        lambda b: edit != "substitute" or b != raw[at]))
+    edited = path.with_name(f"edited-{kind}.csv")
+    edited.write_bytes(_edit(raw, edit, at, byte))
+    if edit == "substitute" and at in spots and byte in b"01":
+        row, col = spots[at]
+        bits[row, col] ^= 1
+        np.testing.assert_array_equal(read_bits(edited), bits)
+    else:
+        with pytest.raises(PolicyFileError):
+            read_bits(edited)
+
+
+def test_reader_rejects_text_no_writer_writes(tmp_path):
+    # Each variant still parses as integer rows, but no writer writes it.
+    net, path = _saved_mixed(tmp_path)
+    text = path.read_text()
+    lines = text.split("\n")  # lines[4] is row (0, 0), lines[5] row (0, 1)
+
+    def with_line(i, line):
+        return "\n".join(lines[:i] + [line] + lines[i + 1:])
+
+    variants = {  # name: (file text, what the error names)
+        "space after a comma": (with_line(4, lines[4].replace(",", ", ", 1)), "line 5 "),
+        "leading +": (with_line(5, lines[5].replace(",", ",+", 1)), "line 6 "),
+        "leading zero": (with_line(5, lines[5].replace(",", ",0", 1)), "line 6 "),
+        "CRLF line ends": (text.replace("\n", "\r\n"), r"found '# aoisched-mixed-policy v2\\r'"),
+        "trailing blank line": (text + "\n", f"line {len(lines)} "),
+    }
+    for name, (variant, match) in variants.items():
+        assert variant != text, name
+        path.write_bytes(variant.encode())
+        with pytest.raises(PolicyFileError, match=match):
+            load_mixed_policies(path, net)
