@@ -4,11 +4,12 @@ Both formats start with four header lines: a version tag, a network
 fingerprint (so a policy cannot silently be replayed on a different
 instance), solve metadata, and the column names. The body is integers only:
 row-index columns followed by 0/1 action columns, with the bytes
-``np.savetxt(fmt="%d", delimiter=",")`` would give. The joint body is written
-in chunks of ``_CHUNK_ROWS`` rows, each formatted by one ``%``. The mixed body
-is written one sensor class at a time, as bytes: its row (c, i) is
-``f"{c},"``, then state i's index from a digit table shared by the classes,
-then the two action bits. Floats in the metadata round-trip through repr.
+``np.savetxt(fmt="%d", delimiter=",")`` would give. Both bodies are laid out
+as bytes from a table of the row indices' digits (:func:`_index_digits`): the
+joint body in chunks of ``_CHUNK_ROWS`` rows, its row i being i's digits and
+then ``,a`` per sensor; the mixed body one sensor class at a time, its row
+(c, i) being ``f"{c},"``, state i's digits and the two action bits. Floats in
+the metadata round-trip through repr.
 
 The writer alone defines the format: the reader accepts only the bytes the
 writer gives for the network, with each action byte ``0`` or ``1``.
@@ -40,7 +41,7 @@ __all__ = [
 MIXED_TAG = "# aoisched-mixed-policy v2"
 JOINT_TAG = "# aoisched-joint-policy v2"
 MIXED_COLUMNS = "class,state_index,action_lower,action_upper"
-_CHUNK_ROWS = 1024  # joint body rows formatted by one % each
+_CHUNK_ROWS = 1 << 14  # joint body rows laid out at once
 
 
 def network_fingerprint(config: NetworkConfig) -> str:
@@ -66,12 +67,32 @@ def _joint_columns(num_sensors: int) -> str:
     return "state_index," + ",".join(f"action_{k}" for k in range(num_sensors))
 
 
-def _int_rows(rows: np.ndarray) -> Iterator[bytes]:
-    """The integer ``rows`` as "%d" rows, in chunks of ``_CHUNK_ROWS`` rows."""
-    line = b",".join([b"%d"] * rows.shape[1]) + b"\n"
-    for start in range(0, rows.shape[0], _CHUNK_ROWS):
-        chunk = rows[start:start + _CHUNK_ROWS]
-        yield line * chunk.shape[0] % tuple(chunk.ravel().tolist())
+def _index_digits(start: int, stop: int, width: int) -> np.ndarray:
+    """The decimal digits of the indices ``start`` to ``stop`` - 1 as character
+    codes, one row of ``width`` each, most significant digit first; zeros pad
+    the shorter indices, to be dropped. The table stays int64, as numpy
+    computes it: with a uint8 copy the mixed writer frees other block sizes,
+    and simulations run after a hand-off faulted in more fresh pages."""
+    place = 10 ** np.arange(width)[::-1]
+    index = np.arange(start, stop)[:, None]
+    return np.where((index < place) & (place > 1), 0, ord("0") + index // place % 10)
+
+
+def _joint_rows(actions: np.ndarray) -> Iterator[bytes]:
+    """The joint body of the (states, K) 0/1 ``actions``, in chunks of
+    ``_CHUNK_ROWS`` rows: row i is i's digits, ``,a`` per sensor and a newline,
+    laid out as fixed-width bytes with no object per row."""
+    total, k = actions.shape
+    width = len(str(total - 1))
+    for start in range(0, total, _CHUNK_ROWS):
+        bits = actions[start:start + _CHUNK_ROWS]
+        rows = np.empty((bits.shape[0], width + 2 * k + 1), dtype=np.uint8)
+        rows[:, :width] = _index_digits(start, start + bits.shape[0], width)
+        rows[:, width:-1:2] = ord(",")
+        rows[:, width + 1::2] = ord("0") + bits
+        rows[:, -1] = ord("\n")
+        text = rows.ravel()
+        yield text[text != 0].tobytes()
 
 
 def _mixed_rows(per_class: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[bytes]:
@@ -83,12 +104,10 @@ def _mixed_rows(per_class: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[
     shorter indices and are dropped.
     """
     n = max(lower.size for lower, _ in per_class)
-    place = 10 ** np.arange(len(str(n - 1)))[::-1]  # most significant digit first
-    index = np.arange(n)[:, None]
-    digits = np.where((index < place) & (place > 1), 0, ord("0") + index // place % 10)
+    digits = _index_digits(0, n, len(str(n - 1)))
     for c, (lower, upper) in enumerate(per_class):
         lead = f"{c},".encode()
-        rows = np.zeros((lower.size, len(lead) + place.size + 5), dtype=np.uint8)
+        rows = np.zeros((lower.size, len(lead) + digits.shape[1] + 5), dtype=np.uint8)
         rows[:, :len(lead)] = np.frombuffer(lead, dtype=np.uint8)
         rows[:, len(lead):-5] = digits[:lower.size]
         rows[:, -5:] = np.frombuffer(b",0,0\n", dtype=np.uint8)
@@ -207,9 +226,9 @@ def save_joint_policy(
     path: str | Path, config: NetworkConfig, policy: JointPolicy, avg_cost: float
 ) -> None:
     """Write a joint policy: one row per joint state, one column per action bit."""
-    rows = np.column_stack((np.arange(policy.num_states), policy.actions))
     meta = f"avg_cost={avg_cost!r} budget={policy.budget}"
-    _write(path, JOINT_TAG, config, meta, _joint_columns(config.num_sensors), _int_rows(rows))
+    _write(path, JOINT_TAG, config, meta, _joint_columns(config.num_sensors),
+           _joint_rows(policy.actions))
 
 
 def load_joint_policy(
@@ -220,7 +239,7 @@ def load_joint_policy(
     if total > JOINT_STATE_CAP:  # no joint solve writes such a file
         raise PolicyFileError(f"{path}: no joint policy exists above {JOINT_STATE_CAP} states")
     k = config.num_sensors
-    blank = b"".join(_int_rows(np.column_stack((np.arange(total), np.zeros((total, k), np.int8)))))
+    blank = b"".join(_joint_rows(np.zeros((total, k), np.int8)))
     actions, meta = _read(path, JOINT_TAG, config, _joint_columns(k), blank, k)
     try:
         policy = JointPolicy(actions=actions, budget=config.budget, state_sizes=sizes)

@@ -22,13 +22,24 @@ the number of closed classes. The system reaches SuperLU as CSC arrays
 written through a slot map built once per model and set of gain columns
 (:func:`_system_slots`), so no evaluation sorts sparse triplets. It is the
 only place that needs scipy. Multichain Howard policy iteration evaluates
-each distinct table once, through :func:`_table_evaluation`, a cache of the
-64 tables used last that ``cache_clear`` empties: a chain depends on its
-table, not on the price, so a warm start at the next price reuses its start
-table's evaluation instead of factoring it again. The gain and bias
-Q-values of the full states follow from one ``SensorModel.expect`` per
-action; :func:`evaluate_per_sensor` calls :func:`_evaluate` on any pure or
-mixed table.
+each distinct table exactly at most once, through :func:`_table_evaluation`,
+a cache of the 64 tables used last that ``cache_clear`` empties: a chain
+depends on its table, not on the price, so a warm start at the next price
+reuses its start table's evaluation instead of factoring it again. The gain
+and bias Q-values of the full states follow from one ``SensorModel.expect``
+per action; :func:`evaluate_per_sensor` calls :func:`_evaluate` on any pure
+or mixed table.
+
+A long class solve from a new start table, such as the myopic one, factors
+few of its tables: once it has factored two, a step whose table differs from
+the first factored one on at most ``LOW_RANK_SHARE`` of the (battery, age)
+rows, and whose chain keeps one closed class, is evaluated by a low-rank
+(Woodbury) update of that table's factor (:func:`_low_rank`,
+:func:`_woodbury`). Those values only steer: a step they find converged, or
+whose switches an error estimate cannot separate from the threshold
+(``STEP_GUARD``), is evaluated exactly and decided again, so the steps and
+every returned or cached value are those of exact evaluations. Low-rank
+evaluations never enter the cache.
 
 The mixing factor's calibration factors once per mixed class: the mixture's
 chain is linear in eta, and the two tables differ on few of its states, so
@@ -42,6 +53,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import OrderedDict, namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,6 +84,7 @@ RATE_TIE_TOL = 1e-6  # command rate counts as "equal to Gamma" within this
 DEFAULT_ETA_TOL = 1e-6  # |mixed command rate - Gamma| that ends the eta bisection
 ETA_GUARD = 1e-9  # a low-rank mixed rate this close to a bisection threshold is decided exactly
 LOW_RANK_SHARE = 0.25  # largest share of a chain's states a low-rank eta step may move
+STEP_GUARD = 32.0  # error estimates between a low-rank Q-value margin and its threshold
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +156,9 @@ class PerSensorSolve:
     """Optimal per-sensor table at a fixed command price, with its exact averages.
 
     ``iterations`` counts the steps of policy iteration, one table evaluation
-    each; a step whose table was evaluated before reuses that evaluation
-    and makes no Poisson solve.
+    each: exact, and then a reused one where the table was evaluated before,
+    or a low-rank update (see :func:`solve_per_sensor`). A step whose
+    low-rank values are redone exactly still counts once.
     """
 
     policy: PolicyTable
@@ -176,21 +190,10 @@ def _poisson(probs: np.ndarray, rhs: np.ndarray,
     :class:`MultichainError` when SuperLU finds the system singular or the
     solve misses ``POISSON_RESIDUAL``.
     """
-    # scipy is imported here, not at module level, so that importing the
-    # package to simulate saved tables does not pay for scipy.sparse.
     import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
 
-    rows, cols, _ = _chain_pattern(model)
-    nonzero = probs != 0.0
-    rows, cols, data = rows[nonzero], cols[nonzero], probs[nonzero]
     n = rhs.shape[0]
-    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)  # as scipy keeps it
-    matrix = sp.csr_matrix((data, cols, indptr), shape=(n, n))
-    n_comp, labels = connected_components(matrix, directed=True, connection="strong")
-    origin = labels[rows]
-    leaky = np.zeros(n_comp, dtype=bool)
-    leaky[origin[origin != labels[cols]]] = True
+    matrix, labels, leaky = _chain_classes(probs, model)
     closed = np.flatnonzero(~leaky)
     if closed.size == 1:
         pivots, absorb = np.array([model.ref_index]), np.ones((n, 1))
@@ -231,6 +234,28 @@ def _poisson(probs: np.ndarray, rhs: np.ndarray,
     gains = absorb @ x[pivots]
     x[pivots] = 0.0
     return gains, x, factor if closed.size == 1 else None
+
+
+def _chain_classes(probs: np.ndarray, model: SensorModel) -> tuple[object, np.ndarray, np.ndarray]:
+    """The chain of ``probs`` (on ``model``'s :func:`_chain_pattern`) as a CSR
+    matrix of its nonzero pairs, the label of each state's strongly connected
+    component, and which components leak; the others are the closed classes."""
+    # scipy is imported here, not at module level, so that importing the
+    # package to simulate saved tables does not pay for scipy.sparse.
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    rows, cols, _ = _chain_pattern(model)
+    nonzero = probs != 0.0
+    rows, cols, data = rows[nonzero], cols[nonzero], probs[nonzero]
+    n = model.succ.shape[0]
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)  # as scipy keeps it
+    matrix = sp.csr_matrix((data, cols, indptr), shape=(n, n))
+    n_comp, labels = connected_components(matrix, directed=True, connection="strong")
+    origin = labels[rows]
+    leaky = np.zeros(n_comp, dtype=bool)
+    leaky[origin[origin != labels[cols]]] = True
+    return matrix, labels, leaky
 
 
 def _factor(matrix):
@@ -301,22 +326,34 @@ def _mean_chain(
     also returns the request-averaged slot cost and w̄, the per-state command
     rate.
     """
+    weights, cost = _row_weights(model, w_cmd)
+    return _chain_probs(model, weights), cost, weights[:, 1]
+
+
+def _row_weights(model: SensorModel, w_cmd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per (battery, age) state x, the weights (1 - w̄(x), w̄(x)) of the rows of
+    Q_0 and Q_1 in the chain of :func:`_mean_chain`, and the request-averaged
+    slot cost."""
     pmf = model.request_dist
     w = w_cmd.reshape(pmf.size, -1)
     w_bar = pmf @ w
     cost = pmf @ (w * model.cost_vector(1).reshape(w.shape)
                   + (1.0 - w) * model.cost_vector(0).reshape(w.shape))
-
     # Where every possible request count commands, 1 - w̄ can round to 1e-16
     # instead of 0, and that edge would open a closed class; pmf @ (1 - w) is
-    # exactly 0 there. The branches that reach one pair are summed in branch
-    # order; a zero branch adds exactly nothing, and a pair whose branches
-    # are all zero has probability 0.
+    # exactly 0 there.
     idle = np.where(pmf @ (1.0 - w) > 0.0, 1.0 - w_bar, 0.0)
+    return np.stack([idle, w_bar], axis=1), cost
+
+
+def _chain_probs(model: SensorModel, weights: np.ndarray) -> np.ndarray:
+    """The chain with row weights ``weights`` (see :func:`_row_weights`) on the
+    pairs of :func:`_chain_pattern`. The branches that reach one pair are
+    summed in branch order; a zero branch adds exactly nothing, and a pair
+    whose branches are all zero has probability 0."""
     rows, _, inverse = _chain_pattern(model)
-    branches = model.succ_prob * np.stack([idle, w_bar], axis=1)[:, :, None]
-    probs = np.bincount(inverse, weights=branches.ravel(), minlength=rows.size)
-    return probs, cost, w_bar
+    branches = model.succ_prob * weights[:, :, None]
+    return np.bincount(inverse, weights=branches.ravel(), minlength=rows.size)
 
 
 def _evaluate(
@@ -335,23 +372,107 @@ def _evaluate(
     return ChainEvaluation(float(gains[ref, 0]), float(gains[ref, 1])), gains, x, factor
 
 
-@lru_cache(maxsize=64)
-def _table_evaluation(
-    model: SensorModel, actions: bytes
-) -> tuple[ChainEvaluation, np.ndarray, np.ndarray]:
-    """:func:`_evaluate` of the pure table whose action bits, as bools, are
-    ``actions``, without its factor: the chain depends on the table, not on
-    the price, so policy iteration evaluates each distinct table once, also
-    across prices. Its arrays are read-only; an error is raised again on each
-    call, not cached."""
-    evaluation, gains, x, factor = _evaluate(model, np.frombuffer(actions, dtype=bool))
-    if factor is not None:
-        # One closed class: every state's gains are the reference state's, so
-        # the cache keeps one row of them.
-        gains = np.broadcast_to(gains[model.ref_index].copy(), gains.shape)
-    for arr in (gains, x):
-        arr.setflags(write=False)
-    return evaluation, gains, x
+class _TableEvaluations:
+    """:func:`_evaluate` of pure tables by (model, action bits as bool bytes),
+    without their factors: the chain depends on the table, not on the price,
+    so policy iteration evaluates each distinct table once, also across
+    prices. It keeps the 64 tables used last, as ``functools.lru_cache`` would,
+    with its ``cache_info`` and ``cache_clear``. Its arrays are read-only; an
+    error is raised again on each call, not cached. Unlike ``lru_cache`` it can
+    be asked for a kept evaluation without making one (:meth:`get`), and it
+    hands a fresh evaluation's unichain factor to its caller (:meth:`lookup`).
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        # Bound here, not defined on the class: a sweep of the module's
+        # globals for ``cache_clear`` then finds this cache, not its class.
+        self.cache_clear = self._clear
+        self._clear()
+
+    def _clear(self) -> None:
+        self._kept: OrderedDict = OrderedDict()
+        self._hits = self._misses = 0
+
+    def cache_info(self):
+        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._kept))
+
+    def __call__(self, model: SensorModel, actions: bytes):
+        return self.lookup(model, actions)[0]
+
+    def get(self, model: SensorModel, actions: bytes):
+        """The kept evaluation of the table, now the one used last, or None."""
+        entry = self._kept.pop((model, actions), None)
+        if entry is not None:
+            self._hits += 1
+            self._kept[model, actions] = entry
+        return entry
+
+    def lookup(self, model: SensorModel, actions: bytes):
+        """The table's (evaluation, gains, relative values), the factor of an
+        evaluation made by this call on one closed class (None otherwise), and
+        whether this call made it."""
+        entry = self.get(model, actions)
+        if entry is not None:
+            return entry, None, False
+        self._misses += 1
+        evaluation, gains, x, factor = _evaluate(model, np.frombuffer(actions, dtype=bool))
+        if factor is not None:
+            # One closed class: every state's gains are the reference state's, so
+            # the cache keeps one row of them.
+            gains = np.broadcast_to(gains[model.ref_index].copy(), gains.shape)
+        for arr in (gains, x):
+            arr.setflags(write=False)
+        self._kept[model, actions] = entry = (evaluation, gains, x)
+        if len(self._kept) > self.maxsize:
+            self._kept.popitem(last=False)
+        return entry, factor, True
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_table_evaluation = _TableEvaluations(maxsize=64)
+
+
+class _Columns:
+    """The columns of Z = A⁻¹E solved so far on the SuperLU factor of a
+    system A, by row: each row's column A⁻¹ e_x is solved once."""
+
+    def __init__(self, factor, n: int):
+        self.factor = factor
+        self.z = np.zeros((n, 0))
+        self.slot = np.full(n, -1)  # each row's column in z, or -1
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        new = rows[self.slot[rows] < 0]
+        if new.size:
+            selection = np.zeros((self.slot.size, new.size))
+            selection[new, np.arange(new.size)] = 1.0
+            self.slot[new] = self.z.shape[1] + np.arange(new.size)
+            self.z = np.hstack([self.z, self.factor.solve(selection)])
+        return self.z[:, self.slot[rows]]
+
+
+def _low_rank(
+    model: SensorModel, columns: _Columns, rows: np.ndarray, step: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The low-rank form of a move of rows ``rows`` of a Poisson system A with
+    one closed class (:func:`_poisson`), from A's factor in ``columns``.
+
+    Row x = rows[i] of the chain moves by step[i, a] times Q_a[x], the row of
+    action a, and row x of the system by minus that, except in the pivot
+    column of ones: the moved system is A + E G, where E selects the d rows
+    and G holds their change. Returns the rows' branch successors ``succ``
+    and G on them, both (d, 4), so that G v = (G * v[succ]).sum(axis=1); then
+    Z = A⁻¹E and G Z. By the Woodbury identity the moved system's inverse is
+    A⁻¹ - Z (I + G Z)⁻¹ G A⁻¹ (Hager, *SIAM Review* 31, 1989): one d x d
+    solve per right-hand side.
+    """
+    n = model.succ.shape[0]
+    succ = model.succ.reshape(n, -1)[rows]
+    change = -(model.succ_prob[rows] * step[:, :, None]).reshape(succ.shape)
+    change[succ == model.ref_index] = 0.0  # the pivot column holds the gain's ones
+    z = columns(rows)
+    return succ, change, z, np.einsum("ie,iej->ij", change, z[succ])
 
 
 def _fleet_average(weights: np.ndarray, evaluations: list[ChainEvaluation]) -> tuple[float, float]:
@@ -361,6 +482,50 @@ def _fleet_average(weights: np.ndarray, evaluations: list[ChainEvaluation]) -> t
             float(sum(w * ev.command_rate for w, ev in zip(weights, evaluations))))
 
 
+@dataclass(eq=False)
+class _Anchor:
+    """A table that a class solve evaluated exactly and factored, as the base
+    of low-rank steps: its action bits as (requests, battery-age) bools, its
+    solution with the gains in the pivot entry, its factor with the columns of
+    Z solved on it, and, once a step is based on it, its row weights and
+    right-hand side (:func:`_row_rhs`)."""
+
+    actions: np.ndarray
+    x: np.ndarray
+    columns: _Columns
+    weights: np.ndarray | None = None
+    rhs: np.ndarray | None = None
+
+
+def _row_rhs(model: SensorModel, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A pure table's row weights (:func:`_row_weights`) and the right-hand
+    side of its Poisson system, the (cost, command rate) column per state."""
+    weights, cost = _row_weights(model, actions.astype(np.float64))
+    return weights, np.column_stack([cost, weights[:, 1]])
+
+
+def _woodbury(model: SensorModel, anchor: _Anchor, rows: np.ndarray, weights: np.ndarray,
+              rhs: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]] | None:
+    """The solution of the Poisson system of the chain with row weights
+    ``weights`` and right-hand side ``rhs``, which differs from ``anchor``'s
+    only on ``rows``, as a low-rank update of the anchor's: x = y - Z (I + G Z)⁻¹ G y
+    with y = A⁻¹ b = x_anchor + Z Δb. Returns x, with the gains in the pivot
+    entry, and the moved system's solve, A'⁻¹ b from y = A⁻¹ b; None where
+    I + G Z is singular, as the moved system then is."""
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    succ, change, z, coupling = _low_rank(model, anchor.columns, rows,
+                                          weights[rows] - anchor.weights[rows])
+    lu, pivots, singular = dgetrf(np.identity(rows.size) + coupling)
+    if singular:
+        return None
+
+    def solve(y):
+        return y - z @ dgetrs(lu, pivots, np.einsum("ie,iek->ik", change, y[succ]))[0]
+
+    return solve(anchor.x + z @ (rhs[rows] - anchor.rhs[rows])), solve
+
+
 def solve_per_sensor(
     sensor: SensorParams, delta_max: int, mu: float, start: np.ndarray | None = None
 ) -> PerSensorSolve:
@@ -368,10 +533,9 @@ def solve_per_sensor(
 
     Starts from the action bits ``start`` (by default the myopic table that
     commands where the price undercuts the slot-cost saving). Each step
-    evaluates the table exactly on its request-averaged (battery, age) chain,
-    or reuses that evaluation from :func:`_table_evaluation`, and prices its
-    per-command columns at mu. Its gains ḡ and relative values h̄ give each full
-    state (r, x) the gain Q-values (Q_a ḡ)(x) and the Q-values
+    evaluates the table on its request-averaged (battery, age) chain and
+    prices its per-command columns at mu. Its gains ḡ and relative values h̄
+    give each full state (r, x) the gain Q-values (Q_a ḡ)(x) and the Q-values
     q_a(r, x) = c_a(r, x) + (Q_a h̄)(x). A step switches the states whose gain
     Q-value drops by more than ``IMPROVEMENT_TOL`` times max|ḡ| or, where none
     does, the states whose gain Q-values tie within that and whose Q-value
@@ -386,6 +550,22 @@ def solve_per_sensor(
     changes the table's closed classes, the table's own relative values
     (normalised per class) would solve its Poisson equation but not the
     optimality equation.
+
+    A step evaluates its table exactly, through :func:`_table_evaluation`,
+    or, in a solve whose start table was not evaluated before and that has
+    factored two tables, by a low-rank (Woodbury) update of the first of them
+    with one closed class, the anchor. The
+    update applies where the table differs from the anchor's on d of the n
+    (battery, age) columns, 0 < d <= ``LOW_RANK_SHARE`` n, and the chain has
+    one closed class; it must meet the backward error ``POISSON_RESIDUAL``.
+    Its values only steer: a step that they find converged is evaluated
+    exactly and decided again, and so is one whose decision could differ
+    from the exact values' (see ``STEP_GUARD``). So the returned table,
+    values and evaluation, and every kept table evaluation, are exact, and
+    the steps are those of exact evaluations. Each solve logs at debug level
+    its steps, exact factorisations, low-rank steps, guard fallbacks (a
+    margin too near the threshold, or an update that fails its checks),
+    multichain fallbacks and largest low-rank d.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -395,42 +575,146 @@ def solve_per_sensor(
     shape = (model.request_dist.size, -1)  # (requests, battery-age)
     c0, c1 = model.cost_vector(0).reshape(shape), model.cost_vector(1).reshape(shape) + mu
     actions = c1 < c0 if start is None else np.asarray(start).reshape(shape) == 1
+    n, ref = model.succ.shape[0], model.ref_index
+    anchor: _Anchor | None = None
+    moving = None  # the states whose two actions' rows differ, once needed
+    counts = dict.fromkeys(("factored", "low_rank", "guard", "multichain", "d"), 0)
 
-    def evaluate(actions):
+    def exact(actions):
+        """The table's exact evaluation; unless the solve is warm, the first
+        that it factors with one closed class becomes the anchor."""
+        nonlocal anchor
+        result, factor, fresh = _table_evaluation.lookup(model, actions.tobytes())
+        counts["factored"] += fresh
+        if factor is not None and anchor is None and not warm:
+            _, gains, x = result
+            x = x.copy()
+            x[ref] = gains[ref]
+            anchor = _Anchor(actions, x, _Columns(factor, n))
+        return result
+
+    def values(result, actions):
         """Exact rates of a table, its (idle, command) gain Q-values and gain
         tolerance, its (idle, command) Q-values, and its relative values."""
-        evaluation, gains, x = _table_evaluation(model, actions.tobytes())
+        evaluation, gains, x = result
         priced = np.column_stack([x[:, 0] + mu * x[:, 1], gains[:, 0] + mu * gains[:, 1]])
         (h0, g0), (h1, g1) = (model.expect(a, priced).T for a in (0, 1))
         q0, q1 = c0 + h0, c1 + h1
         q_pi = np.where(actions, q1, q0)
         return (evaluation, (g0, g1), IMPROVEMENT_TOL * float(np.abs(priced[:, 1]).max()),
-                (q0, q1), q_pi - q_pi[0, model.ref_index])
+                (q0, q1), q_pi - q_pi[0, ref])
 
     def improves(pair, tol):
         """Where the action the table does not take is lower by more than tol."""
         idle, command = pair
         return np.where(actions, idle < command - tol, command < idle - tol)
 
-    iterations = 0
-    while True:
-        iterations += 1
-        evaluation, gain_q, gain_tol, q, rel = evaluate(actions)
+    def decide(step):
+        """The states the step switches, and where the gain Q-values tie."""
+        _, gain_q, gain_tol, q, rel = step
+        tied = np.abs(gain_q[1] - gain_q[0]) <= gain_tol
         switch = improves(gain_q, gain_tol)
         if not switch.any():
-            tied = np.abs(gain_q[1] - gain_q[0]) <= gain_tol
             switch = tied & improves(q, IMPROVEMENT_TOL * float(np.abs(rel).max()))
-            if not switch.any():
-                break
+        return switch, tied
+
+    def low_rank_step(actions):
+        """A step decided on a low-rank evaluation: its values, switches and
+        ties; or None where the update does not apply or fails its checks,
+        where its values find the table converged, or where the guard doubts
+        its decision."""
+        nonlocal moving
+        # A row of the chain and of the right-hand side moves only where a bit
+        # of its column of the table does.
+        rows = np.flatnonzero((actions != anchor.actions).any(axis=0))
+        if not 0 < rows.size <= LOW_RANK_SHARE * n:
+            return None
+        if anchor.rhs is None:
+            anchor.weights, anchor.rhs = _row_rhs(model, anchor.actions)
+        weights, rhs = _row_rhs(model, actions)
+        # A row that keeps every branch of the anchor's row only adds edges to
+        # a chain whose one closed class every state reaches: the chain keeps
+        # that class and gains no other, and needs no graph pass.
+        if not ((anchor.weights[rows] == 0.0) | (weights[rows] != 0.0)).all() and np.count_nonzero(
+                ~_chain_classes(_chain_probs(model, weights), model)[2]) != 1:
+            counts["multichain"] += 1
+            return None
+        update = _woodbury(model, anchor, rows, weights, rhs)
+        if update is None:
+            counts["guard"] += 1
+            return None
+        x, solve = update
+        rel = x.copy()
+        rel[ref] = 0.0
+        step = values((ChainEvaluation(float(x[ref, 0]), float(x[ref, 1])),
+                       np.broadcast_to(x[ref], x.shape), rel), actions)
+        switch, tied = decide(step)
+        if not switch.any():
+            return None
+        # The check of _poisson on rhs - A' x; A' is the pivot column of ones
+        # and I - P elsewhere, with P = diag(1 - w̄) Q_0 + diag(w̄) Q_1.
+        residual = (rhs - x[ref] - rel + weights[:, :1] * model.expect(0, rel)
+                    + weights[:, 1:] * model.expect(1, rel))
+        scale = 3.0 * float(np.abs(x).max()) + float(np.abs(rhs).max())
+        if not (float(np.abs(residual).max()) / scale if scale else 0.0) <= POISSON_RESIDUAL:
+            counts["guard"] += 1
+            return None
+        # One step of iterative refinement estimates the error of the priced
+        # relative values h̄; a state's two Q-values move apart by at most
+        # |(Q_1 - Q_0) δ|, and not at all where the two actions' rows agree.
+        # Exact values could switch other states where a margin to the switch
+        # threshold is within ``STEP_GUARD`` times that, plus round-off.
+        error = solve(anchor.columns.factor.solve((residual[:, 0] + mu * residual[:, 1])[:, None]))
+        error[ref] = 0.0
+        if moving is None:
+            moving = ((model.succ[:, 0] != model.succ[:, 1])
+                      | (model.succ_prob[:, 0] != model.succ_prob[:, 1])).any(axis=1)
+        shift = np.abs(model.expect(1, error) - model.expect(0, error))[:, 0][moving]
+        _, _, _, (q0, q1), rel_q = step
+        tol = IMPROVEMENT_TOL * float(np.abs(rel_q).max())
+        margin = np.abs(np.where(actions, (q1 - tol) - q0, (q0 - tol) - q1))
+        roundoff = 8 * np.finfo(float).eps * max(float(np.abs(q0).max()), float(np.abs(q1).max()))
+        guard = np.where(moving, STEP_GUARD * shift.max(initial=0.0) + roundoff, roundoff)
+        if not tied.all() or (margin <= guard).any():
+            counts["guard"] += 1
+            return None
+        counts["low_rank"] += 1
+        counts["d"] = max(counts["d"], rows.size)
+        return step, switch, tied
+
+    iterations, warm = 0, None
+    while True:
+        iterations += 1
+        result = _table_evaluation.get(model, actions.tobytes())
+        # Low-rank steps serve long solves whose start table is new, once they
+        # have factored a second table. A warm start, from a table evaluated
+        # before (a neighbouring price's optimum), moves hundreds of columns
+        # per step or converges within a step or two, where a low-rank
+        # evaluation of the converged table would be wasted.
+        if warm is None:
+            warm = result is not None
+        decided = (low_rank_step(actions) if result is None and anchor is not None
+                   and counts["factored"] >= 2 else None)
+        if decided is None:
+            step = values(result or exact(actions), actions)
+            decided = (step, *decide(step))
+        step, switch, tied = decided
+        if not switch.any():
+            break
         actions = actions ^ switch
+    evaluation, gain_q, _, q, _ = step
     final = np.where(tied, q[1] < q[0], gain_q[1] < gain_q[0])
     q_final = np.where(final, q[1], q[0])
-    rel = (q_final - q_final[0, model.ref_index]).ravel()
+    rel = (q_final - q_final[0, ref]).ravel()
     if not np.array_equal(final, actions):
         iterations += 1
         actions = final
-        evaluation = evaluate(actions)[0]
+        evaluation = exact(actions)[0]
     rel.setflags(write=False)
+    log.debug("policy iteration at price %.6g: %d steps, %d exact factorisations, "
+              "%d low-rank steps, %d guard and %d multichain fallbacks, largest d %d",
+              mu, iterations, counts["factored"], counts["low_rank"], counts["guard"],
+              counts["multichain"], counts["d"])
     return PerSensorSolve(
         policy=PolicyTable(actions=actions.ravel(), mu=float(mu)),
         rel_values=rel,
@@ -660,13 +944,9 @@ def _mixture_rate(
     if factor is None or d > LOW_RANK_SHARE * n:
         return half, None, d
     ref = model.ref_index
-    succ = model.succ.reshape(n, -1)[rows]
-    change = (model.succ_prob * [[1.0], [-1.0]]).reshape(n, -1)[rows] * delta[rows, None]
-    change[succ == ref] = 0.0  # the pivot column holds the gain's ones
-    selection = np.zeros((n, d))
-    selection[rows, np.arange(d)] = 1.0
-    z = factor.solve(selection)
-    coupling = np.einsum("ie,iej->ij", change, z[succ])  # G Z
+    # Per unit of eta, w̄ moves by δ on the rows and 1 - w̄ by -δ.
+    succ, change, z, coupling = _low_rank(model, _Columns(factor, n), rows,
+                                          delta[rows, None] * [-1.0, 1.0])
     moved = delta[rows] - (change * x[succ, 1]).sum(axis=1)  # w; G skips the pivot's entry
     identity = np.identity(d)
 

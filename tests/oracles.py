@@ -10,8 +10,9 @@ distributions, and absorption probabilities), the relaxed bound is a linear
 program over their occupation measures, and the joint problem is
 cross-checked by a finite-horizon dynamic program and a Bellman residual on
 their product. The policy-file references are the plain writers that
-``policy_io`` is held byte-equal to: ``np.savetxt`` for the body and one
-text per sensor for the network fingerprint; :func:`sensor_classes_reference`
+``policy_io`` is held byte-equal to: ``np.savetxt`` for the body, one "%d"
+per integer for the joint body (:func:`joint_rows_reference`) and one text
+per sensor for the network fingerprint; :func:`sensor_classes_reference`
 is the grouping of identical sensors that ``NetworkConfig`` keeps. :func:`poisson_reference` is
 the COO assembly of the policy-evaluation system that the solver's direct
 CSC assembly is held bit-equal to, and :func:`calibrate_eta_reference` the
@@ -552,6 +553,14 @@ def ordering_inputs(
 def savetxt_reference(path, header: str, rows: np.ndarray) -> None:
     """A policy file as ``np.savetxt`` writes it: the header, then "%d" rows."""
     np.savetxt(path, rows, fmt="%d", delimiter=",", header=header, comments="")
+
+
+def joint_rows_reference(actions: np.ndarray) -> bytes:
+    """A joint policy body formatted one "%d" per integer: each row is the
+    joint state index, then the sensors' action bits."""
+    rows = np.column_stack((np.arange(actions.shape[0]), actions)).tolist()
+    line = b",".join([b"%d"] * (actions.shape[1] + 1)) + b"\n"
+    return b"".join(line % tuple(row) for row in rows)
 
 
 def sensor_classes_reference(

@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,12 @@ from aoisched.policy_io import (
     save_joint_policy,
     save_mixed_policies,
 )
-from oracles import fingerprint_reference, savetxt_reference, sensor_classes_reference
+from oracles import (
+    fingerprint_reference,
+    joint_rows_reference,
+    savetxt_reference,
+    sensor_classes_reference,
+)
 from test_replay import ROOT, _fixture_policies, _network
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
@@ -268,7 +274,7 @@ def test_mixed_policy_rejects_empty_body_without_warning(tmp_path):
             load_mixed_policies(path, net)
 
 
-CHUNK = policy_io._CHUNK_ROWS
+CHUNK = 7  # joint body rows laid out at once, in place of the writer's chunk size
 
 
 @settings(max_examples=40, deadline=None,
@@ -282,16 +288,39 @@ CHUNK = policy_io._CHUNK_ROWS
 @example(num_rows=7, num_cols=1, seed=1)
 @example(num_rows=CHUNK, num_cols=4, seed=2)
 @example(num_rows=2 * CHUNK, num_cols=3, seed=3)
-@example(num_rows=2 * CHUNK + 37, num_cols=4, seed=4)
+@example(num_rows=2 * CHUNK + 5, num_cols=4, seed=4)
 def test_write_matches_savetxt(tmp_path, num_rows, num_cols, seed):
+    # A joint file, index column and action bits, is the header and the rows
+    # np.savetxt writes, across chunk boundaries.
     net = NetworkConfig(2, 1, 1, 2, (TINY1, OTHER))
     rng = np.random.default_rng(seed)
-    rows = rng.integers(-10**12, 10**12, size=(num_rows, num_cols))
-    tag, meta, columns = "# tag", "avg_cost=1.25 budget=1", ",".join(["c"] * num_cols)
-    policy_io._write(tmp_path / "new.csv", tag, net, meta, columns, policy_io._int_rows(rows))
+    bits = rng.integers(0, 2, size=(num_rows, num_cols)).astype(np.int8)
+    tag, meta, columns = "# tag", "avg_cost=1.25 budget=1", ",".join(["c"] * (num_cols + 1))
+    with mock.patch.object(policy_io, "_CHUNK_ROWS", CHUNK):
+        policy_io._write(tmp_path / "new.csv", tag, net, meta, columns, policy_io._joint_rows(bits))
     header = f"{tag}\n# network={network_fingerprint(net)}\n# {meta}\n{columns}"
-    savetxt_reference(tmp_path / "reference.csv", header, rows)
+    savetxt_reference(tmp_path / "reference.csv", header,
+                      np.column_stack((np.arange(num_rows), bits)))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(num_rows=st.integers(1, 1200), num_sensors=st.integers(1, 8),
+       chunk=st.sampled_from([1, 3, CHUNK, policy_io._CHUNK_ROWS]), seed=st.integers(0, 2**32 - 1))
+@example(num_rows=10, num_sensors=3, chunk=policy_io._CHUNK_ROWS, seed=0)
+@example(num_rows=11, num_sensors=3, chunk=policy_io._CHUNK_ROWS, seed=1)
+@example(num_rows=100, num_sensors=2, chunk=CHUNK, seed=2)
+@example(num_rows=101, num_sensors=2, chunk=CHUNK, seed=3)
+@example(num_rows=1001, num_sensors=1, chunk=policy_io._CHUNK_ROWS, seed=4)
+def test_joint_rows_match_percent_d_reference(num_rows, num_sensors, chunk, seed):
+    # The digit-table body, chunk by chunk, is the one "%d" per integer
+    # formatting, bit for bit, as the index widens (9 to 10, 99 to 100, ...)
+    # and across chunk boundaries; an all-zero table is the reader's blank body.
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(num_rows, num_sensors)).astype(np.int8)
+    with mock.patch.object(policy_io, "_CHUNK_ROWS", chunk):
+        for table in (bits, np.zeros_like(bits)):
+            assert b"".join(policy_io._joint_rows(table)) == joint_rows_reference(table)
 
 
 def _fig2b_solution(net):

@@ -899,3 +899,136 @@ def test_reused_table_evaluations_match_cold_solves(sensors, delta_max, prices):
             counts.append(len(factored))
     assert 0 < counts[0] < counts[1]
     assert evaluations.cache_info().currsize == 0
+
+
+def _solve_outputs(net):
+    """A cold ``solve_relaxed`` of ``net``: its tables, eta, prices, bound,
+    price trajectory and per-sensor relative values as bytes and hex floats,
+    and each class solve's table, relative values, Lagrangian, step count and
+    evaluation by price, in the order solved."""
+    solution = _cold_solve(net)
+    lagrange = solution.lagrange
+    classes = sensor_classes(net)[0]
+    solves = [(mu, _solve_record(s))
+              for c in classes for mu, s in relaxed_solver._class_solves(c, net.delta_max).items()]
+    return (
+        [(p.lower.actions.tobytes(), p.upper.actions.tobytes()) for p in solution.policies],
+        [getattr(solution, f).hex() for f in ("eta", "mu_star", "avg_cost")],
+        [x.hex() for x in (lagrange.mu_minus, lagrange.mu_plus, lagrange.dual_bound)],
+        [tuple(v.hex() for v in e) for e in lagrange.evaluations],
+        [r.tobytes() for r in lagrange.per_sensor_rel_values],
+        solves,
+    )
+
+
+def _low_rank_shares(net):
+    """``_solve_outputs`` with the default ``LOW_RANK_SHARE``, with 0 (every
+    step exact) and with 1 (every eligible step low-rank)."""
+    outputs = []
+    for share in (relaxed_solver.LOW_RANK_SHARE, 0.0, 1.0):
+        with mock.patch.object(relaxed_solver, "LOW_RANK_SHARE", share):
+            outputs.append(_solve_outputs(net))
+    return outputs
+
+
+FIG2A = Path(__file__).resolve().parents[1] / "configs" / "fig2a.cfg"
+
+
+@pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in BENCH_SOLVES.items()]
+                         + [pytest.param(p.values[0], id=p.id) for p in EDGE_INSTANCES]
+                         + [pytest.param("fig2a", id="fig2a")])
+def test_low_rank_steps_leave_outputs_bit_identical(net):
+    # Low-rank steps only steer policy iteration: every share gives the
+    # tables, prices, bound, trajectory, relative values and step counts of
+    # the solve whose every step is exact, bit for bit.
+    if net == "fig2a":
+        from aoisched.cli import build_network, parse_spec
+
+        net = build_network(parse_spec(FIG2A.read_text()))
+    default, exact, forced = _low_rank_shares(net)
+    assert default == exact
+    assert forced == exact
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_networks())
+def test_low_rank_steps_leave_small_network_outputs_bit_identical(net):
+    default, exact, forced = _low_rank_shares(net)
+    assert default == exact
+    assert forced == exact
+
+
+def _policy_iteration_records(caplog):
+    """The (mu, steps, factorisations, low-rank steps, guard fallbacks,
+    multichain fallbacks, largest d) of each class solve's debug line."""
+    return [r.args for r in caplog.records if r.getMessage().startswith("policy iteration")]
+
+
+def test_cold_bigbattery_bench_solve_factors_at_most_18_times(caplog):
+    # 44 factorisations at the commit before low-rank policy-iteration steps;
+    # 30 of them made the class solve at mu = 0.
+    with (_counted_splu() as factored,
+          caplog.at_level(logging.DEBUG, logger=relaxed_solver.__name__)):
+        _cold_solve(BENCH_SOLVES["bigbattery-k800"])
+    assert len(factored) <= 18
+    records = _policy_iteration_records(caplog)
+    assert sum(r[2] for r in records) + 2 == len(factored)  # the calibration factors twice
+
+
+def test_bigbattery_class_solve_at_zero_price_logs_its_low_rank_steps(caplog):
+    # The class solve at mu = 0 zig-zags between two families of tables for
+    # 30 steps; all but its first two tables and its last are low-rank steps.
+    _clear_caches()
+    with caplog.at_level(logging.DEBUG, logger=relaxed_solver.__name__):
+        solve = solve_per_sensor(SensorParams(0.9, 63, (0.6,) * 3), 8, 0.0)
+    [(mu, steps, factored, low_rank, guard, multichain, largest)] = _policy_iteration_records(caplog)
+    assert (mu, steps) == (0.0, 30) and solve.iterations == 30
+    assert factored <= 4 and low_rank >= 24 and steps == factored + low_rank
+    assert multichain == 0 and 0 < largest <= relaxed_solver.LOW_RANK_SHARE * 512
+
+
+def test_multichain_low_rank_candidate_takes_the_exact_path(caplog):
+    # A grid-powered sensor of the network that cannot meet its budget: from
+    # this start, a table within the anchor's rank has two closed classes.
+    # It is not updated from the anchor's factor but evaluated exactly, as
+    # the COO reference assembles and solves it.
+    sensor, delta_max = SensorParams(1.0, 4, (0.1456,)), 4
+    start = np.array([int(b) for b in "0000000010100000000000010000000011000010"], dtype=np.int8)
+    model = sensor_model(sensor, delta_max)
+    multichain, evaluated = [], []
+    chain_classes, poisson = relaxed_solver._chain_classes, relaxed_solver._poisson
+
+    def recording_classes(probs, model):
+        out = chain_classes(probs, model)
+        if np.count_nonzero(~out[2]) != 1:
+            multichain.append(probs.copy())
+        return out
+
+    def recording_poisson(probs, rhs, model):
+        out = poisson(probs, rhs, model)
+        evaluated.append((probs.copy(), rhs.copy(), out))
+        return out
+
+    _clear_caches()
+    with (mock.patch.object(relaxed_solver, "LOW_RANK_SHARE", 1.0),
+          mock.patch.object(relaxed_solver, "_chain_classes", recording_classes),
+          mock.patch.object(relaxed_solver, "_poisson", recording_poisson),
+          caplog.at_level(logging.DEBUG, logger=relaxed_solver.__name__)):
+        solve = solve_per_sensor(sensor, delta_max, 0.0, start)
+    [(_, _, _, _, _, fallbacks, _)] = _policy_iteration_records(caplog)
+    assert fallbacks >= 1 and multichain
+    # Every chain with two closed classes, the refused candidate's included,
+    # was evaluated exactly, as the reference evaluates it, bit for bit.
+    rows, cols, _ = relaxed_solver._chain_pattern(model)
+    for probs in multichain:
+        [(rhs, (gains, x, factor))] = {p.tobytes(): (r, out) for p, r, out in evaluated
+                                       if np.array_equal(p, probs)}.values()
+        assert factor is None
+        nonzero = probs != 0.0
+        want = poisson_reference((rows[nonzero], cols[nonzero], probs[nonzero]), rhs,
+                                 model.ref_index)
+        for got, expected in zip((gains, x), want):
+            np.testing.assert_array_equal(got, expected)
+    _clear_caches()
+    with mock.patch.object(relaxed_solver, "LOW_RANK_SHARE", 0.0):
+        assert _solve_record(solve_per_sensor(sensor, delta_max, 0.0, start)) == _solve_record(solve)
