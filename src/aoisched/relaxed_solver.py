@@ -21,11 +21,12 @@ per-state cost and command rates and its relative values at once, whatever
 the number of closed classes. The system reaches SuperLU as CSC arrays
 written through a slot map built once per model and set of gain columns
 (:func:`_system_slots`), so no evaluation sorts sparse triplets. It is the
-only place that needs scipy. Multichain Howard policy iteration evaluates
-each distinct table exactly at most once, through :func:`_table_evaluation`,
-a cache of the 64 tables used last that ``cache_clear`` empties: a chain
-depends on its table, not on the price, so a warm start at the next price
-reuses its start table's evaluation instead of factoring it again. The gain
+only place that needs scipy. Multichain Howard policy iteration never
+revisits a table within one solve, and a chain depends on its table, not on
+the price: each sensor class keeps the exact evaluations of the tables its
+solves ended at beside its solves by price (:func:`_class_solves`, which
+``cache_clear`` empties), so a warm start at the next price reuses its start
+table's evaluation instead of factoring it again. The gain
 and bias Q-values of the full states follow from one ``SensorModel.expect``
 per action; :func:`evaluate_per_sensor` calls :func:`_evaluate` on any pure
 or mixed table.
@@ -38,8 +39,7 @@ rows, and whose chain keeps one closed class, is evaluated by a low-rank
 :func:`_woodbury`). Those values only steer: a step they find converged, or
 whose switches an error estimate cannot separate from the threshold
 (``STEP_GUARD``), is evaluated exactly and decided again, so the steps and
-every returned or cached value are those of exact evaluations. Low-rank
-evaluations never enter the cache.
+every returned or kept value are those of exact evaluations.
 
 The mixing factor's calibration factors once per mixed class: the mixture's
 chain is linear in eta, and the two tables differ on few of its states, so
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import OrderedDict, namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -156,9 +155,9 @@ class PerSensorSolve:
     """Optimal per-sensor table at a fixed command price, with its exact averages.
 
     ``iterations`` counts the steps of policy iteration, one table evaluation
-    each: exact, and then a reused one where the table was evaluated before,
-    or a low-rank update (see :func:`solve_per_sensor`). A step whose
-    low-rank values are redone exactly still counts once.
+    each: exact, and then a reused one where the table is one that a solve of
+    its class ended at, or a low-rank update (see :func:`solve_per_sensor`).
+    A step whose low-rank values are redone exactly still counts once.
     """
 
     policy: PolicyTable
@@ -372,67 +371,6 @@ def _evaluate(
     return ChainEvaluation(float(gains[ref, 0]), float(gains[ref, 1])), gains, x, factor
 
 
-class _TableEvaluations:
-    """:func:`_evaluate` of pure tables by (model, action bits as bool bytes),
-    without their factors: the chain depends on the table, not on the price,
-    so policy iteration evaluates each distinct table once, also across
-    prices. It keeps the 64 tables used last, as ``functools.lru_cache`` would,
-    with its ``cache_info`` and ``cache_clear``. Its arrays are read-only; an
-    error is raised again on each call, not cached. Unlike ``lru_cache`` it can
-    be asked for a kept evaluation without making one (:meth:`get`), and it
-    hands a fresh evaluation's unichain factor to its caller (:meth:`lookup`).
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        # Bound here, not defined on the class: a sweep of the module's
-        # globals for ``cache_clear`` then finds this cache, not its class.
-        self.cache_clear = self._clear
-        self._clear()
-
-    def _clear(self) -> None:
-        self._kept: OrderedDict = OrderedDict()
-        self._hits = self._misses = 0
-
-    def cache_info(self):
-        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._kept))
-
-    def __call__(self, model: SensorModel, actions: bytes):
-        return self.lookup(model, actions)[0]
-
-    def get(self, model: SensorModel, actions: bytes):
-        """The kept evaluation of the table, now the one used last, or None."""
-        entry = self._kept.pop((model, actions), None)
-        if entry is not None:
-            self._hits += 1
-            self._kept[model, actions] = entry
-        return entry
-
-    def lookup(self, model: SensorModel, actions: bytes):
-        """The table's (evaluation, gains, relative values), the factor of an
-        evaluation made by this call on one closed class (None otherwise), and
-        whether this call made it."""
-        entry = self.get(model, actions)
-        if entry is not None:
-            return entry, None, False
-        self._misses += 1
-        evaluation, gains, x, factor = _evaluate(model, np.frombuffer(actions, dtype=bool))
-        if factor is not None:
-            # One closed class: every state's gains are the reference state's, so
-            # the cache keeps one row of them.
-            gains = np.broadcast_to(gains[model.ref_index].copy(), gains.shape)
-        for arr in (gains, x):
-            arr.setflags(write=False)
-        self._kept[model, actions] = entry = (evaluation, gains, x)
-        if len(self._kept) > self.maxsize:
-            self._kept.popitem(last=False)
-        return entry, factor, True
-
-
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-_table_evaluation = _TableEvaluations(maxsize=64)
-
-
 class _Columns:
     """The columns of Z = A⁻¹E solved so far on the SuperLU factor of a
     system A, by row: each row's column A⁻¹ e_x is solved once."""
@@ -551,8 +489,10 @@ def solve_per_sensor(
     (normalised per class) would solve its Poisson equation but not the
     optimality equation.
 
-    A step evaluates its table exactly, through :func:`_table_evaluation`,
-    or, in a solve whose start table was not evaluated before and that has
+    A step reuses the exact evaluation of a table that a solve of the
+    sensor's class ended at (kept by :func:`_class_solves`, read-only); the
+    solve keeps its own final table's. Otherwise the step evaluates its table
+    exactly or, in a solve whose start table is not kept and that has
     factored two tables, by a low-rank (Woodbury) update of the first of them
     with one closed class, the anchor. The
     update applies where the table differs from the anchor's on d of the n
@@ -567,31 +507,41 @@ def solve_per_sensor(
     margin too near the threshold, or an update that fails its checks),
     multichain fallbacks and largest low-rank d.
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ValueError("mu must be finite and nonnegative")
     model = sensor_model(sensor, delta_max)
-    if start is not None and np.shape(start) != (model.num_states,):
-        raise ValueError("start table does not cover the sensor state space")
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != (model.num_states,):
+            raise ValueError("start table does not cover the sensor state space")
+        if not ((start == 0) | (start == 1)).all():
+            raise ValueError("start table must hold 0/1 action bits")
+    kept = _class_solves(sensor, delta_max)[1]
     shape = (model.request_dist.size, -1)  # (requests, battery-age)
     c0, c1 = model.cost_vector(0).reshape(shape), model.cost_vector(1).reshape(shape) + mu
-    actions = c1 < c0 if start is None else np.asarray(start).reshape(shape) == 1
+    actions = c1 < c0 if start is None else start.reshape(shape) == 1
     n, ref = model.succ.shape[0], model.ref_index
     anchor: _Anchor | None = None
     moving = None  # the states whose two actions' rows differ, once needed
     counts = dict.fromkeys(("factored", "low_rank", "guard", "multichain", "d"), 0)
 
     def exact(actions):
-        """The table's exact evaluation; unless the solve is warm, the first
-        that it factors with one closed class becomes the anchor."""
+        """The table's exact (evaluation, gains, relative values), read-only;
+        unless the solve is warm, the first table that it factors with one
+        closed class becomes the anchor."""
         nonlocal anchor
-        result, factor, fresh = _table_evaluation.lookup(model, actions.tobytes())
-        counts["factored"] += fresh
-        if factor is not None and anchor is None and not warm:
-            _, gains, x = result
-            x = x.copy()
-            x[ref] = gains[ref]
-            anchor = _Anchor(actions, x, _Columns(factor, n))
-        return result
+        evaluation, gains, x, factor = _evaluate(model, actions.ravel())
+        counts["factored"] += 1
+        if factor is not None:
+            # One closed class: every state's gains are the reference state's,
+            # so one row of them is kept.
+            gains = np.broadcast_to(gains[ref].copy(), gains.shape)
+            if anchor is None and not warm:
+                anchor = _Anchor(actions, x.copy(), _Columns(factor, n))
+                anchor.x[ref] = gains[ref]
+        for arr in (gains, x):
+            arr.setflags(write=False)
+        return evaluation, gains, x
 
     def values(result, actions):
         """Exact rates of a table, its (idle, command) gain Q-values and gain
@@ -685,10 +635,10 @@ def solve_per_sensor(
     iterations, warm = 0, None
     while True:
         iterations += 1
-        result = _table_evaluation.get(model, actions.tobytes())
+        result = kept.get(actions.tobytes())
         # Low-rank steps serve long solves whose start table is new, once they
-        # have factored a second table. A warm start, from a table evaluated
-        # before (a neighbouring price's optimum), moves hundreds of columns
+        # have factored a second table. A warm start, from a kept table
+        # (a neighbouring price's optimum), moves hundreds of columns
         # per step or converges within a step or two, where a low-rank
         # evaluation of the converged table would be wasted.
         if warm is None:
@@ -696,7 +646,8 @@ def solve_per_sensor(
         decided = (low_rank_step(actions) if result is None and anchor is not None
                    and counts["factored"] >= 2 else None)
         if decided is None:
-            step = values(result or exact(actions), actions)
+            result = result or exact(actions)
+            step = values(result, actions)
             decided = (step, *decide(step))
         step, switch, tied = decided
         if not switch.any():
@@ -709,7 +660,9 @@ def solve_per_sensor(
     if not np.array_equal(final, actions):
         iterations += 1
         actions = final
-        evaluation = exact(actions)[0]
+        result = kept.get(actions.tobytes()) or exact(actions)
+        evaluation = result[0]
+    kept[actions.tobytes()] = result
     rel.setflags(write=False)
     log.debug("policy iteration at price %.6g: %d steps, %d exact factorisations, "
               "%d low-rank steps, %d guard and %d multichain fallbacks, largest d %d",
@@ -743,10 +696,15 @@ def evaluate_per_sensor(
 
 
 @lru_cache(maxsize=64)
-def _class_solves(sensor: SensorParams, delta_max: int) -> dict[float, PerSensorSolve]:
-    """Solves of one sensor class by price: the cache that :func:`_solve_class`
-    fills in and searches for a warm start (hence a dict, not a cached result)."""
-    return {}
+def _class_solves(
+    sensor: SensorParams, delta_max: int
+) -> tuple[dict[float, PerSensorSolve], dict[bytes, tuple[ChainEvaluation, np.ndarray, np.ndarray]]]:
+    """One sensor class's solves by price, which :func:`_solve_class` fills in
+    and searches for a warm start, and the exact (evaluation, gains, relative
+    values) of each solve's final table by its action bits as bool bytes,
+    which :func:`solve_per_sensor` fills in and looks its tables up in: hence
+    dicts, not cached results."""
+    return {}, {}
 
 
 def _solve_class(sensor: SensorParams, delta_max: int, mu: float) -> PerSensorSolve:
@@ -754,7 +712,7 @@ def _solve_class(sensor: SensorParams, delta_max: int, mu: float) -> PerSensorSo
 
     The table does not depend on the start, so the cache is keyed by price alone.
     """
-    solved = _class_solves(sensor, delta_max)
+    solved = _class_solves(sensor, delta_max)[0]
     if mu not in solved:
         nearest = min(solved, key=lambda m: abs(m - mu), default=None)
         start = None if nearest is None else solved[nearest].policy.actions

@@ -9,6 +9,7 @@ paper fixture. These tests pin that surface.
 import dataclasses
 
 import numpy as np
+from caches import clear_package_caches, package_caches
 
 from aoisched import (
     LagrangeSolve,
@@ -18,24 +19,11 @@ from aoisched import (
     PolicyTable,
     RelaxedSolution,
     SensorParams,
-    model,
     relaxed_solver,
     solve_relaxed,
 )
 
 TINY1 = SensorParams(harvest_rate=0.5, battery_capacity=1, request_probs=(0.5,))
-
-
-def _package_caches():
-    """Every ``cache_clear``-able object of the model and the solver, by name."""
-    return {f"{module.__name__}.{name}": obj
-            for module in (model, relaxed_solver)
-            for name, obj in vars(module).items() if hasattr(obj, "cache_clear")}
-
-
-def _clear_package_caches():
-    for cache in _package_caches().values():
-        cache.cache_clear()
 
 
 def test_solve_reaches_traced_functions_through_module_globals(monkeypatch):
@@ -56,7 +44,7 @@ def test_solve_reaches_traced_functions_through_module_globals(monkeypatch):
         monkeypatch.setattr(relaxed_solver, name, counted)
     net = NetworkConfig(20, 1, 1, 2, (TINY1,) * 20)
     for _ in range(2):  # the second solve is cold again after the caches are emptied
-        _clear_package_caches()
+        clear_package_caches()
         before = dict(calls)
         solution = solve_relaxed(net)
         assert calls["solve_per_sensor"] - before["solve_per_sensor"] == len(
@@ -85,17 +73,18 @@ def test_names_and_fields_the_benchmark_reads():
 
 def test_emptied_caches_hold_no_slot_maps():
     # A cold solve builds each model, its chain pattern, its Poisson slot
-    # maps and its table evaluations again: every cache of the model and the
-    # solver is one the benchmark's sweep empties and a solve refills, not
-    # state on the model or in a module dict, which would make its solve_s a
-    # warm solve. A cache added later joins the sweep by being found here.
+    # maps, its class solves and their table evaluations again: every cache
+    # of the model and the solver is one the benchmark's sweep empties and a
+    # solve refills, not state on the model or in a module dict, which would
+    # make its solve_s a warm solve. A cache added later joins the sweep by
+    # being found here.
     net = NetworkConfig(20, 1, 1, 2, (TINY1,) * 20)
     solve_relaxed(net)
-    caches = _package_caches()
+    caches = package_caches()
     assert {"aoisched.model.sensor_model", "aoisched.relaxed_solver._chain_pattern",
             "aoisched.relaxed_solver._system_slots",
-            "aoisched.relaxed_solver._table_evaluation"} <= caches.keys()
-    _clear_package_caches()
+            "aoisched.relaxed_solver._class_solves"} <= caches.keys()
+    clear_package_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(
         caches, 0)
     solve_relaxed(net)

@@ -11,6 +11,7 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import splu
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from caches import clear_package_caches
 from oracles import (
     best_deterministic_policy,
     calibrate_eta_reference,
@@ -23,7 +24,6 @@ from oracles import (
     relaxed_lp,
 )
 
-import aoisched.model
 from aoisched import (
     BracketError,
     MixedPolicy,
@@ -177,8 +177,18 @@ def test_free_commands_with_sure_energy():
 
 
 def test_solver_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        solve_per_sensor(TINY1, 2, -0.5)
+    # A price of nan or inf once ran to an avg_lagrangian of nan, and a start
+    # bit of 2 was read as 0.
+    sensor = SensorParams(0.5, 2, (0.5,))
+    for mu in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^mu must be finite and nonnegative$"):
+            solve_per_sensor(sensor, 4, mu)
+    start = np.zeros(sensor_model(sensor, 4).num_states, dtype=np.int8)
+    for bit in (2, -1, 0.5):
+        bad = start.astype(np.float64)
+        bad[3] = bit
+        with pytest.raises(ValueError, match="^start table must hold 0/1 action bits$"):
+            solve_per_sensor(sensor, 4, 1.0, bad)
 
 
 @pytest.mark.parametrize("actions", [[256, 1], [0.5, 1.0], [-255, 0], [1.9, 0.0]])
@@ -578,17 +588,9 @@ BENCH_SOLVES = {
 }
 
 
-def _clear_caches():
-    """Empty every cache of the model and the solver."""
-    for module in (aoisched.model, relaxed_solver):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-
-
 def _cold_solve(net):
     """``solve_relaxed`` with every cache of the model and the solver emptied first."""
-    _clear_caches()
+    clear_package_caches()
     return solve_relaxed(net)
 
 
@@ -853,52 +855,70 @@ def _solve_record(solve):
             solve.evaluation.cost_rate.hex(), solve.evaluation.command_rate.hex())
 
 
+@contextmanager
+def _evaluated_tables():
+    """A list that collects the action bits, as bool bytes, of every table
+    that ``_evaluate`` evaluates in the block."""
+    evaluated = []
+    evaluate = relaxed_solver._evaluate
+
+    def recording(model, command_prob):
+        evaluated.append(np.asarray(command_prob).astype(bool).tobytes())
+        return evaluate(model, command_prob)
+
+    with mock.patch.object(relaxed_solver, "_evaluate", recording):
+        yield evaluated
+
+
 @settings(max_examples=60, deadline=None)
 @given(sensor_pairs(), st.integers(2, 8), st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4))
 def test_reused_table_evaluations_match_cold_solves(sensors, delta_max, prices):
-    # Each solve starts from its sensor's previous table, which that solve
-    # evaluated last: the evaluation is reused, not repeated, and the solve
-    # returns what the same call returns with every cache emptied, bit for
-    # bit. The two sensors' tables share a byte layout (both start from the
-    # same myopic table), so an evaluation reused across models shows.
-    evaluations = relaxed_solver._table_evaluation
-    _clear_caches()
+    # Each solve starts from its sensor's previous table, the final table of
+    # its last solve: its class keeps that table's evaluation, so the solve
+    # does not evaluate its start, and it returns what the same call returns
+    # with every cache emptied, bit for bit. The two sensors' tables share a
+    # byte layout (both start from the same myopic table), so an evaluation
+    # reused across classes shows: the second sensor's first solve evaluates
+    # its start table.
+    clear_package_caches()
     calls = []
     starts = [None, None]
     for mu in prices:
         for k, sensor in enumerate(sensors):
             args = (sensor, delta_max, mu, starts[k])
-            hits = evaluations.cache_info().hits
-            solve = solve_per_sensor(*args)
-            assert starts[k] is None or evaluations.cache_info().hits > hits
+            with _evaluated_tables() as evaluated:
+                solve = solve_per_sensor(*args)
+            if starts[k] is not None:
+                assert starts[k].astype(bool).tobytes() not in evaluated
+            elif sensor != sensors[0] or k == 0:
+                assert evaluated
             calls.append((args, _solve_record(solve)))
             starts[k] = solve.policy.actions
     for args, record in calls:
-        _clear_caches()
+        clear_package_caches()
         assert _solve_record(solve_per_sensor(*args)) == record
 
-    # The last cold solve evaluated its table; the arrays handed out again are read-only.
-    model = sensor_model(sensors[-1], delta_max)
+    # The last cold solve kept its final table's evaluation, and only that,
+    # with read-only arrays.
     key = starts[-1].astype(bool).tobytes()
-    hits = evaluations.cache_info().hits
-    _, gains, x = evaluations(model, key)
-    assert evaluations.cache_info().hits == hits + 1
+    kept = relaxed_solver._class_solves(sensors[-1], delta_max)[1]
+    assert list(kept) == [key]
+    _, gains, x = kept[key]
     for arr in (gains, x):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1.0
 
-    # A failed evaluation is not kept: the next call factors and fails again.
-    _clear_caches()
-    model = sensor_model(sensors[0], delta_max)
+    # A failed evaluation is not kept: the next solve factors and fails again.
+    clear_package_caches()
     factored, counts = [], []
     with mock.patch.object(scipy.sparse.linalg, "splu",
                            lambda system: factored.append(system) or _NanFactor()):
         for _ in range(2):
             with pytest.raises(MultichainError):
-                evaluations(model, key)
+                solve_per_sensor(sensors[0], delta_max, prices[0])
             counts.append(len(factored))
     assert 0 < counts[0] < counts[1]
-    assert evaluations.cache_info().currsize == 0
+    assert relaxed_solver._class_solves(sensors[0], delta_max)[1] == {}
 
 
 def _solve_outputs(net):
@@ -909,8 +929,8 @@ def _solve_outputs(net):
     solution = _cold_solve(net)
     lagrange = solution.lagrange
     classes = sensor_classes(net)[0]
-    solves = [(mu, _solve_record(s))
-              for c in classes for mu, s in relaxed_solver._class_solves(c, net.delta_max).items()]
+    solves = [(mu, _solve_record(s)) for c in classes
+              for mu, s in relaxed_solver._class_solves(c, net.delta_max)[0].items()]
     return (
         [(p.lower.actions.tobytes(), p.upper.actions.tobytes()) for p in solution.policies],
         [getattr(solution, f).hex() for f in ("eta", "mu_star", "avg_cost")],
@@ -919,6 +939,38 @@ def _solve_outputs(net):
         [r.tobytes() for r in lagrange.per_sensor_rel_values],
         solves,
     )
+
+
+# Thirty classes, two sensors each: more classes than a shared store of the
+# 64 tables used last could serve.
+THIRTY_CLASSES = NetworkConfig(60, 3, 6, 12, tuple(SensorParams(float(h), 7, (0.6,) * 3)
+                                                   for h in np.linspace(0.02, 0.3, 30)) * 2)
+
+
+def test_class_solves_keep_their_final_tables_for_warm_starts():
+    # Each class keeps the evaluations of the tables its solves ended at, so
+    # no warm start evaluates its start table, however many classes the
+    # network has. A network-wide store of the 64 tables used last dropped
+    # warm starts' tables here and factored 668 times.
+    solves = []  # per class solve: its start table and the tables it evaluated
+    solve_per_sensor = relaxed_solver.solve_per_sensor
+
+    def recording(sensor, delta_max, mu, start=None):
+        with _evaluated_tables() as evaluated:
+            solves.append((start, evaluated))
+            return solve_per_sensor(sensor, delta_max, mu, start)
+
+    with (_counted_splu() as factored,
+          mock.patch.object(relaxed_solver, "solve_per_sensor", recording)):
+        _cold_solve(THIRTY_CLASSES)
+    assert len(factored) <= 518
+    warm = [(start, evaluated) for start, evaluated in solves if start is not None]
+    assert len(warm) > len(solves) // 2
+    for start, evaluated in warm:
+        assert start.astype(bool).tobytes() not in evaluated
+    for sensor in sensor_classes(THIRTY_CLASSES)[0]:
+        by_price, kept = relaxed_solver._class_solves(sensor, THIRTY_CLASSES.delta_max)
+        assert 1 <= len(kept) <= len(by_price)
 
 
 def _low_rank_shares(net):
@@ -978,7 +1030,7 @@ def test_cold_bigbattery_bench_solve_factors_at_most_18_times(caplog):
 def test_bigbattery_class_solve_at_zero_price_logs_its_low_rank_steps(caplog):
     # The class solve at mu = 0 zig-zags between two families of tables for
     # 30 steps; all but its first two tables and its last are low-rank steps.
-    _clear_caches()
+    clear_package_caches()
     with caplog.at_level(logging.DEBUG, logger=relaxed_solver.__name__):
         solve = solve_per_sensor(SensorParams(0.9, 63, (0.6,) * 3), 8, 0.0)
     [(mu, steps, factored, low_rank, guard, multichain, largest)] = _policy_iteration_records(caplog)
@@ -1009,7 +1061,7 @@ def test_multichain_low_rank_candidate_takes_the_exact_path(caplog):
         evaluated.append((probs.copy(), rhs.copy(), out))
         return out
 
-    _clear_caches()
+    clear_package_caches()
     with (mock.patch.object(relaxed_solver, "LOW_RANK_SHARE", 1.0),
           mock.patch.object(relaxed_solver, "_chain_classes", recording_classes),
           mock.patch.object(relaxed_solver, "_poisson", recording_poisson),
@@ -1029,6 +1081,6 @@ def test_multichain_low_rank_candidate_takes_the_exact_path(caplog):
                                  model.ref_index)
         for got, expected in zip((gains, x), want):
             np.testing.assert_array_equal(got, expected)
-    _clear_caches()
+    clear_package_caches()
     with mock.patch.object(relaxed_solver, "LOW_RANK_SHARE", 0.0):
         assert _solve_record(solve_per_sensor(sensor, delta_max, 0.0, start)) == _solve_record(solve)
