@@ -66,7 +66,6 @@ from .simulator import (
     EpisodeMetrics,
     SimConfig,
     SimReport,
-    mean_abs_deviation,
     run_episode,
     run_experiment,
 )

@@ -23,10 +23,11 @@ written through a slot map built once per model and set of gain columns
 (:func:`_system_slots`), so no evaluation sorts sparse triplets. It is the
 only place that needs scipy. Multichain Howard policy iteration never
 revisits a table within one solve, and a chain depends on its table, not on
-the price: each sensor class keeps the exact evaluations of the tables its
-solves ended at beside its solves by price (:func:`_class_solves`, which
-``cache_clear`` empties), so a warm start at the next price reuses its start
-table's evaluation instead of factoring it again. The gain
+the price: for the length of one :func:`solve_relaxed` call, each sensor
+class keeps the exact evaluations of the tables its solves ended at, so a
+warm start at the next price reuses its start table's evaluation instead of
+factoring it again. Nothing of a solve outlives it: a second solve of a
+network makes the calls of the first. The gain
 and bias Q-values of the full states follow from one ``SensorModel.expect``
 per action; :func:`evaluate_per_sensor` calls :func:`_evaluate` on any pure
 or mixed table.
@@ -79,8 +80,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 POISSON_RESIDUAL = 1e-10  # normwise backward error a policy evaluation must meet
-RATE_TIE_TOL = 1e-6  # command rate counts as "equal to Gamma" within this
-DEFAULT_ETA_TOL = 1e-6  # |mixed command rate - Gamma| that ends the eta bisection
+DEFAULT_ETA_TOL = 1e-6  # a command rate within this of Gamma meets it (bracket ends, eta)
 ETA_GUARD = 1e-9  # a low-rank mixed rate this close to a bisection threshold is decided exactly
 LOW_RANK_SHARE = 0.25  # largest share of a chain's states a low-rank eta step may move
 STEP_GUARD = 32.0  # error estimates between a low-rank Q-value margin and its threshold
@@ -155,8 +155,8 @@ class PerSensorSolve:
     """Optimal per-sensor table at a fixed command price, with its exact averages.
 
     ``iterations`` counts the steps of policy iteration, one table evaluation
-    each: exact, and then a reused one where the table is one that a solve of
-    its class ended at, or a low-rank update (see :func:`solve_per_sensor`).
+    each: exact, and then a reused one where the table is kept by the
+    caller (``kept``), or a low-rank update (see :func:`solve_per_sensor`).
     A step whose low-rank values are redone exactly still counts once.
     """
 
@@ -221,11 +221,7 @@ def _poisson(probs: np.ndarray, rhs: np.ndarray,
     system = sp.csc_matrix((values[kept], slot_rows[kept], before[col_start]), shape=(n, n))
     factor = _factor(system)
     x = factor.solve(rhs)
-    # Normwise backward error; every row of the system has absolute sum <= 3.
-    # A zero scale means x and rhs are both exactly zero, which solves the system.
-    error = float(np.abs(system @ x - rhs).max())
-    scale = 3.0 * float(np.abs(x).max()) + float(np.abs(rhs).max())
-    residual = error / scale if scale else 0.0
+    residual = _backward_error(system @ x - rhs, x, rhs)
     if not residual <= POISSON_RESIDUAL:  # also catches a NaN solve
         raise MultichainError(
             f"policy evaluation residual {residual:.3e} exceeds {POISSON_RESIDUAL:.0e}"
@@ -233,6 +229,15 @@ def _poisson(probs: np.ndarray, rhs: np.ndarray,
     gains = absorb @ x[pivots]
     x[pivots] = 0.0
     return gains, x, factor if closed.size == 1 else None
+
+
+def _backward_error(residual: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> float:
+    """Normwise backward error of a solution ``x`` of a :func:`_poisson`
+    system with right-hand side ``rhs`` and residual ``residual``; every row
+    of the system has absolute sum <= 3. A zero scale means x and rhs are
+    both exactly zero, which solves the system."""
+    scale = 3.0 * float(np.abs(x).max()) + float(np.abs(rhs).max())
+    return float(np.abs(residual).max()) / scale if scale else 0.0
 
 
 def _chain_classes(probs: np.ndarray, model: SensorModel) -> tuple[object, np.ndarray, np.ndarray]:
@@ -465,7 +470,8 @@ def _woodbury(model: SensorModel, anchor: _Anchor, rows: np.ndarray, weights: np
 
 
 def solve_per_sensor(
-    sensor: SensorParams, delta_max: int, mu: float, start: np.ndarray | None = None
+    sensor: SensorParams, delta_max: int, mu: float, start: np.ndarray | None = None,
+    kept: dict[bytes, tuple[ChainEvaluation, np.ndarray, np.ndarray]] | None = None,
 ) -> PerSensorSolve:
     """Multichain Howard policy iteration for one sensor with commands priced at mu.
 
@@ -489,9 +495,12 @@ def solve_per_sensor(
     (normalised per class) would solve its Poisson equation but not the
     optimality equation.
 
-    A step reuses the exact evaluation of a table that a solve of the
-    sensor's class ended at (kept by :func:`_class_solves`, read-only); the
-    solve keeps its own final table's. Otherwise the step evaluates its table
+    ``kept`` maps the action bits, as bool bytes, of tables of the sensor's
+    class to their exact (evaluation, gains, relative values), read-only; a
+    step reuses the evaluation of a kept table, and the solve adds its own
+    final table's. By default the store is new and empty, so the call is
+    cold; :func:`solve_relaxed` passes each class's store from one price to
+    the next. Otherwise the step evaluates its table
     exactly or, in a solve whose start table is not kept and that has
     factored two tables, by a low-rank (Woodbury) update of the first of them
     with one closed class, the anchor. The
@@ -516,7 +525,7 @@ def solve_per_sensor(
             raise ValueError("start table does not cover the sensor state space")
         if not ((start == 0) | (start == 1)).all():
             raise ValueError("start table must hold 0/1 action bits")
-    kept = _class_solves(sensor, delta_max)[1]
+    kept = {} if kept is None else kept
     shape = (model.request_dist.size, -1)  # (requests, battery-age)
     c0, c1 = model.cost_vector(0).reshape(shape), model.cost_vector(1).reshape(shape) + mu
     actions = c1 < c0 if start is None else start.reshape(shape) == 1
@@ -605,8 +614,7 @@ def solve_per_sensor(
         # and I - P elsewhere, with P = diag(1 - w̄) Q_0 + diag(w̄) Q_1.
         residual = (rhs - x[ref] - rel + weights[:, :1] * model.expect(0, rel)
                     + weights[:, 1:] * model.expect(1, rel))
-        scale = 3.0 * float(np.abs(x).max()) + float(np.abs(rhs).max())
-        if not (float(np.abs(residual).max()) / scale if scale else 0.0) <= POISSON_RESIDUAL:
+        if not _backward_error(residual, x, rhs) <= POISSON_RESIDUAL:
             counts["guard"] += 1
             return None
         # One step of iterative refinement estimates the error of the priced
@@ -695,31 +703,6 @@ def evaluate_per_sensor(
     return _evaluate(model, w_cmd)[0]
 
 
-@lru_cache(maxsize=64)
-def _class_solves(
-    sensor: SensorParams, delta_max: int
-) -> tuple[dict[float, PerSensorSolve], dict[bytes, tuple[ChainEvaluation, np.ndarray, np.ndarray]]]:
-    """One sensor class's solves by price, which :func:`_solve_class` fills in
-    and searches for a warm start, and the exact (evaluation, gains, relative
-    values) of each solve's final table by its action bits as bool bytes,
-    which :func:`solve_per_sensor` fills in and looks its tables up in: hence
-    dicts, not cached results."""
-    return {}, {}
-
-
-def _solve_class(sensor: SensorParams, delta_max: int, mu: float) -> PerSensorSolve:
-    """Per-class solve at mu, cached, warm-started from the nearest price solved so far.
-
-    The table does not depend on the start, so the cache is keyed by price alone.
-    """
-    solved = _class_solves(sensor, delta_max)[0]
-    if mu not in solved:
-        nearest = min(solved, key=lambda m: abs(m - mu), default=None)
-        start = None if nearest is None else solved[nearest].policy.actions
-        solved[mu] = solve_per_sensor(sensor, delta_max, mu, start)
-    return solved[mu]
-
-
 @dataclass(frozen=True, eq=False)
 class LagrangeSolve:
     """Record of the price search: prices, trajectory, and per-sensor pieces.
@@ -778,17 +761,28 @@ def solve_relaxed(config: NetworkConfig) -> RelaxedSolution:
     chord there. Both ends are then optimal at that price ``mu_star``, and the
     mixing factor eta is calibrated so the exact command rate of their mixture
     equals Gamma to within ``DEFAULT_ETA_TOL``. An end whose rate ties Gamma
-    is returned unmixed, and ``mu_star`` is its price.
+    within that is returned unmixed, and ``mu_star`` is its price.
+
+    Each class solve starts from its class's final table at the nearest
+    price solved so far in this call (the table does not depend on the
+    start) and shares its class's store of final-table evaluations
+    (:func:`solve_per_sensor`'s ``kept``); both live for this call only.
     """
     classes, counts, class_of = sensor_classes(config)
     gamma = config.gamma
     weights = counts / config.num_sensors
 
     evaluations: list[tuple[float, float, float]] = []
+    solved: list[list[PerSensorSolve]] = [[] for _ in classes]  # each class's solves so far
+    kept: list[dict] = [{} for _ in classes]  # each class's final-table evaluations
 
     def fleet(mu: float) -> tuple[float, float, list[PerSensorSolve]]:
         """The fleet's per-sensor (cost, command rate) at price mu, and its class solves."""
-        results = [_solve_class(s, config.delta_max, mu) for s in classes]
+        for s, done, store in zip(classes, solved, kept):
+            nearest = min(done, key=lambda solve: abs(solve.policy.mu - mu), default=None)
+            start = None if nearest is None else nearest.policy.actions
+            done.append(solve_per_sensor(s, config.delta_max, mu, start, store))
+        results = [done[-1] for done in solved]
         cost, rate = _fleet_average(weights, [s.evaluation for s in results])
         mean_lagr = float(sum(w * s.avg_lagrangian for w, s in zip(weights, results)))
         mean_lagr /= config.num_users
@@ -812,10 +806,10 @@ def solve_relaxed(config: NetworkConfig) -> RelaxedSolution:
                 f"the budget {gamma:.6g}"
             )
         while True:
-            if abs(rate_lo - gamma) <= RATE_TIE_TOL:
+            if abs(rate_lo - gamma) <= DEFAULT_ETA_TOL:
                 mu_star, ends = mu_lo, (lower, lower)
                 break
-            if abs(rate_hi - gamma) <= RATE_TIE_TOL:
+            if abs(rate_hi - gamma) <= DEFAULT_ETA_TOL:
                 mu_star, ends = mu_hi, (upper, upper)
                 break
             ends = (lower, upper)

@@ -53,19 +53,9 @@ __all__ = [
     "UniformStreams",
     "run_experiment",
     "run_episode",
-    "mean_abs_deviation",
 ]
 
 _BLOCK = 128
-
-
-def mean_abs_deviation(samples) -> tuple[float, float]:
-    """Two-pass mean and mean absolute deviation about the mean."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        raise ValueError("mean_abs_deviation needs at least one sample")
-    mean = float(samples.mean())
-    return mean, float(np.abs(samples - mean).mean())
 
 
 @dataclass(frozen=True)

@@ -72,18 +72,16 @@ def test_names_and_fields_the_benchmark_reads():
 
 
 def test_emptied_caches_hold_no_slot_maps():
-    # A cold solve builds each model, its chain pattern, its Poisson slot
-    # maps, its class solves and their table evaluations again: every cache
-    # of the model and the solver is one the benchmark's sweep empties and a
-    # solve refills, not state on the model or in a module dict, which would
-    # make its solve_s a warm solve. A cache added later joins the sweep by
-    # being found here.
+    # A cold solve builds each model, its chain pattern and its Poisson slot
+    # maps again: every cache of the model and the solver is one the
+    # benchmark's sweep empties and a solve refills, not state on the model
+    # or in a module dict, which would make its solve_s a warm solve. A cache
+    # added later joins the sweep by being found here.
     net = NetworkConfig(20, 1, 1, 2, (TINY1,) * 20)
     solve_relaxed(net)
     caches = package_caches()
     assert {"aoisched.model.sensor_model", "aoisched.relaxed_solver._chain_pattern",
-            "aoisched.relaxed_solver._system_slots",
-            "aoisched.relaxed_solver._class_solves"} <= caches.keys()
+            "aoisched.relaxed_solver._system_slots"} <= caches.keys()
     clear_package_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} == dict.fromkeys(
         caches, 0)

@@ -874,34 +874,32 @@ def _evaluated_tables():
 @given(sensor_pairs(), st.integers(2, 8), st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4))
 def test_reused_table_evaluations_match_cold_solves(sensors, delta_max, prices):
     # Each solve starts from its sensor's previous table, the final table of
-    # its last solve: its class keeps that table's evaluation, so the solve
+    # its last solve, with its sensor's store of final-table evaluations: it
     # does not evaluate its start, and it returns what the same call returns
-    # with every cache emptied, bit for bit. The two sensors' tables share a
-    # byte layout (both start from the same myopic table), so an evaluation
-    # reused across classes shows: the second sensor's first solve evaluates
-    # its start table.
-    clear_package_caches()
+    # without a store, bit for bit. The two sensors' tables share a byte
+    # layout (both start from the same myopic table), and each first solve,
+    # with an empty store, evaluates its start table.
     calls = []
-    starts = [None, None]
+    starts, stores = [None, None], [{}, {}]
     for mu in prices:
         for k, sensor in enumerate(sensors):
             args = (sensor, delta_max, mu, starts[k])
             with _evaluated_tables() as evaluated:
-                solve = solve_per_sensor(*args)
+                solve = solve_per_sensor(*args, stores[k])
             if starts[k] is not None:
                 assert starts[k].astype(bool).tobytes() not in evaluated
-            elif sensor != sensors[0] or k == 0:
+            else:
                 assert evaluated
             calls.append((args, _solve_record(solve)))
             starts[k] = solve.policy.actions
     for args, record in calls:
-        clear_package_caches()
         assert _solve_record(solve_per_sensor(*args)) == record
 
-    # The last cold solve kept its final table's evaluation, and only that,
-    # with read-only arrays.
+    # A solve keeps its final table's evaluation, and only that, with
+    # read-only arrays.
+    kept = {}
+    solve_per_sensor(*calls[-1][0], kept)
     key = starts[-1].astype(bool).tobytes()
-    kept = relaxed_solver._class_solves(sensors[-1], delta_max)[1]
     assert list(kept) == [key]
     _, gains, x = kept[key]
     for arr in (gains, x):
@@ -909,28 +907,45 @@ def test_reused_table_evaluations_match_cold_solves(sensors, delta_max, prices):
             arr[0, 0] = 1.0
 
     # A failed evaluation is not kept: the next solve factors and fails again.
-    clear_package_caches()
-    factored, counts = [], []
+    kept, factored, counts = {}, [], []
     with mock.patch.object(scipy.sparse.linalg, "splu",
                            lambda system: factored.append(system) or _NanFactor()):
         for _ in range(2):
             with pytest.raises(MultichainError):
-                solve_per_sensor(sensors[0], delta_max, prices[0])
+                solve_per_sensor(sensors[0], delta_max, prices[0], None, kept)
             counts.append(len(factored))
     assert 0 < counts[0] < counts[1]
-    assert relaxed_solver._class_solves(sensors[0], delta_max)[1] == {}
+    assert kept == {}
 
 
-def _solve_outputs(net):
-    """A cold ``solve_relaxed`` of ``net``: its tables, eta, prices, bound,
-    price trajectory and per-sensor relative values as bytes and hex floats,
-    and each class solve's table, relative values, Lagrangian, step count and
-    evaluation by price, in the order solved."""
-    solution = _cold_solve(net)
+@contextmanager
+def _recorded_class_solves():
+    """A list that collects each class solve made through the module's
+    ``solve_per_sensor`` in the block, in the order solved: its sensor, price,
+    start table, store of kept evaluations, the tables it evaluated (as
+    :func:`_evaluated_tables` records them) and the solve."""
+    solves = []
+    solve_per_sensor = relaxed_solver.solve_per_sensor
+
+    def recording(sensor, delta_max, mu, start=None, kept=None):
+        with _evaluated_tables() as evaluated:
+            solve = solve_per_sensor(sensor, delta_max, mu, start, kept)
+        solves.append((sensor, mu, start, kept, evaluated, solve))
+        return solve
+
+    with mock.patch.object(relaxed_solver, "solve_per_sensor", recording):
+        yield solves
+
+
+def _solve_outputs(net, solve=_cold_solve):
+    """A ``solve`` (by default cold) of ``net``: its tables, eta, prices,
+    bound, price trajectory and per-sensor relative values as bytes and hex
+    floats, and each class solve's price, table, relative values, Lagrangian,
+    step count and evaluation, in the order solved."""
+    with _recorded_class_solves() as class_solves:
+        solution = solve(net)
     lagrange = solution.lagrange
-    classes = sensor_classes(net)[0]
-    solves = [(mu, _solve_record(s)) for c in classes
-              for mu, s in relaxed_solver._class_solves(c, net.delta_max)[0].items()]
+    solves = [(mu, _solve_record(s)) for _, mu, _, _, _, s in class_solves]
     return (
         [(p.lower.actions.tobytes(), p.upper.actions.tobytes()) for p in solution.policies],
         [getattr(solution, f).hex() for f in ("eta", "mu_star", "avg_cost")],
@@ -952,25 +967,43 @@ def test_class_solves_keep_their_final_tables_for_warm_starts():
     # no warm start evaluates its start table, however many classes the
     # network has. A network-wide store of the 64 tables used last dropped
     # warm starts' tables here and factored 668 times.
-    solves = []  # per class solve: its start table and the tables it evaluated
-    solve_per_sensor = relaxed_solver.solve_per_sensor
-
-    def recording(sensor, delta_max, mu, start=None):
-        with _evaluated_tables() as evaluated:
-            solves.append((start, evaluated))
-            return solve_per_sensor(sensor, delta_max, mu, start)
-
-    with (_counted_splu() as factored,
-          mock.patch.object(relaxed_solver, "solve_per_sensor", recording)):
+    with _counted_splu() as factored, _recorded_class_solves() as solves:
         _cold_solve(THIRTY_CLASSES)
     assert len(factored) <= 518
-    warm = [(start, evaluated) for start, evaluated in solves if start is not None]
+    warm = [(start, evaluated) for _, _, start, _, evaluated, _ in solves if start is not None]
     assert len(warm) > len(solves) // 2
     for start, evaluated in warm:
         assert start.astype(bool).tobytes() not in evaluated
+    # One store per class, shared by its solves, holds 1 to one table per solve.
     for sensor in sensor_classes(THIRTY_CLASSES)[0]:
-        by_price, kept = relaxed_solver._class_solves(sensor, THIRTY_CLASSES.delta_max)
-        assert 1 <= len(kept) <= len(by_price)
+        stores = [kept for s, _, _, kept, _, _ in solves if s == sensor]
+        assert all(kept is stores[0] for kept in stores)
+        assert 1 <= len(stores[0]) <= len(stores)
+
+
+# Sixty-five classes, two sensors each: more than the 64 classes whose solves
+# a process-wide store kept, where every warm start missed (3,853 factorisations).
+SIXTY_FIVE_CLASSES = NetworkConfig(130, 3, 32, 12, tuple(
+    SensorParams(0.01 + 0.9 * i / 65, 7, (0.6,) * 3) for i in range(65)) * 2)
+
+
+def test_warm_starts_serve_more_than_64_classes():
+    with _counted_splu() as factored:
+        _cold_solve(SIXTY_FIVE_CLASSES)
+    assert len(factored) <= 1334
+
+
+def test_a_solve_leaves_no_state_for_the_next():
+    # A solve of the bench network's class with another budget, in between,
+    # neither warm-starts nor spares the next solve of the bench network: it
+    # makes the cold solve's calls and returns its outputs, bit for bit.
+    net = BENCH_SOLVES["paper-k40"]
+    cold = _solve_outputs(net)
+    solve_relaxed(NetworkConfig(40, 3, 3, 12, net.sensors))
+    with _counted_splu() as factored:
+        again = _solve_outputs(net, solve_relaxed)
+    assert again == cold
+    assert len(factored) == 10
 
 
 def _low_rank_shares(net):
@@ -1030,7 +1063,6 @@ def test_cold_bigbattery_bench_solve_factors_at_most_18_times(caplog):
 def test_bigbattery_class_solve_at_zero_price_logs_its_low_rank_steps(caplog):
     # The class solve at mu = 0 zig-zags between two families of tables for
     # 30 steps; all but its first two tables and its last are low-rank steps.
-    clear_package_caches()
     with caplog.at_level(logging.DEBUG, logger=relaxed_solver.__name__):
         solve = solve_per_sensor(SensorParams(0.9, 63, (0.6,) * 3), 8, 0.0)
     [(mu, steps, factored, low_rank, guard, multichain, largest)] = _policy_iteration_records(caplog)
@@ -1061,7 +1093,6 @@ def test_multichain_low_rank_candidate_takes_the_exact_path(caplog):
         evaluated.append((probs.copy(), rhs.copy(), out))
         return out
 
-    clear_package_caches()
     with (mock.patch.object(relaxed_solver, "LOW_RANK_SHARE", 1.0),
           mock.patch.object(relaxed_solver, "_chain_classes", recording_classes),
           mock.patch.object(relaxed_solver, "_poisson", recording_poisson),
@@ -1081,6 +1112,5 @@ def test_multichain_low_rank_candidate_takes_the_exact_path(caplog):
                                  model.ref_index)
         for got, expected in zip((gains, x), want):
             np.testing.assert_array_equal(got, expected)
-    clear_package_caches()
     with mock.patch.object(relaxed_solver, "LOW_RANK_SHARE", 0.0):
         assert _solve_record(solve_per_sensor(sensor, delta_max, 0.0, start)) == _solve_record(solve)
