@@ -409,19 +409,27 @@ def cmd_sweep(args) -> int:
     spec_hash = config_hash(spec)
     tag = build_tag()
     rows = []
+    # The relaxed solve depends on the fleet only through its classes, their
+    # shares and Gamma (N and delta_max are the spec's): one solve, kept as
+    # its bound and per-class tables, serves every grid point that shares them.
+    solved: dict[tuple, tuple[float, tuple]] = {}
     for kk in k_grid:
         for gamma in gamma_grid:
             network = build_network(spec, num_sensors=kk, gamma=gamma)
-            solution = solve_relaxed(network)
-            fleet = _fleet(network, names, mixed=solution.policies)
+            classes, counts, class_of = sensor_classes(network)
+            key = (classes, (counts / kk).tobytes(), network.gamma)
+            if key not in solved:
+                solution = solve_relaxed(network)
+                first = np.unique(class_of, return_index=True)[1]
+                solved[key] = solution.avg_cost, tuple(solution.policies[k] for k in first)
+            lower_bound, per_class = solved[key]
+            fleet = _fleet(network, names, mixed=tuple(per_class[c] for c in class_of))
             for name in names:
                 report = _simulate(spec, network, fleet[name])
-                rows.append(
-                    _report_row(spec_hash, tag, report, network, spec.seed, solution.avg_cost)
-                )
+                rows.append(_report_row(spec_hash, tag, report, network, spec.seed, lower_bound))
                 print(
                     f"K={kk} gamma={network.gamma:g} {name}: cost={report.cost_mean:.6f} "
-                    f"lower={solution.avg_cost:.6f}"
+                    f"lower={lower_bound:.6f}"
                 )
     out = Path(spec.out_dir)
     _append_rows(out / "sweep.csv", REPORT_COLUMNS, rows)

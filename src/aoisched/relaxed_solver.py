@@ -278,7 +278,7 @@ def _chain_pattern(model: SensorModel) -> tuple[np.ndarray, np.ndarray, np.ndarr
     (battery, age) states: the distinct (row, column) pairs in row, then
     column order, and the pair of each branch ``succ[x, a, e]``, flat. It
     depends on the table alone, so each model merges its branches once.
-    :func:`_mean_chain` gives a chain as its probability on each pair, and
+    :func:`_chain_probs` gives a chain as its probability on each pair, and
     :func:`_system_slots` places each pair's entry of the Poisson system."""
     n = model.succ.shape[0]
     keys, inverse = np.unique(np.arange(n)[:, None, None] * n + model.succ,
@@ -288,7 +288,7 @@ def _chain_pattern(model: SensorModel) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return rows, cols.astype(np.int32), inverse.ravel()
 
 
-@lru_cache(maxsize=256)  # multichain tables add a map per set of pivots
+@lru_cache(maxsize=None)  # multichain tables add a map per set of pivots
 def _system_slots(
     model: SensorModel, pivots: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -318,28 +318,19 @@ def _system_slots(
     return slots
 
 
-def _mean_chain(
-    model: SensorModel, w_cmd: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (battery, age) chain of a table with the request count averaged out.
+def _row_weights(model: SensorModel, w_cmd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (battery, age) chain of a table with the request count averaged
+    out, as row weights, and the right-hand side of its Poisson system.
 
     ``w_cmd`` is the command probability per full state. With w̄(x) its
     request-averaged value at (battery, age) index x, the chain is
-    diag(1 - w̄) Q_0 + diag(w̄) Q_1, returned as its probability on each pair
-    of the model's :func:`_chain_pattern`, the form :func:`_poisson` takes;
-    also returns the request-averaged slot cost and w̄, the per-state command
-    rate.
+    diag(1 - w̄) Q_0 + diag(w̄) Q_1: the weights are (1 - w̄(x), w̄(x)) per
+    state, which :func:`_chain_probs` turns into the chain. The right-hand
+    side is the request-averaged slot cost and w̄, the per-state command
+    rate, a column each, as :func:`_poisson` takes it.
     """
-    weights, cost = _row_weights(model, w_cmd)
-    return _chain_probs(model, weights), cost, weights[:, 1]
-
-
-def _row_weights(model: SensorModel, w_cmd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per (battery, age) state x, the weights (1 - w̄(x), w̄(x)) of the rows of
-    Q_0 and Q_1 in the chain of :func:`_mean_chain`, and the request-averaged
-    slot cost."""
     pmf = model.request_dist
-    w = w_cmd.reshape(pmf.size, -1)
+    w = np.asarray(w_cmd, dtype=np.float64).reshape(pmf.size, -1)
     w_bar = pmf @ w
     cost = pmf @ (w * model.cost_vector(1).reshape(w.shape)
                   + (1.0 - w) * model.cost_vector(0).reshape(w.shape))
@@ -347,7 +338,7 @@ def _row_weights(model: SensorModel, w_cmd: np.ndarray) -> tuple[np.ndarray, np.
     # instead of 0, and that edge would open a closed class; pmf @ (1 - w) is
     # exactly 0 there.
     idle = np.where(pmf @ (1.0 - w) > 0.0, 1.0 - w_bar, 0.0)
-    return np.stack([idle, w_bar], axis=1), cost
+    return np.stack([idle, w_bar], axis=1), np.column_stack([cost, w_bar])
 
 
 def _chain_probs(model: SensorModel, weights: np.ndarray) -> np.ndarray:
@@ -370,8 +361,8 @@ def _evaluate(
     factor. The reference state's successors do not depend on the request
     count or the action, so its gains, returned first as a
     :class:`ChainEvaluation`, are those of the full chain."""
-    probs, cost, rate = _mean_chain(model, np.asarray(command_prob, dtype=np.float64))
-    gains, x, factor = _poisson(probs, np.column_stack([cost, rate]), model)
+    weights, rhs = _row_weights(model, command_prob)
+    gains, x, factor = _poisson(_chain_probs(model, weights), rhs, model)
     ref = model.ref_index
     return ChainEvaluation(float(gains[ref, 0]), float(gains[ref, 1])), gains, x, factor
 
@@ -430,21 +421,14 @@ class _Anchor:
     """A table that a class solve evaluated exactly and factored, as the base
     of low-rank steps: its action bits as (requests, battery-age) bools, its
     solution with the gains in the pivot entry, its factor with the columns of
-    Z solved on it, and, once a step is based on it, its row weights and
-    right-hand side (:func:`_row_rhs`)."""
+    Z solved on it, and its row weights and right-hand side
+    (:func:`_row_weights`)."""
 
     actions: np.ndarray
     x: np.ndarray
     columns: _Columns
-    weights: np.ndarray | None = None
-    rhs: np.ndarray | None = None
-
-
-def _row_rhs(model: SensorModel, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A pure table's row weights (:func:`_row_weights`) and the right-hand
-    side of its Poisson system, the (cost, command rate) column per state."""
-    weights, cost = _row_weights(model, actions.astype(np.float64))
-    return weights, np.column_stack([cost, weights[:, 1]])
+    weights: np.ndarray
+    rhs: np.ndarray
 
 
 def _woodbury(model: SensorModel, anchor: _Anchor, rows: np.ndarray, weights: np.ndarray,
@@ -546,7 +530,8 @@ def solve_per_sensor(
             # so one row of them is kept.
             gains = np.broadcast_to(gains[ref].copy(), gains.shape)
             if anchor is None and not warm:
-                anchor = _Anchor(actions, x.copy(), _Columns(factor, n))
+                anchor = _Anchor(actions, x.copy(), _Columns(factor, n),
+                                 *_row_weights(model, actions))
                 anchor.x[ref] = gains[ref]
         for arr in (gains, x):
             arr.setflags(write=False)
@@ -588,9 +573,7 @@ def solve_per_sensor(
         rows = np.flatnonzero((actions != anchor.actions).any(axis=0))
         if not 0 < rows.size <= LOW_RANK_SHARE * n:
             return None
-        if anchor.rhs is None:
-            anchor.weights, anchor.rhs = _row_rhs(model, anchor.actions)
-        weights, rhs = _row_rhs(model, actions)
+        weights, rhs = _row_weights(model, actions)
         # A row that keeps every branch of the anchor's row only adds edges to
         # a chain whose one closed class every state reaches: the chain keeps
         # that class and gains no other, and needs no graph pass.
@@ -926,15 +909,18 @@ def _calibrate_eta(
     factorisation per mixed class.
 
     The fleet's mixed command rate rises with eta, from that of the ``upper``
-    tables at 0 to that of the ``lower`` tables at 1. The bracket keeps
-    rate(lo) <= Gamma <= rate(hi), so a rate continuous in eta meets
-    ``DEFAULT_ETA_TOL`` before the bracket collapses; a collapse raises
-    :class:`BracketError` with the best rate seen. A class whose mixture is
-    degenerate does not depend on eta: it keeps the evaluation of its pure
-    table. Every other class is evaluated exactly at the first step,
-    eta = 1/2, with one factorisation, and later steps take its rate from
-    :func:`_mixture_rate`'s low-rank update of that evaluation, or from an
-    exact :func:`evaluate_per_sensor` where the update does not apply. A step
+    tables at 0 to that of the ``lower`` tables at 1. :func:`solve_relaxed`
+    mixes only ends whose tie tests failed, so the first lies below
+    Gamma - ``DEFAULT_ETA_TOL`` and the second above Gamma + ``DEFAULT_ETA_TOL``.
+    The bracket keeps rate(lo) <= Gamma <= rate(hi), so a rate continuous in
+    eta meets ``DEFAULT_ETA_TOL`` before the bracket collapses; a collapse
+    raises :class:`BracketError` with the best rate seen. A class whose
+    mixture is degenerate does not depend on eta: it keeps the evaluation of
+    its pure table. Every other class is evaluated exactly at eta = 1/2, with
+    one factorisation, and each step takes its rate from
+    :func:`_mixture_rate`'s low-rank update of that evaluation (at eta = 1/2,
+    the evaluation's own rate), or from an exact :func:`evaluate_per_sensor`
+    where the update does not apply. A step
     whose fleet rate lies within ``ETA_GUARD`` of Gamma or of
     Gamma ± ``DEFAULT_ETA_TOL`` is decided on exact evaluations, so the steps
     are those of a bisection on exact rates. The returned eta is certified
@@ -946,13 +932,7 @@ def _calibrate_eta(
     """
     fixed = [lo.evaluation if MixedPolicy(lo.policy, up.policy, 1.0).degenerate else None
              for lo, up in zip(lower, upper)]
-    rate_at_one, rate_at_zero = (_fleet_average(weights, [s.evaluation for s in end])[1]
-                                 for end in (lower, upper))
-    if not (rate_at_zero - 1e-9 <= gamma <= rate_at_one + 1e-9):
-        raise BracketError(
-            f"budget {gamma:.6g} outside the mixing bracket "
-            f"[{rate_at_zero:.6g}, {rate_at_one:.6g}]"
-        )
+    rate_at_zero = _fleet_average(weights, [s.evaluation for s in upper])[1]
     exact: dict[tuple[int, float], ChainEvaluation] = {}  # (class, eta) -> evaluation
     low_rank: list[Callable[[float], float | None] | None] = []
     shapes = []  # (d, n) of each mixed class
@@ -990,7 +970,7 @@ def _calibrate_eta(
         best_rate = rate_at_zero
         while hi_eta - lo_eta >= 1e-15:
             mid = 0.5 * (lo_eta + hi_eta)
-            estimate = rate_at(mid, exactly or mid == 0.5)
+            estimate = rate_at(mid, exactly)
             near = min(abs(estimate - edge) for edge in edges) <= ETA_GUARD
             rate = rate_at(mid, True) if near else estimate
             if abs(rate - gamma) <= DEFAULT_ETA_TOL:

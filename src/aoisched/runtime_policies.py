@@ -97,13 +97,13 @@ class RelaxedFleetPolicy:
     upper tables differ: there it draws one uniform from its episode's mixture
     stream and follows the upper table unless the draw is below eta.
     ``budget=None`` runs the pure relaxed policy (the lower-bound mode, which
-    may exceed the per-slot budget); otherwise overflowing proposal sets are
-    down-selected uniformly using the episode's truncation stream.
+    may exceed the per-slot budget), named ``relaxed``; otherwise overflowing
+    proposal sets are down-selected uniformly using the episode's truncation
+    stream, and the policy is ``rtt``.
     """
 
-    def __init__(self, lower: np.ndarray, upper: np.ndarray, eta: float, budget: int | None,
-                 name: str):
-        self.name = name
+    def __init__(self, lower: np.ndarray, upper: np.ndarray, eta: float, budget: int | None):
+        self.name = "relaxed" if budget is None else "rtt"
         self.budget = budget
         self._lower = lower
         self._upper = upper
@@ -195,7 +195,6 @@ def build_relaxed_fleet_policy(
         upper=table([p.upper.actions for p in per_class]),
         eta=per_class[0].eta,
         budget=network.budget if truncate_to_budget else None,
-        name="rtt" if truncate_to_budget else "relaxed",
     )
 
 

@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import aoisched
-from aoisched import PolicyFileError
+from aoisched import PolicyFileError, cli, solve_relaxed
 from aoisched.cli import (
     ExperimentSpec,
     build_network,
@@ -334,6 +335,26 @@ def test_sweep(tmp_path):
     assert code == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 3  # header + 2 grid points x 3 policies
+
+
+def test_sweep_solves_once_per_relaxed_problem(tmp_path):
+    # One sensor class at every K: the grid points of one Gamma share a
+    # relaxed problem, and each row's bound is that of its own grid point's
+    # solve.
+    text = (SMALL_FLEET.replace("rtt,greedy,relaxed", "relaxed")
+            + "sweep_K = 10,20\nsweep_gamma = 0.1,0.2\n")
+    cfg = _write_config(tmp_path, text)
+    out = tmp_path / "run"
+    with mock.patch.object(cli, "solve_relaxed", wraps=cli.solve_relaxed) as solve:
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert solve.call_count == 2
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 4
+    spec = parse_spec(text)
+    for row in rows:
+        record = dict(zip(header.split(","), row.split(",")))
+        network = build_network(spec, num_sensors=int(record["K"]), gamma=float(record["gamma"]))
+        assert record["lower_bound"] == format(solve_relaxed(network).avg_cost, ".12g")
 
 
 def test_module_entry_point(tmp_path):

@@ -75,7 +75,8 @@ def test_mean_chain_is_canonical_reference_chain(rate, capacity, probs, delta_ma
     sensor = SensorParams(rate, capacity, tuple(probs))
     model = sensor_model(sensor, delta_max)
     w_cmd = _command_probs(data, model.num_states)
-    values, _, w_bar = relaxed_solver._mean_chain(model, w_cmd)
+    weights, rhs = relaxed_solver._row_weights(model, w_cmd)
+    values, w_bar = relaxed_solver._chain_probs(model, weights), rhs[:, 1]
     rows, cols, _ = relaxed_solver._chain_pattern(model)
     n = model.succ.shape[0]
     assert (np.diff(rows * n + cols) > 0).all()
@@ -116,8 +117,8 @@ def test_poisson_matches_coo_reference(rate, capacity, probs, delta_max, data):
     # battery level closed where it does not command).
     sensor = SensorParams(rate, capacity, tuple(probs))
     model = sensor_model(sensor, delta_max)
-    values, cost, w_bar = relaxed_solver._mean_chain(model, _command_probs(data, model.num_states))
-    rhs = np.column_stack([cost, w_bar])
+    weights, rhs = relaxed_solver._row_weights(model, _command_probs(data, model.num_states))
+    values = relaxed_solver._chain_probs(model, weights)
     rows, cols, _ = relaxed_solver._chain_pattern(model)
     nonzero = values != 0.0
     chain = (rows[nonzero], cols[nonzero], values[nonzero])
@@ -675,6 +676,41 @@ def test_rate_jump_at_eta_one_raises_bracket_error(share):
         solve_relaxed(net)
 
 
+def _assert_calibration_brackets(net):
+    """Solve ``net`` and check that every calibration it makes mixes upper
+    and lower tables whose fleet command rates lie below and above Gamma by
+    more than ``DEFAULT_ETA_TOL``."""
+    brackets = []
+    calibrate = relaxed_solver._calibrate_eta
+
+    def recording(classes, delta_max, lower, upper, weights, gamma):
+        brackets.append([relaxed_solver._fleet_average(weights, [s.evaluation for s in end])[1]
+                         for end in (upper, lower)] + [gamma])
+        return calibrate(classes, delta_max, lower, upper, weights, gamma)
+
+    with mock.patch.object(relaxed_solver, "_calibrate_eta", recording):
+        solution = solve_relaxed(net)
+    # Unmixed ends come back with eta = 1; a calibrated eta lies in (0, 1).
+    assert len(brackets) == (solution.eta < 1.0)
+    tol = relaxed_solver.DEFAULT_ETA_TOL
+    for rate_upper, rate_lower, gamma in brackets:
+        assert rate_upper < gamma - tol and rate_lower > gamma + tol
+
+
+@pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in BENCH_SOLVES.items()]
+                         + [pytest.param(p.values[0], id=p.id) for p in EDGE_INSTANCES])
+def test_calibration_is_called_with_ends_beyond_the_tie_tolerance(net):
+    # solve_relaxed mixes only ends whose tie tests failed, so Gamma lies
+    # strictly inside the mixing bracket and the calibration does not check it.
+    _assert_calibration_brackets(net)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_networks())
+def test_calibration_brackets_of_small_networks(net):
+    _assert_calibration_brackets(net)
+
+
 PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
 
 
@@ -991,6 +1027,18 @@ def test_warm_starts_serve_more_than_64_classes():
     with _counted_splu() as factored:
         _cold_solve(SIXTY_FIVE_CLASSES)
     assert len(factored) <= 1334
+
+
+# 260 single-sensor classes at delta_max 3: more than the 256 slot maps a
+# capped cache held, which then built its maps 4,940 times.
+MANY_SLOT_MAPS = NetworkConfig(260, 1, 26, 3, tuple(
+    SensorParams(0.05 + 0.9 * i / 260, 1, (0.6,)) for i in range(260)))
+
+
+def test_slot_maps_are_built_once_per_model():
+    _cold_solve(MANY_SLOT_MAPS)
+    info = relaxed_solver._system_slots.cache_info()
+    assert info.misses == info.currsize >= 260
 
 
 def test_a_solve_leaves_no_state_for_the_next():
