@@ -66,14 +66,6 @@ class JointPolicy:
         acts.setflags(write=False)
         object.__setattr__(self, "actions", acts)
 
-    @property
-    def num_states(self) -> int:
-        return self.actions.shape[0]
-
-    @property
-    def num_sensors(self) -> int:
-        return self.actions.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class RviaResult:

@@ -172,10 +172,9 @@ class SensorModel:
     def __init__(self, sensor: SensorParams, delta_max: int):
         if delta_max < 2:
             raise ValueError("delta_max must be >= 2")
-        self.sensor = sensor
-        self.delta_max = int(delta_max)
+        delta_max = int(delta_max)
         capacity, rate = sensor.battery_capacity, sensor.harvest_rate
-        shape = (sensor.num_users + 1, capacity + 1, self.delta_max)
+        shape = (sensor.num_users + 1, capacity + 1, delta_max)
         self.num_states = math.prod(shape)
         self.requests_of, self.battery_of, age0 = np.unravel_index(
             np.arange(self.num_states), shape
@@ -191,9 +190,8 @@ class SensorModel:
         next_ages = []
         for a in (0, 1):
             for e in (0, 1):
-                _, next_battery, next_age = slot_step(battery, age, a, e, capacity, self.delta_max)
-                self.succ[:, a, e] = state_index(0, next_battery, next_age, capacity,
-                                                 self.delta_max)
+                _, next_battery, next_age = slot_step(battery, age, a, e, capacity, delta_max)
+                self.succ[:, a, e] = state_index(0, next_battery, next_age, capacity, delta_max)
             next_ages.append(next_age)  # the age does not depend on the branch
         merged = self.succ[:, :, 1] == self.succ[:, :, 0]
         self.succ_prob = np.stack(

@@ -24,13 +24,13 @@ written through a slot map built once per model and set of gain columns
 only place that needs scipy. Multichain Howard policy iteration never
 revisits a table within one solve, and a chain depends on its table, not on
 the price: for the length of one :func:`solve_relaxed` call, each sensor
-class keeps the exact evaluations of the tables its solves ended at, so a
-warm start at the next price reuses its start table's evaluation instead of
-factoring it again. Nothing of a solve outlives it: a second solve of a
-network makes the calls of the first. The gain
-and bias Q-values of the full states follow from one ``SensorModel.expect``
-per action; :func:`evaluate_per_sensor` calls :func:`_evaluate` on any pure
-or mixed table.
+class keeps the exact evaluations of the tables its solves ended at, and a
+solve at a new price starts from the nearer bracket end's final table,
+whose evaluation it reuses instead of factoring it again. Nothing of a
+solve outlives it: a second solve of a network makes the calls of the
+first. The gain and bias Q-values of the full states follow from one
+``SensorModel.expect`` per action; :func:`evaluate_per_sensor` calls
+:func:`_evaluate` on any pure or mixed table.
 
 A long class solve from a new start table, such as the myopic one, factors
 few of its tables: once it has factored two, a step whose table differs from
@@ -623,17 +623,16 @@ def solve_per_sensor(
         counts["d"] = max(counts["d"], rows.size)
         return step, switch, tied
 
-    iterations, warm = 0, None
+    # Low-rank steps serve long solves whose start table is new, once they
+    # have factored a second table. A warm start, from a kept table (a
+    # neighbouring price's optimum), moves hundreds of columns per step or
+    # converges within a step or two, where a low-rank evaluation of the
+    # converged table would be wasted.
+    warm = actions.tobytes() in kept
+    iterations = 0
     while True:
         iterations += 1
         result = kept.get(actions.tobytes())
-        # Low-rank steps serve long solves whose start table is new, once they
-        # have factored a second table. A warm start, from a kept table
-        # (a neighbouring price's optimum), moves hundreds of columns
-        # per step or converges within a step or two, where a low-rank
-        # evaluation of the converged table would be wasted.
-        if warm is None:
-            warm = result is not None
         decided = (low_rank_step(actions) if result is None and anchor is not None
                    and counts["factored"] >= 2 else None)
         if decided is None:
@@ -747,25 +746,25 @@ def solve_relaxed(config: NetworkConfig) -> RelaxedSolution:
     within that is returned unmixed, and ``mu_star`` is its price.
 
     Each class solve starts from its class's final table at the nearest
-    price solved so far in this call (the table does not depend on the
-    start) and shares its class's store of final-table evaluations
-    (:func:`solve_per_sensor`'s ``kept``); both live for this call only.
+    price solved so far: price 0 for the upper bound, and for a breakpoint
+    the nearer bracket end, the lower one on a tie (the table does not
+    depend on the start). Its class's store of final-table evaluations
+    (:func:`solve_per_sensor`'s ``kept``) lives for this call only.
     """
     classes, counts, class_of = sensor_classes(config)
     gamma = config.gamma
     weights = counts / config.num_sensors
 
     evaluations: list[tuple[float, float, float]] = []
-    solved: list[list[PerSensorSolve]] = [[] for _ in classes]  # each class's solves so far
     kept: list[dict] = [{} for _ in classes]  # each class's final-table evaluations
 
-    def fleet(mu: float) -> tuple[float, float, list[PerSensorSolve]]:
-        """The fleet's per-sensor (cost, command rate) at price mu, and its class solves."""
-        for s, done, store in zip(classes, solved, kept):
-            nearest = min(done, key=lambda solve: abs(solve.policy.mu - mu), default=None)
-            start = None if nearest is None else nearest.policy.actions
-            done.append(solve_per_sensor(s, config.delta_max, mu, start, store))
-        results = [done[-1] for done in solved]
+    def fleet(mu: float,
+              near: list[PerSensorSolve] | None) -> tuple[float, float, list[PerSensorSolve]]:
+        """The fleet's per-sensor (cost, command rate) at price mu, and its
+        class solves, each started from its class's final table in ``near``."""
+        starts = [None] * len(classes) if near is None else [s.policy.actions for s in near]
+        results = [solve_per_sensor(s, config.delta_max, mu, start, store)
+                   for s, start, store in zip(classes, starts, kept)]
         cost, rate = _fleet_average(weights, [s.evaluation for s in results])
         mean_lagr = float(sum(w * s.avg_lagrangian for w, s in zip(weights, results)))
         mean_lagr /= config.num_users
@@ -777,12 +776,12 @@ def solve_relaxed(config: NetworkConfig) -> RelaxedSolution:
     # it. ``ends`` holds the (lower, upper) tables returned; one end's tables
     # twice when the budget is slack or that end's rate ties Gamma (eta = 1).
     mu_lo = mu_hi = mu_star = 0.0
-    cost_lo, rate_lo, lower = fleet(mu_lo)
+    cost_lo, rate_lo, lower = fleet(mu_lo, None)
     upper, ends = lower, (lower, lower)
     active = rate_lo > gamma
     if active:
         mu_hi = _mu_upper_bound(config)
-        cost_hi, rate_hi, upper = fleet(mu_hi)
+        cost_hi, rate_hi, upper = fleet(mu_hi, lower)
         if rate_hi > gamma:
             raise BracketError(
                 f"command rate {rate_hi:.6g} at the price upper bound still exceeds "
@@ -802,7 +801,8 @@ def solve_relaxed(config: NetworkConfig) -> RelaxedSolution:
                 # Both ends tie at a bracket end, up to round-off.
                 mu_star = min(max(mu_star, mu_lo), mu_hi)
                 break
-            cost_b, rate_b, results_b = fleet(mu_star)
+            near = lower if mu_star - mu_lo <= mu_hi - mu_star else upper
+            cost_b, rate_b, results_b = fleet(mu_star, near)
             if rate_b > rate_lo + 1e-9 or rate_b < rate_hi - 1e-9:
                 raise BracketError(
                     f"command rate not monotone across the bracket: "

@@ -1,7 +1,9 @@
 """CLI tests: config round-trip, subcommand flows, and output determinism."""
 
+import dataclasses
 import filecmp
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +109,19 @@ def test_spec_requires_exactly_one_budget_form():
         parse_spec("K = 2\nN = 1\nM = 1\ngamma = 0.5\ndelta_max = 3\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("K = 2\nN = 1\nM = 1\ndelta_max 3\n", "line 4: expected 'key = value'"),
+    ("K = 2\nN = 1\n# a comment\nK = 3\nM = 1\ndelta_max = 3\n",
+     "line 4: duplicate key 'K'"),
+    ("K = 2\nM = 1\n", "config must set K, N, and delta_max (missing ['delta_max', 'num_users'])"),
+    ("K = 2\nN = 1\nM = 1\ndelta_max = 3\npolicies = rtt,optimal\n",
+     "unknown policy 'optimal'; choose from"),
+])
+def test_spec_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        parse_spec(text)
+
+
 def test_spec_rejects_unknown_keys():
     # solver tolerances are fixed constants, the price search has no width
     # to set, and the solve runs in one thread
@@ -182,6 +197,23 @@ def test_simulate_reports_a_crlf_policy_file_without_traceback(tmp_path, capsys)
                  "--policy", "relaxed", "--relaxed-policy", str(policy_file)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
+def test_simulate_writes_the_running_cost_trace(tmp_path):
+    cfg = _write_config(tmp_path, TINY_CONFIG + "trace_points = 4\n")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--policy", "greedy"]) == 0
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    assert header == cli.TRACE_COLUMNS
+    spec = parse_spec(cfg.read_text())
+    fields = [row.split(",") for row in rows]
+    assert [f[:3] for f in fields] == [[config_hash(spec), cli.build_tag(), "greedy"]] * 4
+    # Evenly spaced slots from the first to the horizon, each with its running cost.
+    assert [int(f[3]) for f in fields] == [1, 667, 1333, 2000]
+    assert all(float(f[4]) >= 0.0 for f in fields)
+    results = (out / "results.csv").read_text().splitlines()
+    cost = float(dict(zip(results[0].split(","), results[1].split(",")))["cost_mean"])
+    assert float(fields[-1][4]) == pytest.approx(cost, rel=1e-9)
 
 
 def test_simulate_greedy_needs_no_policy_file(tmp_path):
@@ -290,6 +322,25 @@ def test_analyze_simulates_each_policy_once(tmp_path, monkeypatch, capsys, text)
     assert "truncation-gap-bound" in printed
 
 
+def test_analyze_reports_an_inactive_budget_and_exits_2_on_a_failed_check(
+        tmp_path, monkeypatch, capsys):
+    # A budget of the whole fleet leaves nothing to calibrate.
+    cfg = _write_config(tmp_path, SMALL_FLEET.replace("gamma = 0.1", "gamma = 1.0"))
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    printed = capsys.readouterr().out
+    assert "INFO budget-calibration constraint inactive, nothing to calibrate\n" in printed
+    assert "FAIL" not in printed
+    # One failed check, forced, makes the exit code 2; the other checks still print.
+    check = cli.check_gap_bound
+    monkeypatch.setattr(cli, "check_gap_bound",
+                        lambda *args: dataclasses.replace(check(*args), holds=False))
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+    printed = capsys.readouterr().out
+    assert [line.split()[1] for line in printed.splitlines() if line.startswith("FAIL")] == [
+        "truncation-gap-bound"]
+    assert "INFO proposal-mad-scaling" in printed
+
+
 def test_analyze_paper_scale_skips_the_exact_solve(tmp_path, capsys):
     # fig2a's 2**440 joint states wrapped to 0 in an int64 product, so the
     # exact solve ran and failed; the exact count skips it.
@@ -325,6 +376,19 @@ def test_region_map(tmp_path, capsys):
     grid_rows = [line for line in body if not line.startswith(("#", "battery"))]
     # nobody asked: never commanded, whole slice is zero
     assert all(set(row.split(",")[1:]) == {"0"} for row in grid_rows)
+
+
+@pytest.mark.parametrize("sensor", ["10", "-1"])
+def test_region_map_rejects_a_sensor_outside_the_fleet(tmp_path, capsys, sensor):
+    cfg = _write_config(tmp_path, SMALL_FLEET)
+    out = tmp_path / "run"
+    assert main(["solve-relaxed", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["region-map", "--config", str(cfg), "--out", str(out),
+                 "--policy-file", str(out / "relaxed_policy.csv"), "--sensor", sensor])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: sensor index {sensor} outside the fleet\n"
+    assert not list(out.glob("region_*"))
 
 
 def test_sweep(tmp_path):

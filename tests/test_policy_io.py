@@ -183,6 +183,23 @@ def test_mixed_policy_rejects_v1_file(tmp_path):
         load_mixed_policies(path, net)
 
 
+def test_policy_files_reject_other_column_headers(tmp_path):
+    # A mixed file with its action columns swapped or a joint file's header,
+    # and a joint file with its action columns swapped.
+    net, path = _saved_mixed(tmp_path)
+    text = path.read_text()
+    for columns in ("class,state_index,action_upper,action_lower", "state_index,action_0,action_1"):
+        path.write_text(text.replace(policy_io.MIXED_COLUMNS, columns, 1))
+        expected = f"expected columns '{policy_io.MIXED_COLUMNS}', found '{columns}'"
+        with pytest.raises(PolicyFileError, match=re.escape(expected)):
+            load_mixed_policies(path, net)
+    net, path = _saved_joint(tmp_path)
+    header = policy_io._joint_columns(2)
+    path.write_text(path.read_text().replace(header, "state_index,action_1,action_0", 1))
+    with pytest.raises(PolicyFileError, match=re.escape(f"expected columns '{header}'")):
+        load_joint_policy(path, net)
+
+
 def test_mixed_policy_rejects_truncated_file(tmp_path):
     net, path = _saved_mixed(tmp_path)
     lines = path.read_text().splitlines()

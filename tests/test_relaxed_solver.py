@@ -1,12 +1,14 @@
 """Per-sensor solver, exact evaluator, price bisection, and mixing tests."""
 
 import logging
-from contextlib import contextmanager
+import math
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 from scipy.sparse.linalg import splu
 from hypothesis import assume, given, settings
@@ -1162,3 +1164,126 @@ def test_multichain_low_rank_candidate_takes_the_exact_path(caplog):
             np.testing.assert_array_equal(got, expected)
     with mock.patch.object(relaxed_solver, "LOW_RANK_SHARE", 0.0):
         assert _solve_record(solve_per_sensor(sensor, delta_max, 0.0, start)) == _solve_record(solve)
+
+
+def _assert_warm_starts_from_nearer_bracket_end(net):
+    """Solve ``net`` and check that each class solve at the price upper bound
+    starts from its class's final table at price 0, and each at a breakpoint
+    from its class's final table at the nearer bracket end (the lower one on a
+    tie), which is the nearest price solved before it."""
+    with _recorded_class_solves() as solves:
+        solution = solve_relaxed(net)
+    classes = sensor_classes(net)[0]
+    prices = [mu for mu, _, _ in solution.lagrange.evaluations]
+    assert [(s, mu) for s, mu, *_ in solves] == [(c, mu) for mu in prices for c in classes]
+    by_price = [solves[i:i + len(classes)] for i in range(0, len(solves), len(classes))]
+    assert all(start is None for _, _, start, *_ in by_price[0])
+    lo = hi = prices[0]
+    for i, (mu, rate, _) in enumerate(solution.lagrange.evaluations[1:], 1):
+        near = lo if i == 1 or mu - lo <= hi - mu else hi
+        assert abs(mu - near) == min(abs(mu - p) for p in prices[:i])
+        for (_, _, start, _, _, _), (*_, end) in zip(by_price[i], by_price[prices.index(near)]):
+            np.testing.assert_array_equal(start, end.policy.actions)
+        if i == 1 or rate < net.gamma:
+            hi = mu
+        else:
+            lo = mu
+
+
+@pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in BENCH_SOLVES.items()])
+def test_bench_solves_warm_start_from_the_nearer_bracket_end(net):
+    _assert_warm_starts_from_nearer_bracket_end(net)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_networks())
+def test_small_networks_warm_start_from_the_nearer_bracket_end(net):
+    _assert_warm_starts_from_nearer_bracket_end(net)
+
+
+BIGBATTERY = SensorParams(0.9, 63, (0.6,) * 3)  # the bigbattery-k800 class, at delta_max 8
+WOODBURY, DGETRF = relaxed_solver._woodbury, scipy.linalg.lapack.dgetrf
+
+
+def _perturbed_woodbury(model, anchor, rows, weights, rhs):
+    """``_woodbury`` with its solution moved by 1e-6 of its largest entry."""
+    update = WOODBURY(model, anchor, rows, weights, rhs)
+    if update is None:
+        return None
+    x, solve = update
+    return x + 1e-6 * np.abs(x).max(), solve
+
+
+def _singular_dgetrf(matrix, *args, **kwargs):
+    """LAPACK's ``dgetrf`` reporting every matrix singular (info = 1)."""
+    lu, pivots, _ = DGETRF(matrix, *args, **kwargs)
+    return lu, pivots, 1
+
+
+@pytest.mark.parametrize("patches, guard", [
+    # The margin guard doubts every decision, each of the 26 that it passes
+    # by default included.
+    pytest.param([(relaxed_solver, "STEP_GUARD", math.inf)], 26, id="margin-guard"),
+    # Each update misses the backward error; a zero guard leaves the
+    # residual check alone to catch it.
+    pytest.param([(relaxed_solver, "_woodbury", _perturbed_woodbury),
+                  (relaxed_solver, "STEP_GUARD", 0.0)], 26, id="residual"),
+    # I + G Z reads as singular, the converged table's candidate included.
+    pytest.param([(scipy.linalg.lapack, "dgetrf", _singular_dgetrf)], 27, id="singular-update"),
+])
+def test_low_rank_guard_exits_leave_the_class_solve_exact(caplog, patches, guard):
+    # Each guard exit sends its step to an exact evaluation: every step
+    # factors, none is low-rank, and the solve is the all-exact one, bit for bit.
+    with ExitStack() as stack:
+        for target, name, value in patches:
+            stack.enter_context(mock.patch.object(target, name, value))
+        stack.enter_context(caplog.at_level(logging.DEBUG, logger=relaxed_solver.__name__))
+        solve = solve_per_sensor(BIGBATTERY, 8, 0.0)
+    [(_, steps, factored, low_rank, fallbacks, _, _)] = _policy_iteration_records(caplog)
+    assert (steps, factored, low_rank, fallbacks) == (30, 30, 0, guard)
+    with mock.patch.object(relaxed_solver, "LOW_RANK_SHARE", 0.0):
+        assert _solve_record(solve) == _solve_record(solve_per_sensor(BIGBATTERY, 8, 0.0))
+
+
+def _eta_records(caplog):
+    """The (pass, low-rank class rates, exact class evaluations, low-rank gap)
+    of each calibration debug line."""
+    return [(which, low_rank, exact, gap) for _, which, low_rank, exact, _, gap in
+            (r.args for r in caplog.records if r.getMessage().startswith("eta"))]
+
+
+@pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in BENCH_SOLVES.items()])
+def test_singular_low_rank_rates_fall_back_to_exact_evaluations(caplog, net):
+    # Every d x d solve of the calibration fails: each step takes its class
+    # rates from exact evaluations, and eta, the bound and the rate are the
+    # exact bisection's, bit for bit.
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with (mock.patch.object(np.linalg, "solve", singular),
+          caplog.at_level(logging.DEBUG, logger=relaxed_solver.__name__)):
+        got = _calibrated(_cold_solve, net)
+    [(which, low_rank, exact, gap)] = _eta_records(caplog)
+    assert got == _calibrated(_exact_bisection(_cold_solve), net)
+    assert (which, low_rank, gap) == ("low-rank", 0, 0.0) and exact > 1
+
+
+@pytest.mark.parametrize("net", [pytest.param(net, id=name) for name, net in BENCH_SOLVES.items()])
+def test_low_rank_rate_off_by_more_than_the_guard_reruns_the_bisection_exactly(caplog, net):
+    # Every low-rank rate lies 10 ETA_GUARD above the exact one: the
+    # certified eta's exact rate misses it by more than ETA_GUARD, so the
+    # bisection runs again on exact rates and returns the exact bisection's
+    # eta, bound and rate.
+    mixture_rate = relaxed_solver._mixture_rate
+
+    def shifted(model, lower, upper):
+        half, rate_at, d = mixture_rate(model, lower, upper)
+        return half, (lambda eta: rate_at(eta) + 10 * relaxed_solver.ETA_GUARD), d
+
+    with (mock.patch.object(relaxed_solver, "_mixture_rate", shifted),
+          caplog.at_level(logging.DEBUG, logger=relaxed_solver.__name__)):
+        got = _calibrated(_cold_solve, net)
+    [(first, _, _, gap), (second, _, _, exact_gap)] = _eta_records(caplog)
+    assert got == _calibrated(_exact_bisection(_cold_solve), net)
+    assert (first, second, exact_gap) == ("low-rank", "exact", 0.0)
+    assert gap > relaxed_solver.ETA_GUARD

@@ -9,10 +9,12 @@ from oracles import PerSensorState, greedy_decide, truncate_reference
 
 from aoisched import (
     GreedyFleetPolicy,
+    JointPolicy,
     MixedPolicy,
     NetworkConfig,
     PolicyTable,
     SensorParams,
+    build_exact_fleet_policy,
     build_relaxed_fleet_policy,
     run_episode,
     run_experiment,
@@ -292,3 +294,27 @@ def test_truncated_fleet_respects_budget_and_subset():
     )
     # the engine asserts the per-slot budget internally; rates stay under gamma
     assert report.rate_mean <= net.gamma + 1e-12
+
+
+def test_relaxed_fleet_builder_rejects_tables_that_do_not_fit_the_network():
+    net = NetworkConfig(2, 1, 1, 2, (TINY1, TINY1))
+    table = PolicyTable(np.zeros(sensor_model(TINY1, 2).num_states, dtype=np.int8), mu=0.0)
+    mixed = MixedPolicy(table, table, eta=0.5)
+    with pytest.raises(ValueError, match="^need one mixed policy per sensor$"):
+        build_relaxed_fleet_policy(net, (mixed,), truncate_to_budget=True)
+    with pytest.raises(ValueError, match="^fleet mixing factor must be shared across sensors$"):
+        build_relaxed_fleet_policy(net, (mixed, MixedPolicy(table, table, eta=0.25)), True)
+    short = PolicyTable(np.zeros(table.num_states - 1, dtype=np.int8), mu=0.0)
+    with pytest.raises(ValueError, match="^mixed policy table size does not match the sensor$"):
+        build_relaxed_fleet_policy(net, (MixedPolicy(short, short, eta=0.5),) * 2, True)
+
+
+def test_exact_fleet_builder_rejects_a_joint_table_of_another_network():
+    net = NetworkConfig(2, 1, 1, 2, (TINY1, TINY1))
+    sizes = (sensor_model(TINY1, 2).num_states,) * 2
+    joint = JointPolicy(np.zeros((sizes[0] ** 2, 2), dtype=np.int8), budget=1, state_sizes=sizes)
+    build_exact_fleet_policy(net, joint)
+    for other in (NetworkConfig(2, 1, 2, 2, (TINY1, TINY1)),  # another budget
+                  NetworkConfig(2, 1, 1, 3, (TINY1, TINY1))):  # another state space
+        with pytest.raises(ValueError, match="^joint policy table does not match the network$"):
+            build_exact_fleet_policy(other, joint)
