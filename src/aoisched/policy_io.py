@@ -5,11 +5,14 @@ fingerprint (so a policy cannot silently be replayed on a different
 instance), solve metadata, and the column names. The body is integers only:
 row-index columns followed by 0/1 action columns, with the bytes
 ``np.savetxt(fmt="%d", delimiter=",")`` would give. Both bodies are laid out
-as bytes from a table of the row indices' digits (:func:`_index_digits`): the
-joint body in chunks of ``_CHUNK_ROWS`` rows, its row i being i's digits and
-then ``,a`` per sensor; the mixed body one sensor class at a time, its row
-(c, i) being ``f"{c},"``, state i's digits and the two action bits. Floats in
-the metadata round-trip through repr.
+as bytes from a table of the row indices' digits (:func:`_index_digits`). The
+joint body comes in chunks of ``_CHUNK_ROWS`` rows, its row i being i's digits
+and then ``,a`` per sensor. The mixed body, its row (c, i) being ``f"{c},"``,
+state i's digits and the two action bits, has one all-zero layout
+(:func:`_mixed_layout`) that the writer and the reader share: each distinct
+row shape is laid out once and copied per class, and the layout gives the
+offset of every row's action bits, where the writer adds the bits and the
+reader takes them. Floats in the metadata round-trip through repr.
 
 The writer alone defines the format: the reader accepts only the bytes the
 writer gives for the network, with each action byte ``0`` or ``1``.
@@ -70,12 +73,21 @@ def _joint_columns(num_sensors: int) -> str:
 def _index_digits(start: int, stop: int, width: int) -> np.ndarray:
     """The decimal digits of the indices ``start`` to ``stop`` - 1 as character
     codes, one row of ``width`` each, most significant digit first; zeros pad
-    the shorter indices, to be dropped. The table stays int64, as numpy
-    computes it: with a uint8 copy the mixed writer frees other block sizes,
-    and simulations run after a hand-off faulted in more fresh pages."""
-    place = 10 ** np.arange(width)[::-1]
-    index = np.arange(start, stop)[:, None]
-    return np.where((index < place) & (place > 1), 0, ord("0") + index // place % 10)
+    the shorter indices, to be dropped. The joint body takes one table per
+    chunk; the mixed layout takes one for its largest class, and every row
+    shape slices it. The table stays int64: with a uint8 copy the mixed
+    writer freed other block sizes, and simulations run after a hand-off
+    faulted in more fresh pages."""
+    index = np.arange(start, stop)
+    digits = np.empty((width, index.size), dtype=np.int64)  # one place per row
+    for k, row in enumerate(digits):
+        place = 10 ** (width - 1 - k)
+        np.floor_divide(index, place, out=row)
+        row %= 10
+        row += ord("0")
+        if place > 1:
+            row[index < place] = 0
+    return digits.T
 
 
 def _joint_rows(actions: np.ndarray) -> Iterator[bytes]:
@@ -95,31 +107,46 @@ def _joint_rows(actions: np.ndarray) -> Iterator[bytes]:
         yield text[text != 0].tobytes()
 
 
-def _mixed_rows(per_class: Sequence[tuple[np.ndarray, np.ndarray]]) -> Iterator[bytes]:
-    """The mixed body of per-class (lower, upper) int8 bits, one text per class.
+def _mixed_layout(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The mixed body of classes of ``sizes`` states with every bit 0, as a
+    uint8 array, and the offset of each row's lower bit; the upper bit is 2
+    bytes later.
 
-    Row (c, i) is ``f"{c},"``, state i's index from a digit table shared by
-    the classes, ``",lower,upper"`` and a newline. Each row is laid out in
-    one fixed-width row of bytes, with no object per row; zero bytes pad the
-    shorter indices and are dropped.
+    Row (c, i) is ``f"{c},"``, state i's digits, ``",lower,upper"`` and a
+    newline. Each distinct (class size, class-number width) shape is laid out
+    once from one digit table, with the padding zeros dropped; each class
+    copies its shape and writes its number at the row starts.
     """
-    n = max(lower.size for lower, _ in per_class)
-    digits = _index_digits(0, n, len(str(n - 1)))
-    for c, (lower, upper) in enumerate(per_class):
-        lead = f"{c},".encode()
-        rows = np.zeros((lower.size, len(lead) + digits.shape[1] + 5), dtype=np.uint8)
-        rows[:, :len(lead)] = np.frombuffer(lead, dtype=np.uint8)
-        rows[:, len(lead):-5] = digits[:lower.size]
-        rows[:, -5:] = np.frombuffer(b",0,0\n", dtype=np.uint8)
-        rows[:, -4] += lower.view(np.uint8)
-        rows[:, -2] += upper.view(np.uint8)
-        text = rows.ravel()
-        yield text[text != 0].tobytes()
+    digits = _index_digits(0, max(sizes), len(str(max(sizes) - 1)))
+    shapes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    texts, lowers, at = [], [], 0
+    for c, n in enumerate(sizes):
+        lead = str(c).encode()
+        if (n, len(lead)) not in shapes:
+            rows = np.zeros((n, len(lead) + digits.shape[1] + 6), dtype=np.uint8)
+            rows[:, :len(lead)] = ord("0")  # the class number's places
+            rows[:, len(lead)] = ord(",")
+            rows[:, len(lead) + 1:-5] = digits[:n]
+            rows[:, -5:] = np.frombuffer(b",0,0\n", dtype=np.uint8)
+            text = rows.ravel()[rows.ravel() != 0]
+            ends = np.flatnonzero(text == ord("\n"))
+            shapes[n, len(lead)] = text, np.append(0, ends[:-1] + 1), ends - 3
+        shape, starts, lower = shapes[n, len(lead)]
+        # A copy per class and one concatenate: with the classes written into
+        # one preallocated body, simulations run after a hand-off faulted in
+        # about 2 MB of fresh pages per bench round (glibc trimmed the heap).
+        text = shape.copy()
+        for j, code in enumerate(lead):
+            text[starts + j] = code
+        texts.append(text)
+        lowers.append(lower + at)
+        at += text.size
+    return np.concatenate(texts), np.concatenate(lowers)
 
 
 def _write(
     path: str | Path, tag: str, config: NetworkConfig, meta: str, columns: str,
-    body: Iterable[bytes],
+    body: Iterable[bytes | np.ndarray],
 ) -> None:
     """Write the four header lines, then the bytes of ``body``."""
     with open(path, "wb") as fh:
@@ -128,14 +155,16 @@ def _write(
 
 
 def _read(
-    path: str | Path, tag: str, config: NetworkConfig, columns: str, blank: bytes, bits: int
+    path: str | Path, tag: str, config: NetworkConfig, columns: str, blank: np.ndarray,
+    first: np.ndarray, bits: int,
 ) -> tuple[np.ndarray, dict[str, str]]:
     """The 0/1 action columns and the header metadata of a policy file.
 
     Only the writer's bytes are accepted: the body must equal ``blank``, the
-    writer's body for this network with every bit 0, except that the last
-    ``bits`` one-byte fields of each row may each be ``0`` or ``1``. The file
-    is read as bytes, so CRLF line ends are not translated.
+    writer's body for this network with every bit 0 as a uint8 array, except
+    that the ``bits`` one-byte fields of each row, from the row's offset in
+    ``first`` on and 2 bytes apart, may each be ``0`` or ``1``. The file is
+    read as bytes, so CRLF line ends are not translated.
     """
     path = Path(path)
     if not path.exists():
@@ -143,7 +172,8 @@ def _read(
     *head, body = (path.read_bytes().split(b"\n", 4) + [b""] * 4)[:5]
     try:
         head = [line.decode() for line in head]
-        body.decode()  # checked only: the body is compared as bytes
+        if not body.isascii():  # checked only: the body is compared as bytes
+            body.decode()
     except UnicodeDecodeError as exc:
         raise PolicyFileError(f"{path}: not a text file: {exc}") from None
     if head[0] != tag:
@@ -155,17 +185,25 @@ def _read(
         raise PolicyFileError(f"{path}: policy was solved for a different network")
     if not body:
         raise PolicyFileError(f"{path}: no policy rows")
-    expected = np.frombuffer(blank, dtype=np.uint8)
     got = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(expected == ord("\n"))
-    at = (ends[:, None] - np.arange(2 * bits - 1, 0, -2)).ravel()  # action bytes, in order
-    n = min(got.size, expected.size)
-    bad = got[:n] != expected[:n]
-    bad[at[:np.searchsorted(at, n)]] = False
-    if got.size != expected.size or bad.any():
-        line = 5 + np.searchsorted(ends, np.argmax(np.append(bad, True)))
+    at = np.empty((first.size, bits), dtype=np.int64)  # action bytes, in order
+    for j in range(bits):  # column by column: numpy loops run along the rows
+        np.add(first, 2 * j, out=at[:, j])
+    at = at.ravel()
+    actions = got[at] if got.size == blank.size else None
+    # The blank's action bytes are "0", so the bytes that differ from it are
+    # the action bytes other than "0" exactly when no other byte differs.
+    if actions is None or (
+        np.count_nonzero(got != blank) != np.count_nonzero(actions != ord("0"))
+    ):
+        n = min(got.size, blank.size)
+        bad = got[:n] != blank[:n]
+        bad[at[:np.searchsorted(at, n)]] = False
+        differs = np.argmax(np.append(bad, True))
+        line = 5 + np.searchsorted(first + 2 * bits - 1, differs)  # row ends, after the last bit
         raise PolicyFileError(f"{path}: line {line} differs from the writer's rows for this network")
-    actions = got[at].reshape(-1, bits) - ord("0")
+    actions = actions.reshape(-1, bits)
+    actions -= ord("0")
     if (actions > 1).any():
         raise PolicyFileError(f"{path}: action bits must be 0 or 1")
     return actions.view(np.int8), meta
@@ -186,8 +224,11 @@ def save_mixed_policies(
         f"active={int(solution.constraint_active)} avg_cost={solution.avg_cost!r} "
         f"command_rate={solution.command_rate!r}"
     )
-    tables = [(p.lower.actions, p.upper.actions) for p in per_class]
-    _write(path, MIXED_TAG, config, meta, MIXED_COLUMNS, _mixed_rows(tables))
+    body, lower = _mixed_layout([p.num_states for p in per_class])
+    body[lower] += np.concatenate([p.lower.actions for p in per_class]).view(np.uint8)
+    lower += 2  # the upper bits
+    body[lower] += np.concatenate([p.upper.actions for p in per_class]).view(np.uint8)
+    _write(path, MIXED_TAG, config, meta, MIXED_COLUMNS, [body])
 
 
 def load_mixed_policies(
@@ -196,8 +237,8 @@ def load_mixed_policies(
     """Read mixed tables back, validate them, and hand one to every sensor."""
     classes, _, class_of = sensor_classes(config)
     sizes = [sensor_model(s, config.delta_max).num_states for s in classes]
-    blank = b"".join(_mixed_rows([(np.zeros(n, np.int8),) * 2 for n in sizes]))
-    actions, meta = _read(path, MIXED_TAG, config, MIXED_COLUMNS, blank, 2)
+    blank, lower = _mixed_layout(sizes)
+    actions, meta = _read(path, MIXED_TAG, config, MIXED_COLUMNS, blank, lower, 2)
     numbers = []
     for key in ("eta", "mu_minus", "mu_plus", "avg_cost"):
         if key not in meta:
@@ -239,8 +280,9 @@ def load_joint_policy(
     if total > JOINT_STATE_CAP:  # no joint solve writes such a file
         raise PolicyFileError(f"{path}: no joint policy exists above {JOINT_STATE_CAP} states")
     k = config.num_sensors
-    blank = b"".join(_joint_rows(np.zeros((total, k), np.int8)))
-    actions, meta = _read(path, JOINT_TAG, config, _joint_columns(k), blank, k)
+    blank = np.frombuffer(b"".join(_joint_rows(np.zeros((total, k), np.int8))), np.uint8)
+    first = np.flatnonzero(blank == ord("\n")) - (2 * k - 1)
+    actions, meta = _read(path, JOINT_TAG, config, _joint_columns(k), blank, first, k)
     try:
         policy = JointPolicy(actions=actions, budget=config.budget, state_sizes=sizes)
     except ValueError as exc:

@@ -17,6 +17,8 @@ index + r. The exact policy's table covers the joint states that
 
 from __future__ import annotations
 
+from itertools import chain, compress, count
+from operator import is_not
 from typing import Sequence
 
 import numpy as np
@@ -156,22 +158,25 @@ def class_policies(
     """
     if len(policies) != network.num_sensors:
         raise ValueError("need one mixed policy per sensor")
-    if len({p.eta for p in policies}) != 1:
-        raise ValueError("fleet mixing factor must be shared across sensors")
     classes, _, class_of = sensor_classes(network)
     first = np.unique(class_of, return_index=True)[1]
     per_class = tuple(policies[k] for k in first)
+    # Sensors but the ``odd`` ones carry their class's own object, whose eta
+    # and tables are checked once. MixedPolicy compares by identity, so the
+    # list comparison is an identity pass at C level.
+    refs = np.array(per_class, dtype=object)[class_of].tolist()
+    odd = [] if refs == list(policies) else list(compress(count(), map(is_not, policies, refs)))
+    if len({p.eta for p in chain(per_class, map(policies.__getitem__, odd))}) != 1:
+        raise ValueError("fleet mixing factor must be shared across sensors")
     for sensor, p in zip(classes, per_class):
         if p.num_states != sensor_model(sensor, network.delta_max).num_states:
             raise ValueError("mixed policy table size does not match the sensor")
-    for k, (p, c) in enumerate(zip(policies, class_of.tolist())):
-        ref = per_class[c]
-        if p is not ref and not (
-            np.array_equal(p.lower.actions, ref.lower.actions)
-            and np.array_equal(p.upper.actions, ref.upper.actions)
-        ):
+    for k in odd:
+        p, ref = policies[k], refs[k]
+        if not (np.array_equal(p.lower.actions, ref.lower.actions)
+                and np.array_equal(p.upper.actions, ref.upper.actions)):
             raise ValueError(
-                f"sensors {first[c]} and {k} are identical but carry different tables"
+                f"sensors {first[class_of[k]]} and {k} are identical but carry different tables"
             )
     return class_of, per_class
 

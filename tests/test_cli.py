@@ -324,13 +324,17 @@ def test_analyze_simulates_each_policy_once(tmp_path, monkeypatch, capsys, text)
 
 def test_analyze_reports_an_inactive_budget_and_exits_2_on_a_failed_check(
         tmp_path, monkeypatch, capsys):
-    # A budget of the whole fleet leaves nothing to calibrate.
+    # A budget of the whole fleet leaves nothing to calibrate and nothing to
+    # truncate.
     cfg = _write_config(tmp_path, SMALL_FLEET.replace("gamma = 0.1", "gamma = 1.0"))
     assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
     printed = capsys.readouterr().out
     assert "INFO budget-calibration constraint inactive, nothing to calibrate\n" in printed
+    assert "INFO truncation-gap-bound skipped: budget covers the fleet (M >= K)\n" in printed
     assert "FAIL" not in printed
-    # One failed check, forced, makes the exit code 2; the other checks still print.
+    # One failed check, forced, makes the exit code 2; the other checks still
+    # print. The gap bound runs only where the budget truncates (M < K).
+    cfg = _write_config(tmp_path, SMALL_FLEET)
     check = cli.check_gap_bound
     monkeypatch.setattr(cli, "check_gap_bound",
                         lambda *args: dataclasses.replace(check(*args), holds=False))
@@ -339,6 +343,18 @@ def test_analyze_reports_an_inactive_budget_and_exits_2_on_a_failed_check(
     assert [line.split()[1] for line in printed.splitlines() if line.startswith("FAIL")] == [
         "truncation-gap-bound"]
     assert "INFO proposal-mad-scaling" in printed
+
+
+def test_analyze_skips_the_gap_bound_when_the_budget_covers_the_fleet(tmp_path, capsys):
+    # With M >= K rtt never truncates, so there is no truncation penalty to
+    # bound: the 0.001 gap of this deterministic fleet is its start-state
+    # transient, and its bound of 0 made a false FAIL.
+    cfg = _write_config(tmp_path, TINY_CONFIG.replace("M = 1", "M = 2"))
+    code = main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "a")])
+    printed = capsys.readouterr().out
+    assert code == 0, printed
+    assert "INFO truncation-gap-bound skipped: budget covers the fleet (M >= K)\n" in printed
+    assert "FAIL" not in printed
 
 
 def test_analyze_paper_scale_skips_the_exact_solve(tmp_path, capsys):

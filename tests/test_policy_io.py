@@ -471,6 +471,7 @@ def _assert_mixed_file_matches_savetxt(path, sensors, delta_max, kinds, eta, rng
     reference = path.with_name("reference.csv")
     savetxt_reference(reference, "\n".join(head), np.concatenate(rows))
     assert path.read_bytes() == reference.read_bytes()
+    return net, tables
 
 
 def test_mixed_file_matches_savetxt_on_each_table_kind(tmp_path):
@@ -482,6 +483,23 @@ def test_mixed_file_matches_savetxt_on_each_table_kind(tmp_path):
             tmp_path / "mixed.csv", (pool[0], pool[1], pool[2], pool[1]), 4, kinds, eta,
             np.random.default_rng(0),
         )
+
+
+def test_mixed_file_reuses_row_shapes_across_the_class_number_width(tmp_path):
+    # Twelve classes whose battery capacities alternate, so 12- and 18-state
+    # classes alternate too: each (size, class-number width) shape is laid out
+    # once and copied, below class 10 and from class 10 on.
+    sensors = [SensorParams(0.05 * (c + 1), 1 + c % 2, (0.5,)) for c in range(12)]
+    assert [sensor_model(s, 3).num_states for s in sensors] == [12, 18] * 6
+    kinds = [("bits", "bits")] * 12
+    path = tmp_path / "mixed.csv"
+    net, tables = _assert_mixed_file_matches_savetxt(
+        path, sensors, 3, kinds, 0.375, np.random.default_rng(7))
+    loaded, _ = load_mixed_policies(path, net)
+    for (lower, upper), policy in zip(tables, loaded):  # sensor c is class c
+        assert policy.lower.actions.tobytes() == lower.tobytes()
+        assert policy.upper.actions.tobytes() == upper.tobytes()
+    assert len({lower.tobytes() for lower, _ in tables}) > 1  # the tables differ
 
 
 @settings(max_examples=60, deadline=None,
